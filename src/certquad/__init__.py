@@ -18,7 +18,7 @@ from .errors import DomainError, OracleError, ParseError, Refusal
 from .expression import (Expr, FunctionModel, builtin_corpus, differentiate,
                          evaluate, from_expression, parse, power_model,
                          probe_convexity, resolve_function, to_string)
-from .means import eval_mean, proposition_check, proposition_consistency
+from .means import eval_mean, proposition_check
 from .oracle import OracleResult, hh_check, integrate_ref, mean_ref
 from .params import (ExponentPair, Regime, RuleParams, classify_regime,
                      conjugate)
@@ -38,6 +38,6 @@ __all__ = [
     "holder_coeffs", "holder_endpoint_bound", "holder_interior_bound",
     "identity_rhs", "integrate_ref", "mean_ref", "named_rule", "parse",
     "power_mean_bound", "power_mean_coeffs", "power_model",
-    "probe_convexity", "proposition_check", "proposition_consistency",
-    "resolve_function", "rule_value", "to_string",
+    "probe_convexity", "proposition_check", "resolve_function",
+    "rule_value", "to_string",
 ]

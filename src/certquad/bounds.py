@@ -66,7 +66,11 @@ class ErrorCertificate:
 
 
 def _established_convexity(f: FunctionModel, iv: Interval, q) -> bool:
-    """True plus advisory=False for proven models; probe otherwise."""
+    """The advisory flag for a certificate on f over iv at exponent q.
+
+    False for models with proven convexity of |f'|**q, True when the
+    sampled probe passes; raises Refusal when the probe fails.
+    """
     if f.convex_for_all_q:
         return False
     if probe_convexity(f, q, iv.a, iv.b):
@@ -191,8 +195,7 @@ def best_bound(f: FunctionModel, iv: Interval, params: RuleParams,
     candidates = []
     refusals = []
     for q in q_grid:
-        for engine in (power_mean_bound, holder_interior_bound,
-                       holder_endpoint_bound):
+        for engine in ENGINES.values():
             try:
                 candidates.append(engine(f, iv, params, q))
             except Refusal as exc:

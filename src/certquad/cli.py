@@ -98,7 +98,7 @@ def _add_interval_args(p: _Parser) -> None:
     p.add_argument("--b", required=True, help="right endpoint")
 
 
-def _add_params_args(p: _Parser, required: bool = True) -> None:
+def _add_params_args(p: _Parser) -> None:
     p.add_argument("--rule", choices=("midpoint", "trapezoid", "simpson"),
                    help="named parameter pair")
     p.add_argument("--alpha", help="node placement in [0,1]")
@@ -418,13 +418,9 @@ def _sweep_hh(corpus, tol):
     out = []
     for f in corpus:
         for a, b in _SWEEP_INTERVALS:
-            iv = Interval(a, b)
-            mid = float(f.value(iv.midpoint()))
-            mean = oracle.mean_ref(f, iv, tol=tol)
-            ends = (float(f.value(a)) + float(f.value(b))) / 2
-            worst = max(mid - mean, mean - ends)
+            gap = oracle.hh_gap(f, Interval(a, b), tol=tol)
             out.append(_row(f.name, a, b, None, None, None, "hh",
-                            max(worst, 0.0), HH_SLACK, ""))
+                            max(gap, 0.0), HH_SLACK, ""))
     return out
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from .bounds import ENGINES, ErrorCertificate
+from .bounds import ENGINES
 from .errors import DomainError
 from .expression import FunctionModel
 from .params import RuleParams
@@ -54,10 +54,6 @@ def _resolve_engine(theorem: str):
         ) from None
 
 
-def _certify(engine, f, iv, params, q) -> ErrorCertificate:
-    return engine(f, iv, params, q)
-
-
 def _assemble(panels_with_certs, target_met=None) -> CompositeResult:
     panels = sorted(panels_with_certs, key=lambda pc: float(pc[0].a))
     value = sum(iv.width * cert.approx for iv, cert in panels)
@@ -76,7 +72,7 @@ def composite_integrate(f: FunctionModel, iv: Interval, params: RuleParams,
     panels = []
     for u, v in zip(cuts, cuts[1:]):
         piece = Interval(u, v)
-        panels.append((piece, _certify(engine, f, piece, params, q)))
+        panels.append((piece, engine(f, piece, params, q)))
     return _assemble(panels)
 
 
@@ -95,7 +91,7 @@ def adaptive_integrate(f: FunctionModel, iv: Interval, params: RuleParams,
     engine = _resolve_engine(theorem)
 
     def entry(piece: Interval):
-        cert = _certify(engine, f, piece, params, q)
+        cert = engine(f, piece, params, q)
         scaled = piece.width * cert.bound
         return (-scaled, float(piece.a), piece, cert)
 

@@ -14,13 +14,14 @@ Means (weighted variants take alpha in [0, 1]):
                                                  integer n not in {-1, 0}, a != b
     I(a,b)       = (1/e)*(b**b/a**a)**(1/(b-a))  a, b > 0, a != b
 
-Each inequality check evaluates its left side from the means above and
-its right side from the regime-selected bound constants, then reports
+Each inequality check is a bound engine applied to the function that
+generates it: the right side is the engine's certificate, the left side
+|rule value - integral mean of that function|, and the check reports
 whether left <= right (with 1e-10 slack for rounding).  Indices 1..6:
-odd-index style checks ride the power-mean route (1: x**n, 3: 1/x,
-5: -ln x with q >= 1), the even ones the interior-node conjugate route
-(2, 4, 6 with q > 1).  ``proposition_consistency`` confirms each check is
-a pure instantiation of the matching bound engine.
+the odd checks are the power-mean engine (``power_mean_bound``, q >= 1)
+and the even ones the interior-node conjugate engine
+(``holder_interior_bound``, q > 1), on x**n (1, 2; mean L_n**n), on 1/x
+(3, 4; mean 1/L) and on -ln x (5, 6; mean -ln I).
 """
 
 from __future__ import annotations
@@ -28,14 +29,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from . import oracle
 from .bounds import holder_interior_bound, power_mean_bound
-from .coefficients import (holder_coeffs, power_mean_coeffs,
-                           regime_selected, regime_selected_eps)
 from .errors import DomainError
-from .expression import FunctionModel, builtin_corpus, power_model
-from .params import RuleParams, classify_regime, conjugate, _normalize
-from .rules import Interval, rule_value
+from .expression import FunctionModel, power_model, resolve_function
+from .params import RuleParams, _normalize
+from .rules import Interval
 
 MEAN_KINDS = ("A_alpha", "A", "G_alpha", "G", "H_alpha", "H", "L", "L_n", "I")
 
@@ -150,76 +148,23 @@ def _check_domain(which: int, a, b, q, n) -> None:
         _require(q > 1, "requires q > 1")
 
 
-def _lhs(which: int, a, b, params: RuleParams, n) -> float:
-    alpha, lam = params.alpha, params.lam
-    node = weighted_arithmetic(alpha, a, b)
+def _special_mean(which: int, a, b, n):
+    """The integral mean of the generating function: L_n**n for x**n,
+    1/L for 1/x and -ln I for -ln x."""
     if which in (1, 2):
-        approx = lam * weighted_arithmetic(alpha, a ** n, b ** n) \
-            + (1 - lam) * node ** n
-        return abs(float(approx - power_log_mean_nth(n, a, b)))
+        return power_log_mean_nth(n, a, b)
     if which in (3, 4):
-        _require(node != 0, "interior node alpha*a + (1-alpha)*b is zero")
-        approx = lam * (alpha / a + (1 - alpha) / b) + (1 - lam) / node
-        return abs(float(approx - 1 / log_mean(a, b)))
-    log_g = weighted_arithmetic(
-        alpha, math.log(float(a)), math.log(float(b)))  # ln G_alpha
-    log_node = math.log(float(node))                    # ln A_alpha
-    blended = float(lam) * log_g + (1 - float(lam)) * log_node
-    return abs(blended - math.log(identric_mean(a, b)))
+        return 1 / log_mean(a, b)
+    return -math.log(identric_mean(a, b))
 
 
-def _power_mean_rhs(params: RuleParams, q, xb, ya, scale=1):
-    """(b-a)-free right side of the power-mean route with |f'(b)|**q and
-    |f'(a)|**q replaced by the caller's endpoint quantities."""
-    tag = classify_regime(params).tag
-    gamma, mu_b, mu_a, upsilon, eta_b, eta_a = regime_selected(
-        power_mean_coeffs(params), tag)
-    inv_q = 1 / q
-    outer = 1 - inv_q
-    return scale * (gamma ** outer * (mu_b * xb + mu_a * ya) ** inv_q
-                    + upsilon ** outer * (eta_b * xb + eta_a * ya) ** inv_q)
-
-
-def _holder_rhs(params: RuleParams, q, theta_a, theta_b, scale=1):
-    """(b-a)-free right side of the interior-node conjugate route with the
-    endpoint averages already folded into theta_a and theta_b."""
-    p = conjugate(q).p
-    tag = classify_regime(params).tag
-    eps_first, eps_second = regime_selected_eps(holder_coeffs(params, p), tag)
-    alpha = params.alpha
-    inv_q = 1 / q
-    inv_p = 1 / p
-    return scale * (1 / (p + 1)) ** inv_p * (
-        (1 - alpha) ** inv_q * eps_first ** inv_p * theta_a
-        + alpha ** inv_q * eps_second ** inv_p * theta_b)
-
-
-def _rhs(which: int, a, b, params: RuleParams, q, n) -> float:
-    width = b - a
-    node = weighted_arithmetic(params.alpha, a, b)
-    if which == 1:
-        xb = abs(b) ** ((n - 1) * q)
-        ya = abs(a) ** ((n - 1) * q)
-        return float(width * abs(n) * _power_mean_rhs(params, q, xb, ya))
-    if which == 2:
-        node_pow = abs(node) ** ((n - 1) * q)
-        theta_a = ((node_pow + abs(a) ** ((n - 1) * q)) / 2) ** (1 / q)
-        theta_b = ((node_pow + abs(b) ** ((n - 1) * q)) / 2) ** (1 / q)
-        return float(width * abs(n) * _holder_rhs(params, q, theta_a, theta_b))
-    if which == 3:
-        return float(width * _power_mean_rhs(
-            params, q, 1 / abs(b) ** (2 * q), 1 / abs(a) ** (2 * q)))
-    if which == 4:
-        node_pow = node ** (2 * q)
-        theta_a = ((1 / node_pow + 1 / a ** (2 * q)) / 2) ** (1 / q)
-        theta_b = ((1 / node_pow + 1 / b ** (2 * q)) / 2) ** (1 / q)
-        return float(width * _holder_rhs(params, q, theta_a, theta_b))
-    if which == 5:
-        return float(width * _power_mean_rhs(params, q, 1 / b ** q, 1 / a ** q))
-    node_pow = node ** q
-    theta_a = ((1 / node_pow + 1 / a ** q) / 2) ** (1 / q)
-    theta_b = ((1 / node_pow + 1 / b ** q) / 2) ** (1 / q)
-    return float(width * _holder_rhs(params, q, theta_a, theta_b))
+def _model_for(which: int, a, n) -> FunctionModel:
+    side = "pos" if a > 0 else "neg"
+    if which in (1, 2):
+        return power_model(n, side)
+    if which in (3, 4):
+        return power_model(-1, side)
+    return resolve_function("neglog")
 
 
 def proposition_check(which: int, a, b, params: RuleParams, q,
@@ -229,42 +174,8 @@ def proposition_check(which: int, a, b, params: RuleParams, q,
     _check_index(which)
     q = _normalize(q)
     _check_domain(which, a, b, q, n)
-    lhs = _lhs(which, a, b, params, n)
-    rhs = _rhs(which, a, b, params, q, n)
-    return PropositionResult(lhs=lhs, rhs=rhs, holds=lhs <= rhs + slack)
-
-
-_NEGLOG = None
-
-
-def _model_for(which: int, a, b, n) -> FunctionModel:
-    global _NEGLOG
-    side = "pos" if a > 0 else "neg"
-    if which in (1, 2):
-        return power_model(n, side)
-    if which in (3, 4):
-        return power_model(-1, side)
-    if _NEGLOG is None:
-        _NEGLOG = next(m for m in builtin_corpus() if m.name == "neglog")
-    return _NEGLOG
-
-
-def proposition_consistency(which: int, a, b, params: RuleParams, q,
-                            n: int | None = None,
-                            rhs_tol: float = 1e-12,
-                            lhs_tol: float = 1e-10) -> bool:
-    """The check must coincide with the bound engine run on the function
-    that generates it: right sides within rhs_tol, left side within
-    lhs_tol of |rule value - oracle mean|."""
-    _check_index(which)
-    q = _normalize(q)
-    _check_domain(which, a, b, q, n)
-    result = proposition_check(which, a, b, params, q, n)
-    f = _model_for(which, a, b, n)
-    iv = Interval(a, b)
     engine = power_mean_bound if which in (1, 3, 5) else holder_interior_bound
-    cert = engine(f, iv, params, q)
-    if abs(result.rhs - float(cert.bound)) > rhs_tol:
-        return False
-    gap = abs(float(rule_value(f, iv, params)) - oracle.mean_ref(f, iv, tol=1e-12))
-    return abs(result.lhs - gap) <= lhs_tol
+    cert = engine(_model_for(which, a, n), Interval(a, b), params, q)
+    lhs = abs(float(cert.approx - _special_mean(which, a, b, n)))
+    rhs = float(cert.bound)
+    return PropositionResult(lhs=lhs, rhs=rhs, holds=lhs <= rhs + slack)

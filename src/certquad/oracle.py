@@ -107,9 +107,15 @@ def mean_ref(f, iv, tol=None) -> float:
     return r.value / float(iv.b - iv.a)
 
 
-def hh_check(f, iv, tol=None, slack: float = 1e-12) -> bool:
-    """Midpoint <= integral mean <= endpoint average, for convex f."""
+def hh_gap(f, iv, tol=None) -> float:
+    """Worst violation of midpoint <= integral mean <= endpoint average,
+    max(mid - mean, mean - ends); at most oracle error for convex f."""
     mid = float(f.value((iv.a + iv.b) / 2))
     mean = mean_ref(f, iv, tol=tol)
     ends = (float(f.value(iv.a)) + float(f.value(iv.b))) / 2
-    return mid <= mean + slack and mean <= ends + slack
+    return max(mid - mean, mean - ends)
+
+
+def hh_check(f, iv, tol=None, slack: float = 1e-12) -> bool:
+    """Midpoint <= integral mean <= endpoint average, for convex f."""
+    return hh_gap(f, iv, tol=tol) <= slack

@@ -24,7 +24,7 @@ from certquad import (Interval, RuleParams, abs_power_integral, best_bound,
                       holder_coeffs, holder_interior_bound,
                       holder_endpoint_bound, mean_ref, named_rule,
                       identity_rhs, power_mean_bound, power_mean_coeffs,
-                      proposition_check, proposition_consistency, rule_value)
+                      rule_value)
 from certquad.bounds import ENGINES
 from certquad.coefficients import regime_selected, regime_selected_eps
 from certquad.prng import SplitMix64
@@ -35,6 +35,7 @@ from test_bounds import (fixture_midpoint_power_mean, fixture_midpoint_q1,
                          fixture_simpson_holder_interior,
                          fixture_simpson_power_mean,
                          fixture_trapezoid_power_mean)
+from test_means import assert_matches_engine
 
 SIMPSON = named_rule("simpson")
 MIDPOINT = named_rule("midpoint")
@@ -255,10 +256,8 @@ def test_criterion_8_propositions():
             q = rng.choice([1.0, 1.5, 2.0, 3.0] if which in (1, 3, 5)
                            else [1.5, 2.0, 3.0])
             n = rng.choice([2, 3, -2]) if which in (1, 2) else None
-            result = proposition_check(which, a, b, params, q, n=n)
+            result = assert_matches_engine(which, a, b, params, q, n=n)
             assert result.holds, (which, a, b, params, q, n)
-            assert proposition_consistency(which, a, b, params, q, n=n), (
-                which, a, b, params, q, n)
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0
     _report(8, f"6 x {per_prop} tuples hold and match the engines, "

@@ -3,8 +3,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from certquad import (DomainError, RuleParams, eval_mean, proposition_check,
-                      proposition_consistency)
+from certquad import (DomainError, Interval, RuleParams, eval_mean,
+                      holder_interior_bound, mean_ref, power_mean_bound,
+                      power_model, proposition_check, resolve_function,
+                      rule_value)
 from certquad.prng import SplitMix64
 
 
@@ -150,8 +152,31 @@ def test_propositions_hold_randomized(which):
         assert r.margin >= -1e-10
 
 
+def _generating_function(which, a, n):
+    side = "pos" if a > 0 else "neg"
+    if which in (1, 2):
+        return power_model(n, side)
+    if which in (3, 4):
+        return power_model(-1, side)
+    return resolve_function("neglog")
+
+
+def assert_matches_engine(which, a, b, params, q, n=None):
+    """Check ``which`` is its engine run on the generating function: the
+    right side is the certificate exactly, the left side is within 1e-10
+    of |rule value - reference mean|."""
+    case = (which, a, b, params, q, n)
+    f = _generating_function(which, a, n)
+    engine = power_mean_bound if which in (1, 3, 5) else holder_interior_bound
+    iv = Interval(a, b)
+    result = proposition_check(which, a, b, params, q, n=n)
+    assert result.rhs == float(engine(f, iv, params, q).bound), case
+    gap = abs(float(rule_value(f, iv, params)) - mean_ref(f, iv, tol=1e-12))
+    assert abs(result.lhs - gap) <= 1e-10, case
+    return result
+
+
 @pytest.mark.parametrize("which", [1, 2, 3, 4, 5, 6])
 def test_consistency_with_engines(which):
     for a, b, params, q, n in _tuples(which, 12, seed=47 + which):
-        assert proposition_consistency(which, a, b, params, q, n=n), (
-            which, a, b, params, q, n)
+        assert_matches_engine(which, a, b, params, q, n=n)
