@@ -14,6 +14,10 @@ Three engines, one per derivation route:
   holder_endpoint_bound q > 1.  Conjugate-exponent route with averages
                         built from the endpoints only.
 
+All three run one prologue (q range, domain, convexity hypothesis,
+conjugate, regime tag, |f'(b)|**q and |f'(a)|**q) and build their
+certificate in one place.
+
 At q = 1 the power-mean shape collapses through the x**0 = 1 convention
 to (b-a) * [(mu_b+eta_b)*X + (mu_a+eta_a)*Y]; there is no separate code
 path for it, only a separate certificate tag.
@@ -41,9 +45,6 @@ POWER_MEAN = "T22"
 POWER_MEAN_Q1 = "T22q1"
 HOLDER_INTERIOR = "T23"
 HOLDER_ENDPOINT = "T24"
-
-THEOREM_ORDER = {POWER_MEAN: 0, POWER_MEAN_Q1: 0,
-                 HOLDER_INTERIOR: 1, HOLDER_ENDPOINT: 2}
 
 
 @dataclass(frozen=True)
@@ -85,92 +86,75 @@ def _clamp(v):
     return v if v >= 0 else 0 * v
 
 
-def _endpoint_powers(f: FunctionModel, iv: Interval, q):
+def _certify(f: FunctionModel, iv: Interval, params: RuleParams, q,
+             theorem: str) -> ErrorCertificate:
+    """The engine prologue, the theorem's bound formula and the certificate.
+
+    The prologue normalises q and checks it against the engine's range
+    (q >= 1 for T22, q > 1 for T23 and T24), checks the domain and the
+    convexity hypothesis, and computes the conjugate p, the regime tag and
+    X = |f'(b)|**q, Y = |f'(a)|**q.  T23 and T24 share one formula and
+    differ only in its two weights and two averages.
+    """
+    q = _normalize(q)
+    if theorem == POWER_MEAN and not q >= 1:
+        raise Refusal(f"q >= 1 required, got {q!r}")
+    if theorem != POWER_MEAN and not q > 1:
+        raise Refusal(f"q > 1 required, got {q!r}")
+    require_within_domain(f, iv)
+    advisory = _established_convexity(f, iv, q)
+    p = conjugate(q).p
+    tag = classify_regime(params).tag
     xb = abs(f.derivative(iv.b)) ** q
     ya = abs(f.derivative(iv.a)) ** q
-    return xb, ya
+    inv_q = 1 / q
+    if theorem == POWER_MEAN:
+        gamma, mu_b, mu_a, upsilon, eta_b, eta_a = (
+            _clamp(v) for v in regime_selected(power_mean_coeffs(params), tag))
+        outer = 1 - inv_q
+        term1 = gamma ** outer * _clamp(mu_b * xb + mu_a * ya) ** inv_q
+        term2 = upsilon ** outer * _clamp(eta_b * xb + eta_a * ya) ** inv_q
+        bound = iv.width * (term1 + term2)
+    else:
+        eps_first, eps_second = (
+            _clamp(v) for v in regime_selected_eps(holder_coeffs(params, p), tag))
+        alpha = params.alpha
+        if theorem == HOLDER_INTERIOR:
+            node_pow = abs(f.derivative(interior_node(iv, params))) ** q
+            w1, d1 = (1 - alpha) ** inv_q, (node_pow + ya) / 2
+            w2, d2 = alpha ** inv_q, (node_pow + xb) / 2
+        else:
+            w1, d1 = 1, (xb * (1 - alpha) ** 2 + (1 - alpha * alpha) * ya) / 2
+            w2, d2 = 1, (xb * alpha * (2 - alpha) + alpha * alpha * ya) / 2
+        inv_p = 1 / p
+        bound = iv.width * (1 / (p + 1)) ** inv_p * (
+            w1 * eps_first ** inv_p * d1 ** inv_q
+            + w2 * eps_second ** inv_p * d2 ** inv_q)
+    return ErrorCertificate(
+        interval=iv, params=params,
+        theorem=POWER_MEAN_Q1 if q == 1 else theorem,
+        q=q, p=p, bound=bound, approx=rule_value(f, iv, params),
+        advisory=advisory, regime=tag)
 
 
 def power_mean_bound(f: FunctionModel, iv: Interval, params: RuleParams,
                      q) -> ErrorCertificate:
     """Certificate from the power-mean route; q >= 1."""
-    q = _normalize(q)
-    if not q >= 1:
-        raise Refusal(f"q >= 1 required, got {q!r}")
-    require_within_domain(f, iv)
-    advisory = _established_convexity(f, iv, q)
-    pair = conjugate(q)
-    regime = classify_regime(params)
-    gamma, mu_b, mu_a, upsilon, eta_b, eta_a = (
-        _clamp(v) for v in regime_selected(power_mean_coeffs(params), regime.tag))
-    xb, ya = _endpoint_powers(f, iv, q)
-    inv_q = 1 / q
-    outer = 1 - inv_q
-    term1 = gamma ** outer * _clamp(mu_b * xb + mu_a * ya) ** inv_q
-    term2 = upsilon ** outer * _clamp(eta_b * xb + eta_a * ya) ** inv_q
-    bound = iv.width * (term1 + term2)
-    return ErrorCertificate(
-        interval=iv, params=params,
-        theorem=POWER_MEAN_Q1 if q == 1 else POWER_MEAN,
-        q=q, p=pair.p, bound=bound,
-        approx=rule_value(f, iv, params),
-        advisory=advisory, regime=regime.tag)
-
-
-def _holder_prologue(f, iv, params, q):
-    q = _normalize(q)
-    if not q > 1:
-        raise Refusal(f"q > 1 required, got {q!r}")
-    require_within_domain(f, iv)
-    advisory = _established_convexity(f, iv, q)
-    p = conjugate(q).p
-    regime = classify_regime(params)
-    eps_first, eps_second = regime_selected_eps(
-        holder_coeffs(params, p), regime.tag)
-    return q, advisory, p, regime, _clamp(eps_first), _clamp(eps_second)
+    return _certify(f, iv, params, q, POWER_MEAN)
 
 
 def holder_interior_bound(f: FunctionModel, iv: Interval, params: RuleParams,
                           q) -> ErrorCertificate:
     """Certificate from the conjugate-exponent route with interior-node
     averages; q > 1."""
-    q, advisory, p, regime, eps_first, eps_second = _holder_prologue(
-        f, iv, params, q)
-    alpha = params.alpha
-    xb, ya = _endpoint_powers(f, iv, q)
-    node_pow = abs(f.derivative(interior_node(iv, params))) ** q
-    d1 = (node_pow + ya) / 2
-    d2 = (node_pow + xb) / 2
-    inv_q = 1 / q
-    inv_p = 1 / p
-    bound = iv.width * (1 / (p + 1)) ** inv_p * (
-        (1 - alpha) ** inv_q * eps_first ** inv_p * d1 ** inv_q
-        + alpha ** inv_q * eps_second ** inv_p * d2 ** inv_q)
-    return ErrorCertificate(
-        interval=iv, params=params, theorem=HOLDER_INTERIOR,
-        q=q, p=p, bound=bound, approx=rule_value(f, iv, params),
-        advisory=advisory, regime=regime.tag)
+    return _certify(f, iv, params, q, HOLDER_INTERIOR)
 
 
 def holder_endpoint_bound(f: FunctionModel, iv: Interval, params: RuleParams,
                           q) -> ErrorCertificate:
     """Certificate from the conjugate-exponent route with endpoint-only
     averages; q > 1."""
-    q, advisory, p, regime, eps_first, eps_second = _holder_prologue(
-        f, iv, params, q)
-    alpha = params.alpha
-    xb, ya = _endpoint_powers(f, iv, q)
-    d3 = (xb * (1 - alpha) ** 2 + (1 - alpha * alpha) * ya) / 2
-    d4 = (xb * alpha * (2 - alpha) + alpha * alpha * ya) / 2
-    inv_q = 1 / q
-    inv_p = 1 / p
-    bound = iv.width * (1 / (p + 1)) ** inv_p * (
-        eps_first ** inv_p * d3 ** inv_q
-        + eps_second ** inv_p * d4 ** inv_q)
-    return ErrorCertificate(
-        interval=iv, params=params, theorem=HOLDER_ENDPOINT,
-        q=q, p=p, bound=bound, approx=rule_value(f, iv, params),
-        advisory=advisory, regime=regime.tag)
+    return _certify(f, iv, params, q, HOLDER_ENDPOINT)
 
 
 ENGINES = {
@@ -185,17 +169,19 @@ def best_bound(f: FunctionModel, iv: Interval, params: RuleParams,
     """Smallest certificate over the engines crossed with a q grid.
 
     Candidates: the power-mean engine at every q >= 1 in the grid, the
-    two conjugate-exponent engines at every q > 1.  Ties break toward the
-    power-mean engine, then the interior-node engine, then smaller q.
-    Raises Refusal when the grid is empty or every candidate refuses.
+    two conjugate-exponent engines at every q > 1.  They are generated in
+    ``ENGINES`` order, then by ascending q, and the first smallest bound
+    wins, so ties break toward the power-mean engine, then the
+    interior-node engine, then smaller q.  Raises Refusal when the grid
+    is empty or every candidate refuses.
     """
-    q_grid = list(q_grid)
+    q_grid = sorted(q_grid)
     if not q_grid:
         raise Refusal("empty q grid")
     candidates = []
     refusals = []
-    for q in q_grid:
-        for engine in ENGINES.values():
+    for engine in ENGINES.values():
+        for q in q_grid:
             try:
                 candidates.append(engine(f, iv, params, q))
             except Refusal as exc:
@@ -203,6 +189,4 @@ def best_bound(f: FunctionModel, iv: Interval, params: RuleParams,
     if not candidates:
         raise Refusal("no engine produced a certificate: "
                       + "; ".join(sorted(set(refusals))))
-    return min(candidates,
-               key=lambda c: (float(c.bound), THEOREM_ORDER[c.theorem],
-                              float(c.q)))
+    return min(candidates, key=lambda c: float(c.bound))

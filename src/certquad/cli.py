@@ -1,7 +1,8 @@
 """Command line front end.
 
 Subcommands: bound, integrate, coeffs, verify, means.  Exit codes: 0 on
-success, 1 for parse/validation/domain errors, 2 when an engine refuses
+success, 1 for parse/validation/domain errors and arithmetic overflow or
+division by zero, 2 when an engine refuses
 (hypothesis not established, exponent out of range, exactness forced but
 unavailable).  The verify exit code is 0 only when the sweep finds zero
 violations.
@@ -480,7 +481,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args, sys.stdout)
-    except (ParseError, DomainError) as exc:
+    except (ParseError, DomainError, ArithmeticError) as exc:
         print(f"certquad: error: {exc}", file=sys.stderr)
         return 1
     except Refusal as exc:

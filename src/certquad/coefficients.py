@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError
-from .params import RuleParams
+from .params import CASE2, CASE3, RuleParams
 
 WEIGHT_ONE = "1"
 WEIGHT_T = "t"
@@ -177,26 +177,19 @@ def abs_power_integral(c, lo, hi, p, weight: str = WEIGHT_ONE):
 def regime_selected(coeffs: PowerMeanCoefficients, tag: str):
     """The (gamma, mu_b, mu_a, upsilon, eta_b, eta_a) sextuple a regime picks.
 
-    The *_b entries weight |f'(b)|**q, the *_a entries |f'(a)|**q.
+    The *_b entries weight |f'(b)|**q, the *_a entries |f'(a)|**q.  The
+    first half belongs to the integral over [0, 1-alpha], whose family
+    only Case3 switches; the second to the one over [1-alpha, 1], whose
+    family only Case2 switches.
     """
-    if tag == "Case1":
-        return (coeffs.gamma2, coeffs.mu1, coeffs.mu2,
-                coeffs.upsilon2, coeffs.eta3, coeffs.eta4)
-    if tag == "Case2":
-        return (coeffs.gamma2, coeffs.mu1, coeffs.mu2,
-                coeffs.upsilon1, coeffs.eta1, coeffs.eta2)
-    if tag == "Case3":
-        return (coeffs.gamma1, coeffs.mu3, coeffs.mu4,
-                coeffs.upsilon2, coeffs.eta3, coeffs.eta4)
-    raise DomainError(f"unknown regime tag {tag!r}")
+    first = ((coeffs.gamma1, coeffs.mu3, coeffs.mu4) if tag == CASE3
+             else (coeffs.gamma2, coeffs.mu1, coeffs.mu2))
+    second = ((coeffs.upsilon1, coeffs.eta1, coeffs.eta2) if tag == CASE2
+              else (coeffs.upsilon2, coeffs.eta3, coeffs.eta4))
+    return first + second
 
 
 def regime_selected_eps(coeffs: HolderCoefficients, tag: str):
     """The (eps_first, eps_second) pair a regime picks; always active."""
-    if tag == "Case1":
-        return coeffs.eps1, coeffs.eps3
-    if tag == "Case2":
-        return coeffs.eps1, coeffs.eps4
-    if tag == "Case3":
-        return coeffs.eps2, coeffs.eps3
-    raise DomainError(f"unknown regime tag {tag!r}")
+    return (coeffs.eps2 if tag == CASE3 else coeffs.eps1,
+            coeffs.eps4 if tag == CASE2 else coeffs.eps3)

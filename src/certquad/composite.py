@@ -54,12 +54,13 @@ def _resolve_engine(theorem: str):
         ) from None
 
 
-def _assemble(panels_with_certs, target_met=None) -> CompositeResult:
+def _assemble(panels_with_certs, target=None) -> CompositeResult:
     panels = sorted(panels_with_certs, key=lambda pc: float(pc[0].a))
     value = sum(iv.width * cert.approx for iv, cert in panels)
     total = sum(iv.width * cert.bound for iv, cert in panels)
     return CompositeResult(value=value, total_bound=total, panels=panels,
-                           target_met=target_met)
+                           target_met=None if target is None
+                           else bool(total <= target))
 
 
 def composite_integrate(f: FunctionModel, iv: Interval, params: RuleParams,
@@ -105,5 +106,4 @@ def adaptive_integrate(f: FunctionModel, iv: Interval, params: RuleParams,
         heapq.heappush(heap, left)
         heapq.heappush(heap, right)
         total += -left[0] + -right[0] - (-neg_scaled)
-    return _assemble([(piece, cert) for _, _, piece, cert in heap],
-                     target_met=bool(total <= target))
+    return _assemble([(piece, cert) for _, _, piece, cert in heap], target)

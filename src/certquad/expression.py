@@ -187,13 +187,16 @@ class _Parser:
         kind, value, offset = self._peek()
         if kind == "op" and value == "^":
             self._next()
+            start = self.i
             exp_offset = self._peek()[2]
             exponent = self.unary()
+            if any(tok[0] == "name" for tok in self.tokens[start:self.i]):
+                raise ParseError("exponent must be a constant", exp_offset)
             try:
-                n = _const_value(exponent)
-            except ValueError:
-                raise ParseError("exponent must be a constant", exp_offset) from None
-            return Pow(base, n)
+                return Pow(base, evaluate(exponent, None))
+            except (DomainError, OverflowError) as exc:
+                raise ParseError(f"bad constant exponent: {exc}",
+                                 exp_offset) from None
         return base
 
     def atom(self) -> Expr:
@@ -214,25 +217,6 @@ class _Parser:
             self._expect_op(")")
             return e
         raise ParseError(f"expected a value, got {value!r}", offset)
-
-
-def _const_value(e: Expr):
-    """Fold a variable-free tree to a number; ValueError if it has x."""
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Neg):
-        return -_const_value(e.operand)
-    if isinstance(e, Add):
-        return _const_value(e.left) + _const_value(e.right)
-    if isinstance(e, Sub):
-        return _const_value(e.left) - _const_value(e.right)
-    if isinstance(e, Mul):
-        return _const_value(e.left) * _const_value(e.right)
-    if isinstance(e, Div):
-        return _const_value(e.left) / _const_value(e.right)
-    if isinstance(e, Pow):
-        return _const_value(e.base) ** e.exponent
-    raise ValueError("not a constant expression")
 
 
 def parse(text: str) -> Expr:

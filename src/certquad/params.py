@@ -5,9 +5,11 @@ breakpoints derived from the pair,
 
     x = alpha*lambda,   y = 1 - alpha,   z = 1 - lambda*(1 - alpha),
 
-always satisfy x <= z (because x + lambda*(1-alpha) = lambda <= 1), so the
+always satisfy x <= z (because z - x = 1 - lambda >= 0), so the
 possible orderings are exactly three.  Which ordering holds decides which
-closed-form coefficient family applies in the bound engines.
+closed-form coefficient family applies in the bound engines.  Since x <= z,
+two sign tests settle it, one per kink against the split point y: x > y
+and z < y (``classify_regime``).
 
 Everything here is immutable after construction and safe to share between
 threads.
@@ -57,10 +59,6 @@ class RuleParams:
                 raise DomainError(f"{label} must be finite, got {v!r}")
             if not (0 <= v <= 1):
                 raise DomainError(f"{label} must lie in [0, 1], got {v!r}")
-        # Sanity check x <= z, done in exact arithmetic so float rounding
-        # cannot produce a spurious failure.
-        xa, xl = Fraction(self.alpha), Fraction(self.lam)
-        assert xa * xl <= 1 - xl * (1 - xa)
 
     @property
     def is_exact(self) -> bool:
@@ -86,22 +84,22 @@ class Regime:
 def classify_regime(params: RuleParams) -> Regime:
     """Assign the unique regime for a parameter pair.
 
-    Ties pick the lowest-numbered case; the coefficient families coincide
-    on the boundaries, so the choice does not change any bound.
-    Comparisons are exact for rational inputs and zero-tolerance for
-    floats.
+    Case3 when x > y (alpha*lambda > 1-alpha); otherwise Case1 when
+    lambda*y <= alpha (z >= y) and Case2 when not.  These are the two
+    kink-versus-split tests, computed with the same float operations as
+    the activity tests of ``holder_coeffs``, so every input, float
+    rounding corners included, gets a tag whose eps entries are active;
+    there is no fallback branch.  Ties pick the lowest-numbered case; the
+    coefficient families coincide on the boundaries, so the choice does
+    not change any bound.  Comparisons are exact for rational inputs and
+    zero-tolerance for floats.
     """
     x, y, z = params.breakpoints()
-    if x <= y <= z:
-        tag = CASE1
-    elif x <= z <= y:
-        tag = CASE2
-    elif y <= x <= z:
+    if x > y:
         tag = CASE3
+    elif params.lam * y <= params.alpha:
+        tag = CASE1
     else:
-        # Only reachable when float rounding makes x > z at a triple
-        # boundary (mathematically x <= z always).  All families agree
-        # there to within an ulp; Case2 is the lowest-numbered fit.
         tag = CASE2
     return Regime(tag, (x, y, z))
 

@@ -116,6 +116,20 @@ def test_holder_interior_alpha_one_edge(corpus):
     assert gap <= float(cert.bound)
 
 
+def test_engines_at_float_regime_boundary(corpus):
+    # lambda*(1-alpha) rounds onto alpha here; the regime tag and the eps
+    # activity tests must agree, so every engine certifies
+    params = RuleParams(0.1859062658947177, 0.22835977984652503)
+    iv = Interval(0.0, 1.0)
+    mean = math.e - 1
+    for engine in (power_mean_bound, holder_interior_bound,
+                   holder_endpoint_bound):
+        cert = engine(corpus["exp"], iv, params, 2.0)
+        assert abs(float(cert.approx) - mean) <= float(cert.bound)
+    cert = best_bound(corpus["exp"], iv, params, [1.5, 2.0, 3.0])
+    assert abs(float(cert.approx) - mean) <= float(cert.bound)
+
+
 def test_engines_reject_bad_q(corpus):
     iv = Interval(0.5, 1.5)
     with pytest.raises(Refusal):

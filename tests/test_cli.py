@@ -186,6 +186,27 @@ def test_means_domain_error_exit_1(capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ("bound", "--f", "exp(1000*x)", "--a", "1", "--b", "2",
+     "--rule", "midpoint", "--q", "1"),
+    ("bound", "--f", "pow:2", "--a", "1e200", "--b", "2e200",
+     "--rule", "midpoint", "--q", "2"),
+    ("means", "--prop", "1", "--a", "1", "--b", "2", "--alpha", "1/2",
+     "--lambda", "0", "--q", "1", "--n", "2000"),
+    ("bound", "--f", "x^((-8)^0.5)", "--a", "1", "--b", "2",
+     "--rule", "midpoint", "--q", "1"),
+    ("bound", "--f", "x^(1/0)", "--a", "1", "--b", "2",
+     "--rule", "midpoint", "--q", "1"),
+    ("bound", "--f", "x^(0^-1)", "--a", "1", "--b", "2",
+     "--rule", "midpoint", "--q", "1"),
+])
+def test_overflow_and_bad_exponent_exit_1(argv, capsys):
+    code, out, err = run_cli(*argv, capsys=capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("certquad: error: ") and err.count("\n") == 1
+
+
 def test_verify_soundness_in_process(capsys):
     code, out, _ = run_cli("verify", "--seed", "3", "--rows", "40",
                            capsys=capsys)

@@ -1,7 +1,8 @@
+import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from certquad import (DomainError, RuleParams, abs_power_integral,
                       classify_regime, holder_coeffs, power_mean_coeffs)
@@ -109,6 +110,25 @@ def test_selected_coefficients_nonnegative(alpha, lam):
         assert value >= 0
     for value in regime_selected_eps(holder_coeffs(params, 2), tag):
         assert value is not None and value >= 0
+
+
+@given(st.floats(0, 0.5), st.integers(-3, 3))
+@example(0.1859062658947177, 2)  # lambda = 0.22835977984652503
+def test_selected_coefficients_nonnegative_near_second_kink(alpha, ulps):
+    # lambda within a few ulps of alpha/(1-alpha), where z = 1-alpha in
+    # exact arithmetic and float rounding decides the side: the regime
+    # must still select active eps entries
+    lam = alpha / (1 - alpha)
+    for _ in range(abs(ulps)):
+        lam = math.nextafter(lam, math.copysign(math.inf, ulps))
+    params = RuleParams(alpha, min(max(lam, 0.0), 1.0))
+    tag = classify_regime(params).tag
+    for value in regime_selected(power_mean_coeffs(params), tag):
+        # cancellation leaves dust of an ulp of 1, which the engines clamp
+        assert value >= -1e-15
+    for p in (1.5, 2.0, 3.0):
+        for value in regime_selected_eps(holder_coeffs(params, p), tag):
+            assert value is not None and value >= 0
 
 
 @given(st.fractions(min_value=F(1, 2), max_value=1))

@@ -79,7 +79,9 @@ def test_exhaustiveness_bulk():
     for _ in range(1_000_000):
         alpha = rng.uniform()
         lam = rng.uniform()
-        params = RuleParams(alpha, lam)  # construction asserts the ordering
+        params = RuleParams(alpha, lam)
+        xa, xl = F(alpha), F(lam)
+        assert xa * xl <= 1 - xl * (1 - xa)
         counts[classify_regime(params).tag] += 1
     assert sum(counts.values()) == 1_000_000
     assert all(c > 0 for c in counts.values())
