@@ -14,9 +14,10 @@ Three engines, one per derivation route:
   holder_endpoint_bound q > 1.  Conjugate-exponent route with averages
                         built from the endpoints only.
 
-All three run one prologue (q range, domain, convexity hypothesis,
-conjugate, regime tag, |f'(b)|**q and |f'(a)|**q) and build their
-certificate in one place.
+``prologue`` runs once per (f, [a, b], params, q, engine): q range,
+domain, convexity hypothesis, conjugate, regime tag and the selected
+constants raised to their fixed powers.  Its step certifies any piece of
+[a, b].  An engine steps [a, b] itself; a driver steps every panel.
 
 At q = 1 the power-mean shape collapses through the x**0 = 1 convention
 to (b-a) * [(mu_b+eta_b)*X + (mu_a+eta_a)*Y]; there is no separate code
@@ -27,24 +28,21 @@ builtin and user-asserted models pass directly, anything else is sampled
 and the resulting certificate is flagged advisory.  Bounds are evaluated
 in ordinary floating point (exact rationals when the inputs allow); they
 are analytic constants, not outward-rounded interval enclosures, so
-soundness tests should carry a small slack.
+soundness tests should carry a small slack.  A non-finite float bound or
+rule value raises OverflowError.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .coefficients import (holder_coeffs, power_mean_coeffs,
                            regime_selected, regime_selected_eps)
-from .errors import Refusal
+from .errors import DomainError, Refusal
 from .expression import FunctionModel, probe_convexity
 from .params import RuleParams, classify_regime, conjugate, _normalize
 from .rules import Interval, interior_node, require_within_domain, rule_value
-
-POWER_MEAN = "T22"
-POWER_MEAN_Q1 = "T22q1"
-HOLDER_INTERIOR = "T23"
-HOLDER_ENDPOINT = "T24"
 
 
 @dataclass(frozen=True)
@@ -66,95 +64,102 @@ class ErrorCertificate:
     regime: str
 
 
-def _established_convexity(f: FunctionModel, iv: Interval, q) -> bool:
-    """The advisory flag for a certificate on f over iv at exponent q.
-
-    False for models with proven convexity of |f'|**q, True when the
-    sampled probe passes; raises Refusal when the probe fails.
-    """
-    if f.convex_for_all_q:
-        return False
-    if probe_convexity(f, q, iv.a, iv.b):
-        return True
-    raise Refusal(
-        f"convexity of |f'|**{q} not established for {f.name} on "
-        f"[{iv.a}, {iv.b}]")
-
-
 def _clamp(v):
     """Selected constants are nonnegative in-regime; shave rounding dust."""
     return v if v >= 0 else 0 * v
 
 
-def _certify(f: FunctionModel, iv: Interval, params: RuleParams, q,
-             theorem: str) -> ErrorCertificate:
-    """The engine prologue, the theorem's bound formula and the certificate.
+def prologue(f: FunctionModel, iv: Interval, params: RuleParams, q,
+             theorem: str):
+    """Establish engine ``theorem``'s hypotheses on iv once and return the
+    step that certifies any piece of iv, which inherits them.
 
-    The prologue normalises q and checks it against the engine's range
-    (q >= 1 for T22, q > 1 for T23 and T24), checks the domain and the
-    convexity hypothesis, and computes the conjugate p, the regime tag and
-    X = |f'(b)|**q, Y = |f'(a)|**q.  T23 and T24 share one formula and
-    differ only in its two weights and two averages.
+    q >= 1 for t22, q > 1 for t23 and t24.  Proven-convex models give
+    non-advisory certificates, a passing probe advisory ones, a failing
+    probe a Refusal.  T23 and T24 share one formula and differ only in its
+    two weights and two averages.
     """
+    name = theorem.lower()
+    if name not in ENGINES:
+        raise DomainError(
+            f"unknown theorem {theorem!r}; expected one of {sorted(ENGINES)}")
     q = _normalize(q)
-    if theorem == POWER_MEAN and not q >= 1:
+    if name == "t22" and not q >= 1:
         raise Refusal(f"q >= 1 required, got {q!r}")
-    if theorem != POWER_MEAN and not q > 1:
+    if name != "t22" and not q > 1:
         raise Refusal(f"q > 1 required, got {q!r}")
     require_within_domain(f, iv)
-    advisory = _established_convexity(f, iv, q)
+    advisory = not f.convex_for_all_q
+    if advisory and not probe_convexity(f, q, iv.a, iv.b):
+        raise Refusal(
+            f"convexity of |f'|**{q} not established for {f.name} on "
+            f"[{iv.a}, {iv.b}]")
     p = conjugate(q).p
     tag = classify_regime(params).tag
-    xb = abs(f.derivative(iv.b)) ** q
-    ya = abs(f.derivative(iv.a)) ** q
+    theorem = "T22q1" if q == 1 else name.upper()
     inv_q = 1 / q
-    if theorem == POWER_MEAN:
+    alpha = params.alpha
+    if name == "t22":
         gamma, mu_b, mu_a, upsilon, eta_b, eta_a = (
             _clamp(v) for v in regime_selected(power_mean_coeffs(params), tag))
         outer = 1 - inv_q
-        term1 = gamma ** outer * _clamp(mu_b * xb + mu_a * ya) ** inv_q
-        term2 = upsilon ** outer * _clamp(eta_b * xb + eta_a * ya) ** inv_q
-        bound = iv.width * (term1 + term2)
+        gamma_w, upsilon_w = gamma ** outer, upsilon ** outer
     else:
+        if not p > 1:  # q so large that q / (q - 1) rounds to 1
+            raise ArithmeticError(f"conjugate exponent of q={q!r} rounds to 1")
         eps_first, eps_second = (
             _clamp(v) for v in regime_selected_eps(holder_coeffs(params, p), tag))
-        alpha = params.alpha
-        if theorem == HOLDER_INTERIOR:
-            node_pow = abs(f.derivative(interior_node(iv, params))) ** q
-            w1, d1 = (1 - alpha) ** inv_q, (node_pow + ya) / 2
-            w2, d2 = alpha ** inv_q, (node_pow + xb) / 2
-        else:
-            w1, d1 = 1, (xb * (1 - alpha) ** 2 + (1 - alpha * alpha) * ya) / 2
-            w2, d2 = 1, (xb * alpha * (2 - alpha) + alpha * alpha * ya) / 2
         inv_p = 1 / p
-        bound = iv.width * (1 / (p + 1)) ** inv_p * (
-            w1 * eps_first ** inv_p * d1 ** inv_q
-            + w2 * eps_second ** inv_p * d2 ** inv_q)
-    return ErrorCertificate(
-        interval=iv, params=params,
-        theorem=POWER_MEAN_Q1 if q == 1 else theorem,
-        q=q, p=p, bound=bound, approx=rule_value(f, iv, params),
-        advisory=advisory, regime=tag)
+        scale = (1 / (p + 1)) ** inv_p
+        # k1, k2: each weight times its eps**(1/p); the t24 weights are 1
+        k1, k2 = eps_first ** inv_p, eps_second ** inv_p
+        if name == "t23":
+            k1, k2 = (1 - alpha) ** inv_q * k1, alpha ** inv_q * k2
+
+    def certify(piece: Interval) -> ErrorCertificate:
+        xb = abs(f.derivative(piece.b)) ** q
+        ya = abs(f.derivative(piece.a)) ** q
+        if name == "t22":
+            bound = piece.width * (
+                gamma_w * _clamp(mu_b * xb + mu_a * ya) ** inv_q
+                + upsilon_w * _clamp(eta_b * xb + eta_a * ya) ** inv_q)
+        else:
+            if name == "t23":
+                node_pow = abs(f.derivative(interior_node(piece, params))) ** q
+                d1, d2 = (node_pow + ya) / 2, (node_pow + xb) / 2
+            else:
+                d1 = (xb * (1 - alpha) ** 2 + (1 - alpha * alpha) * ya) / 2
+                d2 = (xb * alpha * (2 - alpha) + alpha * alpha * ya) / 2
+            bound = piece.width * scale * (k1 * d1 ** inv_q + k2 * d2 ** inv_q)
+        approx = rule_value(f, piece, params)
+        for v in (bound, approx):
+            if isinstance(v, float) and not math.isfinite(v):
+                raise OverflowError(f"{theorem} on [{piece.a}, {piece.b}] is not finite")
+        return ErrorCertificate(
+            interval=piece, params=params, theorem=theorem, q=q, p=p,
+            bound=bound, approx=approx, advisory=advisory, regime=tag)
+
+    return certify
 
 
 def power_mean_bound(f: FunctionModel, iv: Interval, params: RuleParams,
                      q) -> ErrorCertificate:
     """Certificate from the power-mean route; q >= 1."""
-    return _certify(f, iv, params, q, POWER_MEAN)
+    return prologue(f, iv, params, q, "t22")(iv)
 
 
 def holder_interior_bound(f: FunctionModel, iv: Interval, params: RuleParams,
                           q) -> ErrorCertificate:
     """Certificate from the conjugate-exponent route with interior-node
     averages; q > 1."""
-    return _certify(f, iv, params, q, HOLDER_INTERIOR)
+    return prologue(f, iv, params, q, "t23")(iv)
 
 
 def holder_endpoint_bound(f: FunctionModel, iv: Interval, params: RuleParams,
                           q) -> ErrorCertificate:
     """Certificate from the conjugate-exponent route with endpoint-only
     averages; q > 1."""
-    return _certify(f, iv, params, q, HOLDER_ENDPOINT)
+    return prologue(f, iv, params, q, "t24")(iv)
 
 
 ENGINES = {
@@ -172,21 +177,23 @@ def best_bound(f: FunctionModel, iv: Interval, params: RuleParams,
     two conjugate-exponent engines at every q > 1.  They are generated in
     ``ENGINES`` order, then by ascending q, and the first smallest bound
     wins, so ties break toward the power-mean engine, then the
-    interior-node engine, then smaller q.  Raises Refusal when the grid
-    is empty or every candidate refuses.
+    interior-node engine, then smaller q.  A candidate that refuses or
+    fails arithmetically (overflow at a large q) drops out.  Raises Refusal
+    when the grid is empty or every candidate drops out, naming each
+    candidate's engine, q and reason.
     """
     q_grid = sorted(q_grid)
     if not q_grid:
         raise Refusal("empty q grid")
     candidates = []
     refusals = []
-    for engine in ENGINES.values():
+    for name, engine in ENGINES.items():
         for q in q_grid:
             try:
                 candidates.append(engine(f, iv, params, q))
-            except Refusal as exc:
-                refusals.append(str(exc))
+            except (Refusal, ArithmeticError) as exc:
+                refusals.append(f"{name} at q={q}: {exc}")
     if not candidates:
         raise Refusal("no engine produced a certificate: "
-                      + "; ".join(sorted(set(refusals))))
+                      + "; ".join(refusals))
     return min(candidates, key=lambda c: float(c.bound))

@@ -6,8 +6,9 @@ and those add:
 
     |sum_i width_i * Q_i  -  integral of f over [a, b]|  <=  sum_i width_i * bound_i
 
-Convexity of |f'|**q on [a, b] restricts to every subinterval, so the
-per-panel hypotheses are inherited from the whole interval.
+Both drivers establish the engine's hypotheses on [a, b] by one prologue
+run per solve; convexity of |f'|**q on [a, b] restricts to every
+subinterval, so each panel inherits them and only takes the per-piece step.
 
 ``adaptive_integrate`` greedily bisects the panel with the largest
 width-scaled bound until the summed bound clears the target or the panel
@@ -20,7 +21,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from .bounds import ENGINES
+from .bounds import prologue
 from .errors import DomainError
 from .expression import FunctionModel
 from .params import RuleParams
@@ -45,15 +46,6 @@ class CompositeResult:
         return any(cert.advisory for _, cert in self.panels)
 
 
-def _resolve_engine(theorem: str):
-    try:
-        return ENGINES[theorem.lower()]
-    except KeyError:
-        raise DomainError(
-            f"unknown theorem {theorem!r}; expected one of {sorted(ENGINES)}"
-        ) from None
-
-
 def _assemble(panels_with_certs, target=None) -> CompositeResult:
     panels = sorted(panels_with_certs, key=lambda pc: float(pc[0].a))
     value = sum(iv.width * cert.approx for iv, cert in panels)
@@ -68,13 +60,10 @@ def composite_integrate(f: FunctionModel, iv: Interval, params: RuleParams,
     """Apply the rule on n uniform panels and sum the certificates."""
     if not isinstance(n, int) or n < 1:
         raise DomainError(f"panel count must be a positive integer, got {n!r}")
-    engine = _resolve_engine(theorem)
+    certify = prologue(f, iv, params, q, theorem)
     cuts = [(iv.a * (n - i) + iv.b * i) / n for i in range(n + 1)]
-    panels = []
-    for u, v in zip(cuts, cuts[1:]):
-        piece = Interval(u, v)
-        panels.append((piece, engine(f, piece, params, q)))
-    return _assemble(panels)
+    pieces = [Interval(u, v) for u, v in zip(cuts, cuts[1:])]
+    return _assemble([(piece, certify(piece)) for piece in pieces])
 
 
 def adaptive_integrate(f: FunctionModel, iv: Interval, params: RuleParams,
@@ -89,12 +78,11 @@ def adaptive_integrate(f: FunctionModel, iv: Interval, params: RuleParams,
         raise DomainError(f"target must be positive, got {target!r}")
     if not isinstance(max_panels, int) or max_panels < 1:
         raise DomainError(f"max_panels must be a positive integer, got {max_panels!r}")
-    engine = _resolve_engine(theorem)
+    certify = prologue(f, iv, params, q, theorem)
 
     def entry(piece: Interval):
-        cert = engine(f, piece, params, q)
-        scaled = piece.width * cert.bound
-        return (-scaled, float(piece.a), piece, cert)
+        cert = certify(piece)
+        return (-(piece.width * cert.bound), float(piece.a), piece, cert)
 
     heap = [entry(iv)]
     total = iv.width * heap[0][3].bound

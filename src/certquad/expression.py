@@ -193,10 +193,13 @@ class _Parser:
             if any(tok[0] == "name" for tok in self.tokens[start:self.i]):
                 raise ParseError("exponent must be a constant", exp_offset)
             try:
-                return Pow(base, evaluate(exponent, None))
+                n = evaluate(exponent, None)
+                if isinstance(n, float) and not math.isfinite(n):
+                    raise OverflowError(f"{n!r} is not finite")
             except (DomainError, OverflowError) as exc:
                 raise ParseError(f"bad constant exponent: {exc}",
                                  exp_offset) from None
+            return Pow(base, n)
         return base
 
     def atom(self) -> Expr:

@@ -315,7 +315,7 @@ def test_best_bound_singleton(corpus):
     assert cert.theorem == "T22q1"
 
 
-def test_best_bound_refusals():
+def test_best_bound_refusals(corpus):
     # |f'|^q is proportional to x^(q/4), concave for q = 1 and q = 2 both
     with pytest.raises(Refusal):
         best_bound(from_expression("x^1.25"), Interval(0.5, 1.5),
@@ -323,3 +323,8 @@ def test_best_bound_refusals():
     with pytest.raises(Refusal):
         best_bound(from_expression("x^2", assume_convex=True),
                    Interval(0.5, 1.5), MIDPOINT, [])
+    # every candidate fails arithmetically; the refusal names each one
+    with pytest.raises(Refusal) as info:
+        best_bound(corpus["exp"], Interval(0.0, 1.0), MIDPOINT, [1e17])
+    for name in ("t22", "t23", "t24"):
+        assert f"{name} at q=1e+17: " in str(info.value)

@@ -69,6 +69,15 @@ def test_bound_best(capsys):
     assert F(doc["bound"]) <= F(1, 4)
 
 
+def test_bound_best_skips_overflowing_q(capsys):
+    # every candidate at q = 1e17 overflows; the q = 2 candidates still compete
+    code, out, _ = run_cli(
+        "bound", "--f", "exp", "--a", "0", "--b", "1", "--rule", "simpson",
+        "--q", "2,1e17", "--theorem", "best", capsys=capsys)
+    assert code == 0
+    assert json.loads(out)["q"] == "2"
+
+
 def test_bound_refusal_exit_2(capsys):
     code, out, err = run_cli(
         "bound", "--f", "pow:2", "--a", "0", "--b", "1", "--rule", "simpson",
@@ -199,6 +208,12 @@ def test_means_domain_error_exit_1(capsys):
      "--rule", "midpoint", "--q", "1"),
     ("bound", "--f", "x^(0^-1)", "--a", "1", "--b", "2",
      "--rule", "midpoint", "--q", "1"),
+    ("bound", "--f", "x^(1e308*10)", "--a", "1", "--b", "2",
+     "--rule", "midpoint", "--q", "1"),
+    ("bound", "--f", "1e300*x^2", "--a", "1", "--b", "1e10",
+     "--rule", "midpoint", "--q", "1"),
+    ("integrate", "--f", "1e300*x^2", "--a", "1", "--b", "1e10",
+     "--rule", "midpoint", "--q", "1", "--target", "1"),
 ])
 def test_overflow_and_bad_exponent_exit_1(argv, capsys):
     code, out, err = run_cli(*argv, capsys=capsys)

@@ -162,3 +162,48 @@ def test_advisory_propagates():
     f = from_expression("exp(x) + x^2")
     r = composite_integrate(f, Interval(0.0, 1.0), MIDPOINT, 1.0, "t22", 3)
     assert r.advisory
+
+
+def test_adaptive_panels_inherit_whole_interval_convexity():
+    # |f'| = 6x is linear; the probe passes on [1, 1001], so no panel is
+    # probed again (a panel such as [751, 1001] fails its own probe)
+    from certquad import from_expression
+    r = adaptive_integrate(from_expression("3*x^2"), Interval(1.0, 1001.0),
+                           MIDPOINT, 1.0, "t22", target=1e-6, max_panels=128)
+    assert r.advisory
+    assert abs(r.value - (1001 ** 3 - 1)) <= r.total_bound
+
+
+def test_composite_needs_convexity_on_whole_interval():
+    # |f'| = 2 - |x-1| is linear on each panel but concave on [0, 2]
+    from certquad import from_expression
+    f = from_expression("2*x - (x-1)*abs(x-1)/2")
+    for n in (1, 2):
+        with pytest.raises(Refusal):
+            composite_integrate(f, Interval(0.0, 2.0), MIDPOINT, 1.0, "t22", n)
+
+
+def test_one_probe_and_one_coefficient_build_per_solve(monkeypatch):
+    import certquad.bounds as bounds
+    from certquad import from_expression
+    calls = {"probe": 0, "coeffs": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(bounds, "probe_convexity",
+                        counted("probe", bounds.probe_convexity))
+    monkeypatch.setattr(bounds, "power_mean_coeffs",
+                        counted("coeffs", bounds.power_mean_coeffs))
+    f = from_expression("x^2*exp(x)")
+    r = adaptive_integrate(f, Interval(0.0, 1.0), SIMPSON, 2.0, "t22",
+                           target=1e-3)
+    assert len(r.panels) > 1
+    assert calls == {"probe": 1, "coeffs": 1}
+    calls.update(probe=0, coeffs=0)
+    r = composite_integrate(f, Interval(0.0, 1.0), SIMPSON, 2.0, "t22", 8)
+    assert len(r.panels) == 8
+    assert calls == {"probe": 1, "coeffs": 1}

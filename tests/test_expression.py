@@ -31,9 +31,9 @@ def test_parse_errors_carry_offset():
     assert info.value.offset == 4
     with pytest.raises(ParseError):
         parse("x ^ x")  # exponent must fold to a constant
-    for text in ("x^((-8)^0.5)", "x^(1/0)", "x^(0^-1)"):
+    for text in ("x^((-8)^0.5)", "x^(1/0)", "x^(0^-1)", "x^(1e308*10)"):
         with pytest.raises(ParseError) as info:
-            parse(text)  # the constant exponent is outside its domain
+            parse(text)  # the constant exponent is outside its domain or not finite
         assert info.value.offset == 2
     with pytest.raises(ParseError):
         parse("exp 2")
