@@ -35,33 +35,25 @@ rule value raises OverflowError.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .coefficients import (holder_coeffs, power_mean_coeffs,
                            regime_selected, regime_selected_eps)
 from .errors import DomainError, Refusal
 from .expression import FunctionModel, probe_convexity
 from .params import RuleParams, classify_regime, conjugate, _normalize
+from .record import Record
 from .rules import Interval, interior_node, require_within_domain, rule_value
 
 
-@dataclass(frozen=True)
-class ErrorCertificate:
+class ErrorCertificate(Record):
     """A certified bound on |approx - integral mean| over an interval.
 
     ``advisory`` is set when the convexity hypothesis was only sampled,
     never proven; such certificates are best-effort, not guarantees.
     """
 
-    interval: Interval
-    params: RuleParams
-    theorem: str
-    q: object
-    p: object
-    bound: object
-    approx: object
-    advisory: bool
-    regime: str
+    __slots__ = ("interval", "params", "theorem", "q", "p", "bound", "approx",
+                 "advisory", "regime")
 
 
 def _clamp(v):
@@ -135,9 +127,8 @@ def prologue(f: FunctionModel, iv: Interval, params: RuleParams, q,
         for v in (bound, approx):
             if isinstance(v, float) and not math.isfinite(v):
                 raise OverflowError(f"{theorem} on [{piece.a}, {piece.b}] is not finite")
-        return ErrorCertificate(
-            interval=piece, params=params, theorem=theorem, q=q, p=p,
-            bound=bound, approx=approx, advisory=advisory, regime=tag)
+        return ErrorCertificate(piece, params, theorem, q, p, bound, approx,
+                                advisory, tag)
 
     return certify
 

@@ -24,55 +24,30 @@ non-integer power, so they are reported as None ("regime-inactive").
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-
 from .errors import DomainError
 from .params import CASE2, CASE3, RuleParams
+from .record import Record
 
 WEIGHT_ONE = "1"
 WEIGHT_T = "t"
 WEIGHT_ONE_MINUS_T = "1-t"
 
 
-@dataclass(frozen=True)
-class PowerMeanCoefficients:
-    gamma1: object
-    gamma2: object
-    upsilon1: object
-    upsilon2: object
-    mu1: object
-    mu2: object
-    mu3: object
-    mu4: object
-    eta1: object
-    eta2: object
-    eta3: object
-    eta4: object
+class PowerMeanCoefficients(Record):
+    __slots__ = ("gamma1", "gamma2", "upsilon1", "upsilon2", "mu1", "mu2",
+                 "mu3", "mu4", "eta1", "eta2", "eta3", "eta4")
 
     def as_dict(self) -> dict:
-        return {
-            "gamma1": self.gamma1, "gamma2": self.gamma2,
-            "upsilon1": self.upsilon1, "upsilon2": self.upsilon2,
-            "mu1": self.mu1, "mu2": self.mu2, "mu3": self.mu3, "mu4": self.mu4,
-            "eta1": self.eta1, "eta2": self.eta2, "eta3": self.eta3,
-            "eta4": self.eta4,
-        }
+        return dict(zip(self.__slots__, self._astuple()))
 
 
-@dataclass(frozen=True)
-class HolderCoefficients:
+class HolderCoefficients(Record):
     """eps1..eps4 for a given p > 1; None marks a regime-inactive entry."""
 
-    p: object
-    eps1: object
-    eps2: object
-    eps3: object
-    eps4: object
+    __slots__ = ("p", "eps1", "eps2", "eps3", "eps4")
 
     def as_dict(self) -> dict:
-        return {"eps1": self.eps1, "eps2": self.eps2,
-                "eps3": self.eps3, "eps4": self.eps4}
+        return dict(zip(self.__slots__[1:], self._astuple()[1:]))
 
 
 def power_mean_coeffs(params: RuleParams) -> PowerMeanCoefficients:

@@ -19,27 +19,25 @@ of indices, never from accumulating widths, so they cannot drift.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 
 from .bounds import prologue
 from .errors import DomainError
 from .expression import FunctionModel
 from .params import RuleParams
+from .record import Record
 from .rules import Interval
 
 
-@dataclass(frozen=True)
-class CompositeResult:
+class CompositeResult(Record):
     """Approximation of the integral of f over [a, b] with a summed bound.
 
-    ``panels`` tile the interval in order; ``target_met`` is None for
-    fixed panel counts and reports target attainment for adaptive runs.
+    ``panels`` lists (Interval, ErrorCertificate) pairs tiling [a, b] left to
+    right; ``target_met`` is None for fixed panel counts and reports target
+    attainment for adaptive runs.
     """
 
-    value: object
-    total_bound: object
-    panels: list  # [(Interval, ErrorCertificate), ...] left to right
-    target_met: bool | None = None
+    __slots__ = ("value", "total_bound", "panels", "target_met")
+    _defaults = {"target_met": None}
 
     @property
     def advisory(self) -> bool:
@@ -50,9 +48,8 @@ def _assemble(panels_with_certs, target=None) -> CompositeResult:
     panels = sorted(panels_with_certs, key=lambda pc: float(pc[0].a))
     value = sum(iv.width * cert.approx for iv, cert in panels)
     total = sum(iv.width * cert.bound for iv, cert in panels)
-    return CompositeResult(value=value, total_bound=total, panels=panels,
-                           target_met=None if target is None
-                           else bool(total <= target))
+    return CompositeResult(value, total, panels,
+                           None if target is None else bool(total <= target))
 
 
 def composite_integrate(f: FunctionModel, iv: Interval, params: RuleParams,

@@ -22,71 +22,54 @@ builtin ever differentiates abs at its kink on the stated domains.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Rational
 
 from .errors import DomainError, ParseError
+from .record import Record
 
 
-class Expr:
+class Expr(Record):
     """Base class for expression nodes. Nodes are immutable."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Const(Expr):
-    value: object  # int, float, or Fraction
+    __slots__ = ("value",)  # int, float, or Fraction
 
 
-@dataclass(frozen=True)
 class Var(Expr):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Add(Expr):
-    left: Expr
-    right: Expr
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Sub(Expr):
-    left: Expr
-    right: Expr
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Mul(Expr):
-    left: Expr
-    right: Expr
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Div(Expr):
-    left: Expr
-    right: Expr
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Pow(Expr):
-    base: Expr
-    exponent: object  # numeric constant, not a subtree
+    __slots__ = ("base", "exponent")  # exponent: numeric constant, not a subtree
 
 
-@dataclass(frozen=True)
 class Neg(Expr):
-    operand: Expr
+    __slots__ = ("operand",)
 
 
-@dataclass(frozen=True)
 class Call(Expr):
-    func: str  # "exp" | "ln" | "abs" | "sign"
-    arg: Expr
+    __slots__ = ("func", "arg")  # func: "exp" | "ln" | "abs" | "sign"
 
 
 _FUNCS = ("exp", "ln", "abs", "sign")
@@ -455,8 +438,7 @@ NEG_INF = float("-inf")
 INF = float("inf")
 
 
-@dataclass(frozen=True)
-class FunctionModel:
+class FunctionModel(Record):
     """An evaluatable function with its exact derivative and metadata.
 
     ``domain`` is an open interval.  ``convex_for_all_q`` marks models for
@@ -465,12 +447,9 @@ class FunctionModel:
     certificate built from them is flagged advisory.
     """
 
-    name: str
-    expr: Expr
-    deriv: Expr
-    domain: tuple = (NEG_INF, INF)
-    convex_for_all_q: bool = False
-    provenance: str = "numerically-probed"  # builtin | user-asserted | numerically-probed
+    __slots__ = ("name", "expr", "deriv", "domain", "convex_for_all_q", "provenance")
+    _defaults = {"domain": (NEG_INF, INF), "convex_for_all_q": False,
+                 "provenance": "numerically-probed"}  # or builtin, user-asserted
 
     def value(self, x):
         return evaluate(self.expr, x)

@@ -27,12 +27,12 @@ and the even ones the interior-node conjugate engine
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .bounds import holder_interior_bound, power_mean_bound
 from .errors import DomainError
 from .expression import FunctionModel, power_model, resolve_function
 from .params import RuleParams, _normalize
+from .record import Record
 from .rules import Interval
 
 MEAN_KINDS = ("A_alpha", "A", "G_alpha", "G", "H_alpha", "H", "L", "L_n", "I")
@@ -119,11 +119,8 @@ def eval_mean(kind: str, a, b, *, alpha=None, n: int | None = None):
 # ---------------------------------------------------------------------------
 # Inequality checks
 
-@dataclass(frozen=True)
-class PropositionResult:
-    lhs: float
-    rhs: float
-    holds: bool
+class PropositionResult(Record):
+    __slots__ = ("lhs", "rhs", "holds")
 
     @property
     def margin(self) -> float:
@@ -178,4 +175,4 @@ def proposition_check(which: int, a, b, params: RuleParams, q,
     cert = engine(_model_for(which, a, n), Interval(a, b), params, q)
     lhs = abs(float(cert.approx - _special_mean(which, a, b, n)))
     rhs = float(cert.bound)
-    return PropositionResult(lhs=lhs, rhs=rhs, holds=lhs <= rhs + slack)
+    return PropositionResult(lhs, rhs, lhs <= rhs + slack)

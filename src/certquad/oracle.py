@@ -14,11 +14,10 @@ CERTQUAD_TOL environment variable.
 
 from __future__ import annotations
 
-import math
 import os
-from dataclasses import dataclass
 
 from .errors import DomainError, OracleError
+from .record import Record
 
 DEFAULT_TOL = 1e-10
 _MAX_DEPTH = 52
@@ -39,11 +38,8 @@ def resolve_tol(tol=None) -> float:
     return DEFAULT_TOL
 
 
-@dataclass(frozen=True)
-class OracleResult:
-    value: float
-    abs_error_estimate: float
-    refinement_depth: int
+class OracleResult(Record):
+    __slots__ = ("value", "abs_error_estimate", "refinement_depth")
 
 
 def _simpson(fa, fm, fb, width):

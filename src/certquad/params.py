@@ -18,11 +18,11 @@ threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 
 from .errors import DomainError
+from .record import Record
 
 CASE1 = "Case1"  # x <= y <= z
 CASE2 = "Case2"  # x <= z <= y
@@ -38,8 +38,7 @@ def _normalize(v):
     return v
 
 
-@dataclass(frozen=True)
-class RuleParams:
+class RuleParams(Record):
     """The pair (alpha, lambda), each in [0, 1].
 
     ``alpha`` places the interior node at alpha*a + (1-alpha)*b and splits
@@ -48,8 +47,7 @@ class RuleParams:
     arithmetic exact; floats select the floating kernels.
     """
 
-    alpha: object
-    lam: object
+    __slots__ = ("alpha", "lam")
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", _normalize(self.alpha))
@@ -70,12 +68,10 @@ class RuleParams:
         return (a * l, 1 - a, 1 - l * (1 - a))
 
 
-@dataclass(frozen=True)
-class Regime:
+class Regime(Record):
     """Which of the three breakpoint orderings holds, plus the breakpoints."""
 
-    tag: str
-    breakpoints: tuple
+    __slots__ = ("tag", "breakpoints")
 
     def __str__(self) -> str:
         return self.tag
@@ -104,8 +100,7 @@ def classify_regime(params: RuleParams) -> Regime:
     return Regime(tag, (x, y, z))
 
 
-@dataclass(frozen=True)
-class ExponentPair:
+class ExponentPair(Record):
     """An exponent q >= 1 and its Hoelder conjugate p = q/(q-1).
 
     q = 1 is stored explicitly with p flagged infinite rather than as a
@@ -113,8 +108,7 @@ class ExponentPair:
     convention, the Hoelder engines reject it.
     """
 
-    q: object
-    p: object
+    __slots__ = ("q", "p")
 
     @property
     def p_is_infinite(self) -> bool:

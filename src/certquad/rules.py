@@ -16,21 +16,19 @@ Q minus the mean equals a weighted integral of f' (checkable with
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import oracle
 from .errors import DomainError
 from .expression import FunctionModel
 from .params import RuleParams
+from .record import Record
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(Record):
     """A nondegenerate interval [a, b] with a < b."""
 
-    a: object
-    b: object
+    __slots__ = ("a", "b")
 
     def __post_init__(self):
         for label, v in (("a", self.a), ("b", self.b)):
@@ -48,13 +46,10 @@ class Interval:
         return (self.a + self.b) / 2
 
 
-@dataclass(frozen=True)
-class RuleEvaluation:
-    """Rule value next to the reference mean it approximates."""
+class RuleEvaluation(Record):
+    """Rule value next to the reference mean; error is |approx - mean|."""
 
-    approx: object
-    mean: float
-    error: float  # |approx - mean|
+    __slots__ = ("approx", "mean", "error")
 
 
 def require_within_domain(f: FunctionModel, iv: Interval) -> None:

@@ -1,8 +1,23 @@
+import os
+from pathlib import Path
+
 import pytest
 
+import certquad
 from certquad import Interval, builtin_corpus, mean_ref
 
 INTERVALS = [(0.5, 1.5), (1.0, 2.0), (0.25, 3.0)]
+
+
+def child_env():
+    """Environment for a ``python -m certquad`` child process: the directory
+    that holds the imported certquad package goes first on PYTHONPATH, so
+    the child imports the same code without an installed package."""
+    env = dict(os.environ)
+    root = str(Path(certquad.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (root, env.get("PYTHONPATH")) if p)
+    return env
 
 
 @pytest.fixture(scope="session")

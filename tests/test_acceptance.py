@@ -29,7 +29,7 @@ from certquad.bounds import ENGINES
 from certquad.coefficients import regime_selected, regime_selected_eps
 from certquad.prng import SplitMix64
 
-from conftest import INTERVALS
+from conftest import INTERVALS, child_env
 from test_bounds import (fixture_midpoint_power_mean, fixture_midpoint_q1,
                          fixture_simpson_holder_endpoint,
                          fixture_simpson_holder_interior,
@@ -296,7 +296,8 @@ def test_criterion_9_means_sanity():
 def test_criterion_10_cli_determinism(tmp_path):
     cmd = [sys.executable, "-m", "certquad", "verify", "--seed", "42",
            "--rows", "60"]
-    runs = [subprocess.run(cmd + ["--format", fmt], capture_output=True)
+    runs = [subprocess.run(cmd + ["--format", fmt], capture_output=True,
+                           env=child_env())
             for fmt in ("json", "json", "csv", "csv")]
     assert all(r.returncode == 0 for r in runs)
     assert runs[0].stdout == runs[1].stdout

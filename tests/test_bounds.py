@@ -1,4 +1,3 @@
-import dataclasses
 import math
 from fractions import Fraction as F
 
@@ -257,12 +256,13 @@ def test_bounds_dominate_raw_weighted_integral(corpus, oracle_mean):
 
 
 def test_scale_covariance(corpus):
-    from certquad.expression import Const, Mul
+    from certquad.expression import Const, FunctionModel, Mul
     f = corpus["exp"]
     c = 3.5
-    scaled = dataclasses.replace(
-        f, name="3.5*exp", expr=Mul(Const(c), f.expr),
-        deriv=Mul(Const(c), f.deriv))
+    scaled = FunctionModel(
+        name="3.5*exp", expr=Mul(Const(c), f.expr),
+        deriv=Mul(Const(c), f.deriv), domain=f.domain,
+        convex_for_all_q=f.convex_for_all_q, provenance=f.provenance)
     iv = Interval(0.25, 1.75)
     for engine, q in ((power_mean_bound, 2.0), (holder_interior_bound, 1.5),
                       (holder_endpoint_bound, 3.0)):

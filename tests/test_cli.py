@@ -7,6 +7,8 @@ import pytest
 
 from certquad.cli import CSV_HEADER, main, parse_number, render
 
+from conftest import child_env
+
 
 def run_cli(*argv, capsys=None):
     code = main(list(argv))
@@ -277,6 +279,18 @@ def test_subprocess_entrypoint():
     proc = subprocess.run(
         [sys.executable, "-m", "certquad", "coeffs", "--alpha", "1/2",
          "--lambda", "1/3"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0
     assert '"gamma2": "5/72"' in proc.stdout
+
+
+def test_cli_import_skips_dataclasses_and_inspect():
+    # both are costly imports that every certquad process would pay; the
+    # difference ignores whatever the interpreter's site set-up loaded
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; before = set(sys.modules); "
+         "import certquad.cli; new = set(sys.modules) - before; "
+         "print(sorted({'dataclasses', 'inspect'} & new))"],
+        capture_output=True, text=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
