@@ -39,7 +39,7 @@ import math
 from .coefficients import (holder_coeffs, power_mean_coeffs,
                            regime_selected, regime_selected_eps)
 from .errors import DomainError, Refusal
-from .expression import FunctionModel, probe_convexity
+from .expression import FunctionModel, calls_sign, probe_convexity
 from .params import RuleParams, classify_regime, conjugate, _normalize
 from .record import Record
 from .rules import Interval, interior_node, require_within_domain, rule_value
@@ -62,14 +62,15 @@ def _clamp(v):
 
 
 def prologue(f: FunctionModel, iv: Interval, params: RuleParams, q,
-             theorem: str):
+             theorem: str, verdicts=None):
     """Establish engine ``theorem``'s hypotheses on iv once and return the
     step that certifies any piece of iv, which inherits them.
 
-    q >= 1 for t22, q > 1 for t23 and t24.  Proven-convex models give
-    non-advisory certificates, a passing probe advisory ones, a failing
-    probe a Refusal.  T23 and T24 share one formula and differ only in its
-    two weights and two averages.
+    q >= 1 for t22, q > 1 for t23 and t24.  f must be absolutely continuous,
+    so a non-builtin f calling sign is refused, even x*sign(x).  Proven-convex
+    models give non-advisory certificates, a passing probe (shared through
+    ``verdicts``, q -> verdict) advisory ones, a failing probe a Refusal.
+    T23 and T24 share one formula and differ only in two weights and averages.
     """
     name = theorem.lower()
     if name not in ENGINES:
@@ -81,8 +82,13 @@ def prologue(f: FunctionModel, iv: Interval, params: RuleParams, q,
     if name != "t22" and not q > 1:
         raise Refusal(f"q > 1 required, got {q!r}")
     require_within_domain(f, iv)
+    if f.provenance != "builtin" and calls_sign(f.expr):
+        raise Refusal(f"{name} needs f absolutely continuous on [{iv.a}, {iv.b}]; sign may jump")
     advisory = not f.convex_for_all_q
-    if advisory and not probe_convexity(f, q, iv.a, iv.b):
+    verdicts = {} if verdicts is None else verdicts
+    if advisory and q not in verdicts:
+        verdicts[q] = probe_convexity(f, q, iv.a, iv.b)
+    if advisory and not verdicts[q]:
         raise Refusal(
             f"convexity of |f'|**{q} not established for {f.name} on "
             f"[{iv.a}, {iv.b}]")
@@ -178,10 +184,11 @@ def best_bound(f: FunctionModel, iv: Interval, params: RuleParams,
         raise Refusal("empty q grid")
     candidates = []
     refusals = []
-    for name, engine in ENGINES.items():
+    verdicts = {}  # one probe per q serves all three engines
+    for name in ENGINES:
         for q in q_grid:
             try:
-                candidates.append(engine(f, iv, params, q))
+                candidates.append(prologue(f, iv, params, q, name, verdicts)(iv))
             except (Refusal, ArithmeticError) as exc:
                 refusals.append(f"{name} at q={q}: {exc}")
     if not candidates:

@@ -38,7 +38,7 @@ class PowerMeanCoefficients(Record):
                  "mu3", "mu4", "eta1", "eta2", "eta3", "eta4")
 
     def as_dict(self) -> dict:
-        return dict(zip(self.__slots__, self._astuple()))
+        return dict(zip(self._fields, self._astuple()))
 
 
 class HolderCoefficients(Record):
@@ -47,7 +47,7 @@ class HolderCoefficients(Record):
     __slots__ = ("p", "eps1", "eps2", "eps3", "eps4")
 
     def as_dict(self) -> dict:
-        return dict(zip(self.__slots__[1:], self._astuple()[1:]))
+        return dict(zip(self._fields[1:], self._astuple()[1:]))
 
 
 def power_mean_coeffs(params: RuleParams) -> PowerMeanCoefficients:

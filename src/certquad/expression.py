@@ -12,9 +12,9 @@ Known function names: exp, ln, abs, sign.  Powers are right associative
 and bind tighter than unary minus, so -x^2 is -(x^2).  Printing an
 expression yields a canonical string that re-parses to the same tree.
 
-Evaluation is polymorphic: Fraction inputs stay exact through the
-rational operations (+, -, *, /, integer powers, abs) and fall to float
-only at exp/ln or non-integer powers.
+Evaluation compiles a tree once into nested closures; a FunctionModel keeps
+those of f and f'.  Fraction inputs stay exact through +, -, *, /, integer
+powers and abs, and fall to float only at exp/ln or non-integer powers.
 
 The symbolic derivative of abs(u) uses sign(u)*u' with sign(0) = 0; no
 builtin ever differentiates abs at its kink on the stated domains.
@@ -276,50 +276,76 @@ def _is_integral(n) -> bool:
 
 def evaluate(e: Expr, x):
     """Evaluate at x with domain checks; Fractions stay exact where possible."""
+    return _compile(e)(x)
+
+
+def _compile(e: Expr):
+    """x -> value of e; the one definition of evaluation, decided per node once."""
     if isinstance(e, Const):
-        return e.value
+        value = e.value
+        return lambda x: value
     if isinstance(e, Var):
-        return x
-    if isinstance(e, Add):
-        return evaluate(e.left, x) + evaluate(e.right, x)
-    if isinstance(e, Sub):
-        return evaluate(e.left, x) - evaluate(e.right, x)
-    if isinstance(e, Mul):
-        return evaluate(e.left, x) * evaluate(e.right, x)
-    if isinstance(e, Div):
-        num = evaluate(e.left, x)
-        den = evaluate(e.right, x)
-        if den == 0:
-            raise DomainError("division by zero")
-        return num / den
+        return lambda x: x
+    if isinstance(e, (Add, Sub, Mul, Div)):
+        left, right = _compile(e.left), _compile(e.right)
+        if isinstance(e, Add):
+            return lambda x: left(x) + right(x)
+        if isinstance(e, Sub):
+            return lambda x: left(x) - right(x)
+        if isinstance(e, Mul):
+            return lambda x: left(x) * right(x)
+        def div(x):
+            num, den = left(x), right(x)
+            if den == 0:
+                raise DomainError("division by zero")
+            return num / den
+        return div
     if isinstance(e, Neg):
-        return -evaluate(e.operand, x)
+        operand = _compile(e.operand)
+        return lambda x: -operand(x)
     if isinstance(e, Pow):
-        base = evaluate(e.base, x)
-        n = e.exponent
+        base, n = _compile(e.base), e.exponent
         if _is_integral(n):
             k = int(n)
-            if base == 0 and k < 0:
+            def integral_power(x):
+                b = base(x)
+                if k < 0 and b == 0:
+                    raise DomainError("zero base with negative exponent")
+                return b ** k
+            return integral_power
+        def real_power(x):
+            b = base(x)
+            if b < 0:
+                raise DomainError(f"negative base {b!r} with non-integer exponent")
+            if b == 0 and n < 0:
                 raise DomainError("zero base with negative exponent")
-            return base ** k
-        if base < 0:
-            raise DomainError(f"negative base {base!r} with non-integer exponent")
-        if base == 0 and n < 0:
-            raise DomainError("zero base with negative exponent")
-        return float(base) ** float(n)
+            return float(b) ** float(n)
+        return real_power
     if isinstance(e, Call):
-        v = evaluate(e.arg, x)
+        arg = _compile(e.arg)
         if e.func == "exp":
-            return math.exp(v)
+            return lambda x: math.exp(arg(x))
         if e.func == "ln":
-            if v <= 0:
-                raise DomainError(f"ln of non-positive value {v!r}")
-            return math.log(v)
+            def ln(x):
+                v = arg(x)
+                if v <= 0:
+                    raise DomainError(f"ln of non-positive value {v!r}")
+                return math.log(v)
+            return ln
         if e.func == "abs":
-            return abs(v)
+            return lambda x: abs(arg(x))
         if e.func == "sign":
-            return (v > 0) - (v < 0)
+            def sign(x):
+                v = arg(x)
+                return (v > 0) - (v < 0)
+            return sign
     raise TypeError(f"not an Expr: {e!r}")
+
+
+def calls_sign(e: Expr) -> bool:
+    """Whether e calls sign anywhere, even where the jump cancels (x*sign(x))."""
+    return (isinstance(e, Call) and e.func == "sign") or any(
+        isinstance(v, Expr) and calls_sign(v) for v in e._astuple())
 
 
 # ---------------------------------------------------------------------------
@@ -447,15 +473,20 @@ class FunctionModel(Record):
     certificate built from them is flagged advisory.
     """
 
-    __slots__ = ("name", "expr", "deriv", "domain", "convex_for_all_q", "provenance")
+    _fields = ("name", "expr", "deriv", "domain", "convex_for_all_q", "provenance")
+    __slots__ = _fields + ("_value", "_derivative")  # caches: compiled expr, deriv
     _defaults = {"domain": (NEG_INF, INF), "convex_for_all_q": False,
                  "provenance": "numerically-probed"}  # or builtin, user-asserted
 
+    def __post_init__(self):
+        FunctionModel._value.__set__(self, _compile(self.expr))
+        FunctionModel._derivative.__set__(self, _compile(self.deriv))
+
     def value(self, x):
-        return evaluate(self.expr, x)
+        return self._value(x)
 
     def derivative(self, x):
-        return evaluate(self.deriv, x)
+        return self._derivative(x)
 
     def contains(self, lo, hi) -> bool:
         return self.domain[0] < lo and hi < self.domain[1]

@@ -2,13 +2,14 @@
 
 Not dataclasses: importing ``dataclasses`` pulls in ``inspect``, ``ast``,
 ``dis`` and ``tokenize``, and each decoration compiles six methods; that
-was most of a ``certquad`` process's start-up.  The generic methods here
-give equality and hash by field tuple (the frozen-dataclass hash), the
-dataclass repr, pickling and read-only fields.  A subclass lists its
+was most of a ``certquad`` process's start-up.  A subclass lists its
 fields in ``__slots__``, trailing defaults in ``_defaults``, and may
-override ``__post_init__``, which every construction calls.  No
-metaclass, so a failing ``isinstance`` stays fast; no instance
-``__dict__``, so attribute loads stay specialised.
+override ``__post_init__``, which every construction calls.  A record
+with caches names its fields in ``_fields`` and adds a slot per cache for
+``__post_init__`` to fill.  Equality and hash by field tuple (the
+frozen-dataclass hash), the dataclass repr and pickling see fields only;
+every slot is read-only.  No metaclass, so a failing ``isinstance`` stays
+fast; no instance ``__dict__``, so attribute loads stay specialised.
 """
 
 
@@ -17,8 +18,9 @@ class Record:
     _defaults = {}
 
     def __init_subclass__(cls):
+        cls._fields = cls.__dict__.get("_fields", cls.__slots__)
         # each slot's own setter skips the attribute lookup of object.__setattr__
-        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls._fields)
 
     def __init__(self, *args, **kwargs):
         setters = self._setters
@@ -32,7 +34,7 @@ class Record:
 
     def _bind(self, args, kwargs):
         """Field values of a keyword, defaulted or malformed call."""
-        fields, where = self.__slots__, f"{type(self).__qualname__}()"
+        fields, where = self._fields, f"{type(self).__qualname__}()"
         if len(args) > len(fields):
             raise TypeError(f"{where} takes {len(fields)} positional arguments, got {len(args)}")
         given = dict(zip(fields, args))
@@ -51,7 +53,7 @@ class Record:
         pass
 
     def _astuple(self):
-        return tuple([getattr(self, name) for name in self.__slots__])
+        return tuple([getattr(self, name) for name in self._fields])
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -62,7 +64,7 @@ class Record:
         return hash(self._astuple())
 
     def __repr__(self):
-        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({args})"
 
     def __reduce__(self):

@@ -328,3 +328,27 @@ def test_best_bound_refusals(corpus):
         best_bound(corpus["exp"], Interval(0.0, 1.0), MIDPOINT, [1e17])
     for name in ("t22", "t23", "t24"):
         assert f"{name} at q=1e+17: " in str(info.value)
+
+
+def test_best_bound_probes_once_per_q(monkeypatch):
+    import certquad.bounds as bounds
+    probe, qs = bounds.probe_convexity, []
+
+    def counted(f, q, lo, hi):
+        qs.append(q)
+        return probe(f, q, lo, hi)
+
+    monkeypatch.setattr(bounds, "probe_convexity", counted)
+    f = from_expression("x^2*exp(x)")
+    cert = best_bound(f, Interval(0, 1), SIMPSON, [1, 2, 3, 4])
+    assert sorted(qs) == [1, 2, 3, 4] and cert.advisory
+    # a q that fails the probe refuses once for each engine that reaches it
+    qs.clear()
+    with pytest.raises(Refusal) as info:
+        best_bound(from_expression("x^1.25"), Interval(0.5, 1.5), MIDPOINT,
+                   [1.0, 2.0])
+    assert qs == [1.0, 2.0]
+    message = str(info.value)
+    for head in ("t22 at q=1.0", "t22 at q=2.0", "t23 at q=2.0", "t24 at q=2.0"):
+        assert f"{head}: convexity of |f'|**" in message
+    assert "t23 at q=1.0: q > 1 required" in message

@@ -97,6 +97,21 @@ def test_bound_probe_refusal(capsys):
     assert "convexity" in err
 
 
+def test_sign_in_f_refuses(capsys):
+    # sign' is 0 almost everywhere, but f jumps at 0: a bound of 0 would be false
+    for argv in (("bound", "--q", "1"), ("integrate", "--q", "1", "--panels", "3"),
+                 ("bound", "--q", "1", "--assume-convex")):
+        code, out, err = run_cli(
+            argv[0], "--f", "sign(x)", "--a", "-1", "--b", "2",
+            "--rule", "midpoint", *argv[1:], capsys=capsys)
+        assert (code, out) == (2, "")
+        assert "t22 needs f absolutely continuous on [-1, 2]; sign may jump" in err
+    code, out, err = run_cli(
+        "bound", "--f", "x*sign(x)", "--a", "1", "--b", "2", "--rule", "midpoint",
+        "--q", "1", capsys=capsys)
+    assert code == 2  # refused although the jump cancels
+
+
 def test_bound_exact_mode(capsys):
     code, out, _ = run_cli(
         "bound", "--f", "pow:2", "--a", "0", "--b", "1", "--rule", "simpson",

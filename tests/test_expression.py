@@ -2,12 +2,15 @@ import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from certquad import (DomainError, ParseError, builtin_corpus, differentiate,
                       evaluate, from_expression, parse, power_model,
                       probe_convexity, resolve_function, to_string)
 from certquad.expression import (Add, Call, Const, Div, Mul, Neg, Pow, Sub,
-                                 Var, X, derivative_matches_fd)
+                                 Var, X, _compile, _is_integral,
+                                 derivative_matches_fd)
 from certquad.prng import SplitMix64
 
 
@@ -165,3 +168,87 @@ def test_roundtrip_random_trees():
         e = _random_expr(rng, rng.next_u64() % 6 + 1)
         s = to_string(e)
         assert parse(s) == e, s
+
+
+def _walk(e, x):
+    """The tree-walking evaluator the compiler replaced, kept as the reference."""
+    if isinstance(e, Const):
+        return e.value
+    if isinstance(e, Var):
+        return x
+    if isinstance(e, Add):
+        return _walk(e.left, x) + _walk(e.right, x)
+    if isinstance(e, Sub):
+        return _walk(e.left, x) - _walk(e.right, x)
+    if isinstance(e, Mul):
+        return _walk(e.left, x) * _walk(e.right, x)
+    if isinstance(e, Div):
+        num = _walk(e.left, x)
+        den = _walk(e.right, x)
+        if den == 0:
+            raise DomainError("division by zero")
+        return num / den
+    if isinstance(e, Neg):
+        return -_walk(e.operand, x)
+    if isinstance(e, Pow):
+        base = _walk(e.base, x)
+        n = e.exponent
+        if _is_integral(n):
+            k = int(n)
+            if base == 0 and k < 0:
+                raise DomainError("zero base with negative exponent")
+            return base ** k
+        if base < 0:
+            raise DomainError(f"negative base {base!r} with non-integer exponent")
+        if base == 0 and n < 0:
+            raise DomainError("zero base with negative exponent")
+        return float(base) ** float(n)
+    if isinstance(e, Call):
+        v = _walk(e.arg, x)
+        if e.func == "exp":
+            return math.exp(v)
+        if e.func == "ln":
+            if v <= 0:
+                raise DomainError(f"ln of non-positive value {v!r}")
+            return math.log(v)
+        if e.func == "abs":
+            return abs(v)
+        if e.func == "sign":
+            return (v > 0) - (v < 0)
+    raise TypeError(f"not an Expr: {e!r}")
+
+
+_NUMBERS = st.one_of(
+    st.integers(-3, 3),
+    st.fractions(min_value=-4, max_value=4, max_denominator=6),
+    st.floats(-4, 4),
+    st.sampled_from([0.0, -0.0, 1e300, -1e300, math.inf, -math.inf, math.nan]))
+_EXPONENTS = st.sampled_from([0, 1, 2, 3, -1, -2, 2.0, -1.0, 0.5, -0.5, 1.5,
+                              F(2), F(-1), F(1, 2), F(-3, 2)])
+_TREES = st.recursive(
+    st.one_of(st.just(X), st.builds(Const, _NUMBERS)),
+    lambda sub: st.one_of(
+        *(st.builds(ctor, sub, sub) for ctor in (Add, Sub, Mul, Div)),
+        st.builds(Neg, sub),
+        st.builds(Pow, sub, _EXPONENTS),
+        st.builds(Call, st.sampled_from(["exp", "ln", "abs", "sign"]), sub)),
+    max_leaves=10)
+
+
+def _outcome(fn, x):
+    """The value with its type, or the error raised with its message."""
+    try:
+        v = fn(x)
+    except (DomainError, ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+    return type(v), repr(v)  # repr keeps -0.0 apart from 0.0
+
+
+@settings(max_examples=400, deadline=None)
+@given(_TREES, st.lists(_NUMBERS, min_size=1, max_size=6))
+def test_compiled_closure_matches_tree_walk(e, points):
+    compiled = _compile(e)
+    for x in points:
+        want = _outcome(lambda x: _walk(e, x), x)
+        assert _outcome(compiled, x) == want
+        assert _outcome(lambda x: evaluate(e, x), x) == want

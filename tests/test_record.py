@@ -75,7 +75,9 @@ def test_one_instance_of_every_record_class():
 
 @pytest.mark.parametrize("r", _instances(), ids=lambda r: type(r).__name__)
 def test_value_semantics(r):
-    assert type(r).__slots__ == FIELDS[type(r).__name__]
+    assert type(r)._fields == FIELDS[type(r).__name__]
+    if not isinstance(r, FunctionModel):  # the one record with cache slots
+        assert type(r).__slots__ == type(r)._fields
     for twin in (pickle.loads(pickle.dumps(r)), copy.deepcopy(r), copy.copy(r)):
         assert type(twin) is type(r) and twin == r and _fields(twin) == _fields(r)
     try:
@@ -138,3 +140,20 @@ def test_post_init_runs_on_every_construction_path():
 def test_bad_arguments_raise_type_error(call):
     with pytest.raises(TypeError):
         call()
+
+
+def test_cache_slots_stay_out_of_value_semantics():
+    f = from_expression("x^3 + ln(x)")
+    assert FunctionModel.__slots__ == FIELDS["FunctionModel"] + ("_value", "_derivative")
+    assert "_value" not in repr(f) and "_derivative" not in repr(f)
+    assert f._astuple() == _fields(f)
+    assert hash(f) == hash(_fields(f))
+    assert f == from_expression("x^3 + ln(x)")
+    assert pickle.loads(pickle.dumps(f)) == f
+    assert b"_value" not in pickle.dumps(f) and b"_derivative" not in pickle.dumps(f)
+    for twin in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f), copy.copy(f)):
+        for x in (F(1, 2), 2, 3.5):
+            assert repr(twin.value(x)) == repr(f.value(x))
+            assert repr(twin.derivative(x)) == repr(f.derivative(x))
+    with pytest.raises(AttributeError):
+        f._value = None
