@@ -28,21 +28,26 @@ builtin and user-asserted models pass directly, anything else is sampled
 and the resulting certificate is flagged advisory.  Bounds are evaluated
 in ordinary floating point (exact rationals when the inputs allow); they
 are analytic constants, not outward-rounded interval enclosures, so
-soundness tests should carry a small slack.  A non-finite float bound or
-rule value raises OverflowError.
+soundness tests should carry ``SOUNDNESS_SLACK``.  A non-finite float bound
+or rule value raises OverflowError; t23 and t24 raise ArithmeticError when q
+lies so close to 1 that a selected eps constant underflows.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 
 from .coefficients import (holder_coeffs, power_mean_coeffs,
                            regime_selected, regime_selected_eps)
 from .errors import DomainError, Refusal
 from .expression import FunctionModel, calls_sign, probe_convexity
-from .params import RuleParams, classify_regime, conjugate, _normalize
+from .params import CASE2, CASE3, RuleParams, classify_regime, conjugate, _normalize
 from .record import Record
 from .rules import Interval, interior_node, require_within_domain, rule_value
+
+SOUNDNESS_SLACK = 1e-10  # rounding a float certificate may show against a reference
+_TINY = 2 * sys.float_info.min  # smallest normal float times 2 > 1 / (1 - 1/e)
 
 
 class ErrorCertificate(Record):
@@ -59,6 +64,32 @@ class ErrorCertificate(Record):
 def _clamp(v):
     """Selected constants are nonnegative in-regime; shave rounding dust."""
     return v if v >= 0 else 0 * v
+
+
+def _eps_underflows(regime, p) -> bool:
+    """Whether a selected eps is nonzero but below the smallest normal
+    float, where its 1/p-th power would be lost.  Each eps is a sum or a
+    difference of k-th powers, k = p + 1, of bases in [0, 1] read off the
+    breakpoints (x, y, z).  big**k - (big-gap)**k is at least
+    (1 - 1/e) * min(big**k, k*gap*big**(k-1)), a sum the same with gap = big
+    for its larger base, and either at least (min(y, 1-y)/2)**(k+1), which
+    settles most calls.  Powers are taken in floats, never exactly, so a huge
+    exact k costs nothing.  Float breakpoints read alpha or 1 - alpha below
+    2**-53 as 0; the term of that pair is then of that order.
+    """
+    x, y, z = regime.breakpoints
+    try:
+        k = float(p) + 1
+    except OverflowError:  # an exact p past the float range
+        k = math.inf
+    yf = float(y)
+    if (min(yf, 1 - yf) / 2) ** (k + 1) >= _TINY or y in (0, 1):
+        return False  # at alpha = 0 or 1 one pair is exactly 0, the other's base 1
+    first = (x, y) if regime.tag == CASE3 else (max(x, y - x),) * 2
+    second = (1 - z, 1 - y) if regime.tag == CASE2 else (max(1 - z, z - y),) * 2
+    return any(gap > 0 and min(float(big) ** k,
+                               k * float(gap) * float(big) ** (k - 1)) < _TINY
+               for big, gap in (first, second))
 
 
 def prologue(f: FunctionModel, iv: Interval, params: RuleParams, q,
@@ -93,7 +124,8 @@ def prologue(f: FunctionModel, iv: Interval, params: RuleParams, q,
             f"convexity of |f'|**{q} not established for {f.name} on "
             f"[{iv.a}, {iv.b}]")
     p = conjugate(q).p
-    tag = classify_regime(params).tag
+    regime = classify_regime(params)
+    tag = regime.tag
     theorem = "T22q1" if q == 1 else name.upper()
     inv_q = 1 / q
     alpha = params.alpha
@@ -105,6 +137,8 @@ def prologue(f: FunctionModel, iv: Interval, params: RuleParams, q,
     else:
         if not p > 1:  # q so large that q / (q - 1) rounds to 1
             raise ArithmeticError(f"conjugate exponent of q={q!r} rounds to 1")
+        if _eps_underflows(regime, p):
+            raise ArithmeticError(f"{name} eps underflows at q={q}, too close to 1")
         eps_first, eps_second = (
             _clamp(v) for v in regime_selected_eps(holder_coeffs(params, p), tag))
         inv_p = 1 / p

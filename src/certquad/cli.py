@@ -1,8 +1,8 @@
 """Command line front end.
 
 Subcommands: bound, integrate, coeffs, verify, means.  Exit codes: 0 on
-success, 1 for parse/validation/domain errors and arithmetic overflow or
-division by zero, 2 when an engine refuses
+success, 1 for any ValueError (parse, validation and domain errors, and
+Python's int/str digit limit) or ArithmeticError, 2 when an engine refuses
 (hypothesis not established, exponent out of range, exactness forced but
 unavailable).  The verify exit code is 0 only when the sweep finds zero
 violations.
@@ -27,20 +27,19 @@ from numbers import Rational
 
 from . import bounds, composite, means, oracle
 from .coefficients import holder_coeffs, power_mean_coeffs
-from .errors import DomainError, OracleError, ParseError, Refusal
+from .errors import DomainError, OracleError, Refusal
 from .expression import builtin_corpus, resolve_function
 from .params import RuleParams, classify_regime
 from .prng import SplitMix64
 from .rules import Interval, identity_rhs, named_rule, rule_value
 
 SCHEMA = "v1"
-SOUNDNESS_SLACK = 1e-10
 IDENTITY_TOL = 1e-8
-HH_SLACK = 1e-12
 
 CSV_HEADER = "function,a,b,alpha,lambda,q,theorem,lhs,bound,margin,regime"
 
 _SWEEP_INTERVALS = ((0.5, 1.5), (1.0, 2.0), (0.25, 3.0))
+_SWEEP_Q = (1.0, 1.5, 2.0, 3.0)  # t23 and t24 draw from [1:], as they need q > 1
 
 
 def render(x) -> str:
@@ -68,12 +67,8 @@ def parse_number(text: str):
         raise DomainError(f"not a number: {text!r}") from None
 
 
-def _is_exact(x) -> bool:
-    return isinstance(x, Rational)
-
-
-def _require_exact(doc: dict, keys) -> None:
-    inexact = [k for k in keys if not _is_exact(doc[k])]
+def _require_exact(values: dict) -> None:
+    inexact = [k for k, v in values.items() if not isinstance(v, Rational)]
     if inexact:
         raise Refusal(
             "exact mode: result not exactly representable (inexact fields: "
@@ -129,30 +124,33 @@ def build_parser() -> _Parser:
                " tolerance (default 1e-10).")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("bound", parents=[], help="one error certificate")
+    p = sub.add_parser("bound", help="one error certificate")
+    p.set_defaults(run=cmd_bound)
     _add_function_args(p)
     _add_interval_args(p)
     _add_params_args(p)
     p.add_argument("--q", required=True,
                    help="exponent (comma separated list with --theorem best)")
     p.add_argument("--theorem", default="t22",
-                   choices=("t22", "t23", "t24", "best"))
+                   choices=(*bounds.ENGINES, "best"))
     p.add_argument("--exact", action="store_true",
                    help="refuse unless approx and bound are exact rationals")
     p.add_argument("--format", default="json", choices=("json", "pretty"))
 
     p = sub.add_parser("integrate", help="composite or adaptive integration")
+    p.set_defaults(run=cmd_integrate)
     _add_function_args(p)
     _add_interval_args(p)
     _add_params_args(p)
     p.add_argument("--q", required=True)
-    p.add_argument("--theorem", default="t22", choices=("t22", "t23", "t24"))
+    p.add_argument("--theorem", default="t22", choices=bounds.ENGINES)
     p.add_argument("--panels", type=int, help="uniform panel count")
     p.add_argument("--target", help="adaptive total bound target")
     p.add_argument("--max-panels", type=int, default=1024)
     p.add_argument("--format", default="json", choices=("json", "csv", "pretty"))
 
     p = sub.add_parser("coeffs", help="dump the coefficient families")
+    p.set_defaults(run=cmd_coeffs)
     p.add_argument("--alpha", required=True)
     p.add_argument("--lambda", dest="lam", required=True)
     p.add_argument("--p", help="also dump the conjugate-route eps family at this p")
@@ -160,6 +158,7 @@ def build_parser() -> _Parser:
     p.add_argument("--format", default="json", choices=("json", "pretty"))
 
     p = sub.add_parser("verify", help="randomized verification sweeps")
+    p.set_defaults(run=cmd_verify)
     p.add_argument("--check", default="soundness",
                    choices=("soundness", "identity", "hh"))
     p.add_argument("--seed", type=int, default=0)
@@ -167,6 +166,7 @@ def build_parser() -> _Parser:
     p.add_argument("--format", default="json", choices=("json", "csv", "pretty"))
 
     p = sub.add_parser("means", help="evaluate a mean or an inequality check")
+    p.set_defaults(run=cmd_means)
     p.add_argument("--kind", choices=means.MEAN_KINDS)
     p.add_argument("--prop", type=int, choices=(1, 2, 3, 4, 5, 6))
     p.add_argument("--a", required=True)
@@ -181,17 +181,26 @@ def build_parser() -> _Parser:
 
 
 def _emit(doc: dict, fmt: str, out) -> None:
-    if fmt == "pretty":
+    """json, pretty or csv: the document's one table under a header of its
+    first row's keys, then any summary as a "# k=v ..." line."""
+    if fmt == "csv":
+        rows = next(v for v in doc.values() if isinstance(v, list))
+        print(",".join(rows[0]), file=out)
+        for row in rows:
+            print(",".join(row.values()), file=out)
+        if "summary" in doc:
+            print("# " + " ".join(f"{k}={v}" for k, v in doc["summary"].items()),
+                  file=out)
+    elif fmt == "pretty":
         for key, value in doc.items():
+            if isinstance(value, dict):
+                value = [f"{k} = {v}" for k, v in value.items()]
             if isinstance(value, list):
                 print(f"{key}:", file=out)
-                for row in value:
-                    print("  " + ", ".join(f"{k}={v}" for k, v in row.items()),
-                          file=out)
-            elif isinstance(value, dict):
-                print(f"{key}:", file=out)
-                for k, v in value.items():
-                    print(f"  {k} = {v}", file=out)
+                for item in value:
+                    if isinstance(item, dict):
+                        item = ", ".join(f"{k}={v}" for k, v in item.items())
+                    print(f"  {item}", file=out)
             else:
                 print(f"{key}: {value}", file=out)
     else:
@@ -227,8 +236,7 @@ def cmd_bound(args, out) -> int:
             raise DomainError("one --q value expected unless --theorem best")
         cert = bounds.ENGINES[args.theorem](f, iv, params, q_values[0])
     if args.exact:
-        _require_exact({"approx": cert.approx, "bound": cert.bound},
-                       ("approx", "bound"))
+        _require_exact({"approx": cert.approx, "bound": cert.bound})
     _emit(_certificate_doc(cert), args.format, out)
     return 0
 
@@ -271,12 +279,6 @@ def cmd_integrate(args, out) -> int:
             for piece, cert in result.panels
         ],
     }
-    if args.format == "csv":
-        print("a,b,approx,bound,regime", file=out)
-        for row in doc["panel_table"]:
-            print(",".join(row[k] for k in ("a", "b", "approx", "bound",
-                                            "regime")), file=out)
-        return 0
     _emit(doc, args.format, out)
     return 0
 
@@ -286,7 +288,7 @@ def cmd_coeffs(args, out) -> int:
     regime = classify_regime(params)
     pm = power_mean_coeffs(params).as_dict()
     if args.exact:
-        _require_exact(pm, pm.keys())
+        _require_exact(pm)
     doc = {
         "schema": SCHEMA,
         "alpha": render(params.alpha),
@@ -294,16 +296,14 @@ def cmd_coeffs(args, out) -> int:
         "regime": regime.tag,
         "breakpoints": [render(v) for v in regime.breakpoints],
         "power_mean": {k: render(v) for k, v in pm.items()},
-        "power_mean_decimal": {k: format(float(v), ".17g")
-                               for k, v in pm.items()},
+        "power_mean_decimal": {k: render(float(v)) for k, v in pm.items()},
     }
     if args.p is not None:
         hc = holder_coeffs(params, parse_number(args.p)).as_dict()
         doc["holder"] = {k: (render(v) if v is not None else None)
                          for k, v in hc.items()}
-        doc["holder_decimal"] = {
-            k: (format(float(v), ".17g") if v is not None else None)
-            for k, v in hc.items()}
+        doc["holder_decimal"] = {k: (render(float(v)) if v is not None else None)
+                                 for k, v in hc.items()}
     _emit(doc, args.format, out)
     return 0
 
@@ -317,7 +317,7 @@ def cmd_means(args, out) -> int:
         alpha = parse_number(args.alpha) if args.alpha is not None else None
         value = means.eval_mean(args.kind, a, b, alpha=alpha, n=args.n)
         if args.exact:
-            _require_exact({"value": value}, ("value",))
+            _require_exact({"value": value})
         doc = {"schema": SCHEMA, "kind": args.kind,
                "a": render(a), "b": render(b)}
         if alpha is not None:
@@ -371,16 +371,13 @@ def _row(function, a, b, alpha, lam, q, theorem, lhs, bound, regime) -> dict:
 
 
 def _sweep_soundness(rng: SplitMix64, rows: int, corpus, tol):
-    q_by_theorem = {"t22": (1.0, 1.5, 2.0, 3.0),
-                    "t23": (1.5, 2.0, 3.0),
-                    "t24": (1.5, 2.0, 3.0)}
     mean_cache: dict = {}
     out = []
     for _ in range(rows):
         f = rng.choice(corpus)
         a, b = rng.choice(_SWEEP_INTERVALS)
-        theorem = rng.choice(("t22", "t23", "t24"))
-        q = rng.choice(q_by_theorem[theorem])
+        theorem = rng.choice(tuple(bounds.ENGINES))
+        q = rng.choice(_SWEEP_Q if theorem == "t22" else _SWEEP_Q[1:])
         alpha = rng.uniform()
         lam = rng.uniform()
         iv = Interval(a, b)
@@ -421,7 +418,7 @@ def _sweep_hh(corpus, tol):
         for a, b in _SWEEP_INTERVALS:
             gap = oracle.hh_gap(f, Interval(a, b), tol=tol)
             out.append(_row(f.name, a, b, None, None, None, "hh",
-                            max(gap, 0.0), HH_SLACK, ""))
+                            max(gap, 0.0), oracle.HH_SLACK, ""))
     return out
 
 
@@ -438,7 +435,7 @@ def cmd_verify(args, out) -> int:
     else:
         rows = _sweep_hh(corpus, tol)
     rows.sort(key=lambda r: tuple(r.values()))
-    violations = sum(1 for r in rows if float(r["margin"]) < -SOUNDNESS_SLACK)
+    violations = sum(float(r["margin"]) < -bounds.SOUNDNESS_SLACK for r in rows)
     tightness = max((float(r["lhs"]) / float(r["bound"])
                      for r in rows if float(r["bound"]) > 0), default=0.0)
     max_lhs = max((float(r["lhs"]) for r in rows), default=0.0)
@@ -454,15 +451,7 @@ def cmd_verify(args, out) -> int:
             "max_lhs": render(max_lhs),
         },
     }
-    if args.format == "csv":
-        print(CSV_HEADER, file=out)
-        for r in rows:
-            print(",".join(r.values()), file=out)
-        print(f"# rows={len(rows)} violations={violations} "
-              f"max_tightness={render(tightness)} max_lhs={render(max_lhs)}",
-              file=out)
-    else:
-        _emit(doc, args.format, out)
+    _emit(doc, args.format, out)
     return 0 if violations == 0 else 1
 
 
@@ -472,16 +461,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
-    handlers = {
-        "bound": cmd_bound,
-        "integrate": cmd_integrate,
-        "coeffs": cmd_coeffs,
-        "verify": cmd_verify,
-        "means": cmd_means,
-    }
     try:
-        return handlers[args.command](args, sys.stdout)
-    except (ParseError, DomainError, ArithmeticError) as exc:
+        return args.run(args, sys.stdout)
+    except (ValueError, ArithmeticError) as exc:  # ParseError, DomainError too
         print(f"certquad: error: {exc}", file=sys.stderr)
         return 1
     except Refusal as exc:

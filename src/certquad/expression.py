@@ -495,19 +495,18 @@ class FunctionModel(Record):
         return self.name
 
 
-def from_expression(text: str, *, name: str | None = None,
-                    domain: tuple = (NEG_INF, INF),
+def from_expression(text: str, *, domain: tuple = (NEG_INF, INF),
                     assume_convex: bool = False) -> FunctionModel:
-    """Build a model from expression text, deriving f' symbolically."""
+    """Build a model named by its text, deriving f' symbolically."""
     expr = parse(text)
-    return FunctionModel(
-        name=name or text,
-        expr=expr,
-        deriv=differentiate(expr),
-        domain=domain,
-        convex_for_all_q=assume_convex,
-        provenance="user-asserted" if assume_convex else "numerically-probed",
-    )
+    provenance = "user-asserted" if assume_convex else "numerically-probed"
+    return FunctionModel(text, expr, differentiate(expr), domain,
+                         convex_for_all_q=assume_convex, provenance=provenance)
+
+
+def _builtin(name, expr, domain) -> FunctionModel:
+    return FunctionModel(name, expr, differentiate(expr), domain,
+                         convex_for_all_q=True, provenance="builtin")
 
 
 def power_model(n: int, side: str = "pos") -> FunctionModel:
@@ -526,27 +525,8 @@ def power_model(n: int, side: str = "pos") -> FunctionModel:
         domain = (NEG_INF, INF) if side == "pos" else (NEG_INF, 0.0)
     else:
         domain = (0.0, INF) if side == "pos" else (NEG_INF, 0.0)
-    expr = Pow(X, n)
     suffix = "" if side == "pos" else ":neg"
-    return FunctionModel(
-        name=f"pow:{n}{suffix}",
-        expr=expr,
-        deriv=differentiate(expr),
-        domain=domain,
-        convex_for_all_q=True,
-        provenance="builtin",
-    )
-
-
-def _builtin(name, expr, domain) -> FunctionModel:
-    return FunctionModel(
-        name=name,
-        expr=expr,
-        deriv=differentiate(expr),
-        domain=domain,
-        convex_for_all_q=True,
-        provenance="builtin",
-    )
+    return _builtin(f"pow:{n}{suffix}", Pow(X, n), domain)
 
 
 def builtin_corpus() -> list[FunctionModel]:
@@ -589,40 +569,27 @@ def resolve_function(name_or_expr: str, *,
 
 
 # ---------------------------------------------------------------------------
-# Validation helpers
+# Convexity probe
 
-def derivative_matches_fd(f: FunctionModel, lo, hi, *, points: int = 64,
-                          h: float = 1e-6, tol: float = 1e-6) -> bool:
-    """Central finite difference agrees with the symbolic derivative.
-
-    Mixed absolute/relative comparison at ``tol`` over equispaced interior
-    sample points.
-    """
-    lo, hi = float(lo), float(hi)
-    for i in range(points):
-        x = lo + (hi - lo) * (i + 0.5) / points
-        sym = float(f.derivative(x))
-        fd = (float(f.value(x + h)) - float(f.value(x - h))) / (2 * h)
-        if abs(fd - sym) > tol * (1 + abs(sym)):
-            return False
-    return True
+PROBE_GRID = 64  # sample points per side
+PROBE_SLACK = 1e-12  # rounding allowed in each midpoint comparison
 
 
-def probe_convexity(f: FunctionModel, q, lo, hi, *, grid: int = 64,
-                    slack: float = 1e-12) -> bool:
-    """Midpoint-convexity check of |f'|**q on a grid x grid sample of [lo, hi].
+def probe_convexity(f: FunctionModel, q, lo, hi) -> bool:
+    """Midpoint-convexity check of |f'|**q at every pair of PROBE_GRID
+    equispaced points of [lo, hi].
 
     Midpoints of grid points land on the twice-refined grid, so a single
-    pass of 2*grid - 1 evaluations covers every (x, y) pair.
+    pass of 2*PROBE_GRID - 1 evaluations covers every (x, y) pair.
     """
     lo, hi = float(lo), float(hi)
-    fine = 2 * grid - 1
+    fine = 2 * PROBE_GRID - 1
     vals = []
     for k in range(fine):
         x = lo + (hi - lo) * k / (fine - 1)
         vals.append(abs(float(f.derivative(x))) ** float(q))
-    for i in range(grid):
-        for j in range(i, grid):
-            if vals[i + j] > (vals[2 * i] + vals[2 * j]) / 2 + slack:
+    for i in range(PROBE_GRID):
+        for j in range(i, PROBE_GRID):
+            if vals[i + j] > (vals[2 * i] + vals[2 * j]) / 2 + PROBE_SLACK:
                 return False
     return True

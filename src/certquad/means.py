@@ -17,7 +17,7 @@ Means (weighted variants take alpha in [0, 1]):
 Each inequality check is a bound engine applied to the function that
 generates it: the right side is the engine's certificate, the left side
 |rule value - integral mean of that function|, and the check reports
-whether left <= right (with 1e-10 slack for rounding).  Indices 1..6:
+whether left <= right up to ``bounds.SOUNDNESS_SLACK``.  Indices 1..6:
 the odd checks are the power-mean engine (``power_mean_bound``, q >= 1)
 and the even ones the interior-node conjugate engine
 (``holder_interior_bound``, q > 1), on x**n (1, 2; mean L_n**n), on 1/x
@@ -28,9 +28,9 @@ from __future__ import annotations
 
 import math
 
-from .bounds import holder_interior_bound, power_mean_bound
+from .bounds import SOUNDNESS_SLACK, holder_interior_bound, power_mean_bound
 from .errors import DomainError
-from .expression import FunctionModel, power_model, resolve_function
+from .expression import power_model, resolve_function
 from .params import RuleParams, _normalize
 from .record import Record
 from .rules import Interval
@@ -45,16 +45,11 @@ def _require(cond: bool, predicate: str) -> None:
 
 def _real_root(v, n: int):
     """Real n-th root; odd n keeps the sign, even n needs v >= 0."""
-    if n % 2 == 0:
-        _require(v >= 0, f"even root of negative value {v!r}")
-        return float(v) ** (1.0 / n)
+    if n % 2 == 0 and not v >= 0:  # lazy message: a huge Fraction's repr raises
+        raise DomainError(f"even root of negative value {v!r}")
     if v < 0:
         return -((-float(v)) ** (1.0 / n))
     return float(v) ** (1.0 / n)
-
-
-def weighted_arithmetic(alpha, a, b):
-    return alpha * a + (1 - alpha) * b
 
 
 def log_mean(a, b):
@@ -90,7 +85,7 @@ def eval_mean(kind: str, a, b, *, alpha=None, n: int | None = None):
         _require(alpha is not None and 0 <= alpha <= 1,
                  f"{kind} requires alpha in [0, 1]")
     if kind == "A_alpha":
-        return weighted_arithmetic(alpha, a, b)
+        return alpha * a + (1 - alpha) * b
     if kind == "A":
         return (a + b) / 2
     if kind == "G_alpha":
@@ -127,52 +122,37 @@ class PropositionResult(Record):
         return self.rhs - self.lhs
 
 
-def _check_index(which: int) -> None:
+def proposition_check(which: int, a, b, params: RuleParams, q,
+                      n: int | None = None) -> PropositionResult:
+    """Evaluate one of the six mean inequalities at concrete inputs."""
     _require(which in (1, 2, 3, 4, 5, 6), f"check index must be 1..6, got {which!r}")
-
-
-def _check_domain(which: int, a, b, q, n) -> None:
+    q = _normalize(q)
     _require(a < b, "requires a < b")
-    if which in (1, 2, 3):
+    if which <= 3:
         _require(a > 0 or b < 0, "requires 0 outside [a, b]")
     else:
         _require(a > 0, "requires 0 < a < b")
-    if which in (1, 2):
+    if which <= 2:
         _require(isinstance(n, int) and abs(n) >= 2, "requires integer |n| >= 2")
-    if which in (1, 3, 5):
+    if which % 2:
         _require(q >= 1, "requires q >= 1")
+        engine = power_mean_bound
     else:
         _require(q > 1, "requires q > 1")
-
-
-def _special_mean(which: int, a, b, n):
-    """The integral mean of the generating function: L_n**n for x**n,
-    1/L for 1/x and -ln I for -ln x."""
-    if which in (1, 2):
-        return power_log_mean_nth(n, a, b)
-    if which in (3, 4):
-        return 1 / log_mean(a, b)
-    return -math.log(identric_mean(a, b))
-
-
-def _model_for(which: int, a, n) -> FunctionModel:
+        engine = holder_interior_bound
+    iv = Interval(a, b)
     side = "pos" if a > 0 else "neg"
-    if which in (1, 2):
-        return power_model(n, side)
-    if which in (3, 4):
-        return power_model(-1, side)
-    return resolve_function("neglog")
-
-
-def proposition_check(which: int, a, b, params: RuleParams, q,
-                      n: int | None = None,
-                      slack: float = 1e-10) -> PropositionResult:
-    """Evaluate one of the six mean inequalities at concrete inputs."""
-    _check_index(which)
-    q = _normalize(q)
-    _check_domain(which, a, b, q, n)
-    engine = power_mean_bound if which in (1, 3, 5) else holder_interior_bound
-    cert = engine(_model_for(which, a, n), Interval(a, b), params, q)
-    lhs = abs(float(cert.approx - _special_mean(which, a, b, n)))
+    # the generating function, then its integral mean: L_n**n for x**n,
+    # 1/L for 1/x and -ln I for -ln x
+    if which <= 2:
+        cert = engine(power_model(n, side), iv, params, q)
+        mean = power_log_mean_nth(n, a, b)
+    elif which <= 4:
+        cert = engine(power_model(-1, side), iv, params, q)
+        mean = 1 / log_mean(a, b)
+    else:
+        cert = engine(resolve_function("neglog"), iv, params, q)
+        mean = -math.log(identric_mean(a, b))
+    lhs = abs(float(cert.approx - mean))
     rhs = float(cert.bound)
-    return PropositionResult(lhs, rhs, lhs <= rhs + slack)
+    return PropositionResult(lhs, rhs, lhs <= rhs + SOUNDNESS_SLACK)

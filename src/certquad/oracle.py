@@ -20,6 +20,7 @@ from .errors import DomainError, OracleError
 from .record import Record
 
 DEFAULT_TOL = 1e-10
+HH_SLACK = 1e-12  # oracle error allowed in the Hermite-Hadamard sandwich
 _MAX_DEPTH = 52
 
 
@@ -112,6 +113,6 @@ def hh_gap(f, iv, tol=None) -> float:
     return max(mid - mean, mean - ends)
 
 
-def hh_check(f, iv, tol=None, slack: float = 1e-12) -> bool:
+def hh_check(f, iv, tol=None) -> bool:
     """Midpoint <= integral mean <= endpoint average, for convex f."""
-    return hh_gap(f, iv, tol=tol) <= slack
+    return hh_gap(f, iv, tol=tol) <= HH_SLACK

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from numbers import Rational
 
 from .errors import DomainError
 from .record import Record
@@ -57,10 +56,6 @@ class RuleParams(Record):
                 raise DomainError(f"{label} must be finite, got {v!r}")
             if not (0 <= v <= 1):
                 raise DomainError(f"{label} must lie in [0, 1], got {v!r}")
-
-    @property
-    def is_exact(self) -> bool:
-        return isinstance(self.alpha, Rational) and isinstance(self.lam, Rational)
 
     def breakpoints(self):
         """(alpha*lambda, 1-alpha, 1-lambda*(1-alpha)) in the input arithmetic."""

@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -9,7 +11,7 @@ from certquad import (Interval, Refusal, RuleParams, best_bound,
                       rule_value)
 from certquad.prng import SplitMix64
 
-from conftest import INTERVALS
+from conftest import INTERVALS, child_env
 
 SIMPSON = named_rule("simpson")
 MIDPOINT = named_rule("midpoint")
@@ -352,3 +354,58 @@ def test_best_bound_probes_once_per_q(monkeypatch):
     for head in ("t22 at q=1.0", "t22 at q=2.0", "t23 at q=2.0", "t24 at q=2.0"):
         assert f"{head}: convexity of |f'|**" in message
     assert "t23 at q=1.0: q > 1 required" in message
+
+
+@pytest.mark.parametrize("engine", [holder_interior_bound, holder_endpoint_bound])
+def test_holder_engines_near_q_one_refuse_or_hold(engine, corpus):
+    # eps = c**(p+1) +- d**(p+1) with bases in [0, 1] underflows as q -> 1+;
+    # dropping it silently would understate the bound
+    f, iv = corpus["pow:2"], Interval(F(0), F(1))  # mean 1/3
+    outcomes = set()
+    for params in (MIDPOINT, TRAPEZOID, SIMPSON, RuleParams(F(1, 3), F(1, 4))):
+        for k in range(1, 7):
+            for q in (1 + 10.0 ** -k, 1 + F(1, 10 ** k)):
+                try:
+                    cert = engine(f, iv, params, q)
+                except ArithmeticError:
+                    outcomes.add("refused")
+                    continue
+                outcomes.add("certified")
+                assert float(cert.bound) >= abs(float(cert.approx) - 1 / 3), (params, q)
+    assert outcomes == {"refused", "certified"}
+
+
+def test_holder_underflow_refusal_names_engine_and_q(corpus):
+    with pytest.raises(ArithmeticError, match=r"t23 .* q=1\.0001"):
+        holder_interior_bound(corpus["pow:2"], Interval(0, 1), MIDPOINT, 1.0001)
+    with pytest.raises(ArithmeticError, match="t24 eps underflows"):  # p > 1e400
+        holder_endpoint_bound(corpus["pow:2"], Interval(0, 1), MIDPOINT,
+                              1 + F(1, 10 ** 400))
+    # best skips the refused candidates and keeps a sound one
+    cert = best_bound(corpus["exp"], Interval(0, 1), SIMPSON, [1.0001, 2])
+    assert float(cert.bound) >= abs(float(cert.approx) - (math.e - 1))
+
+
+def test_holder_underflow_guard_reads_differences_exactly(corpus):
+    # Case3 with 1 - alpha = 10**-k: eps2 = x**3 - (x - y)**3 is about 3*10**-k
+    iv = Interval(F(0), F(1))
+    for k, underflows in ((100, False), (400, True)):
+        params = RuleParams(1 - F(1, 10 ** k), F(1))
+        assert params.alpha * params.lam > 1 - params.alpha  # Case3
+        if underflows:
+            with pytest.raises(ArithmeticError, match="t24 eps underflows"):
+                holder_endpoint_bound(corpus["exp"], iv, params, 2)
+        else:
+            assert holder_endpoint_bound(corpus["exp"], iv, params, 2).regime == "Case3"
+
+
+def test_holder_exact_q_near_one_refuses_fast():
+    # q = 1 + 1/N has exact eps powers of exponent N + 2; the refusal must
+    # come before any of them is computed
+    proc = subprocess.run(
+        [sys.executable, "-m", "certquad", "bound", "--f", "pow:2", "--a", "0",
+         "--b", "1", "--alpha", "1/3", "--lambda", "1/4",
+         "--q", "1000001/1000000", "--theorem", "t23"],
+        capture_output=True, text=True, env=child_env(), timeout=10)
+    assert proc.returncode == 1
+    assert (proc.stdout, proc.stderr.count("\n")) == ("", 1)

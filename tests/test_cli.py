@@ -2,12 +2,15 @@ import json
 import subprocess
 import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
 from certquad.cli import CSV_HEADER, main, parse_number, render
 
 from conftest import child_env
+
+GOLDEN = Path(__file__).with_name("golden_cli.json")
 
 
 def run_cli(*argv, capsys=None):
@@ -309,3 +312,63 @@ def test_cli_import_skips_dataclasses_and_inspect():
         capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("argv", [
+    # Python's 4,300-digit limit on int/str conversion raises a plain ValueError
+    ("bound", "--f", "pow:2", "--a", "0", "--b", "1" + "0" * 5000,
+     "--rule", "midpoint", "--q", "1"),
+    ("coeffs", "--alpha", "1/3", "--lambda", "1/4", "--p", "20000"),
+    # the real cause is the float overflow, not the repr of a huge Fraction
+    ("means", "--kind", "L_n", "--a", "1", "--b", "2", "--n", "100000"),
+])
+def test_huge_numbers_exit_1_without_traceback(argv, capsys):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code, out, err = run_cli(*argv, capsys=capsys)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert (code, out) == (1, "")
+    assert err.startswith("certquad: error: ") and err.count("\n") == 1
+    if argv[0] == "means":
+        assert "too large for a float" in err
+
+
+def _reference_pretty(doc: dict) -> str:
+    """The pretty layout: one "key: value" line per scalar, and an indented
+    line per item of a list ("k=v, ..." for a dict item) or entry of a map."""
+    lines = []
+    for key, value in doc.items():
+        if isinstance(value, list):
+            lines.append(f"{key}:")
+            for item in value:
+                if isinstance(item, dict):
+                    item = ", ".join(f"{k}={v}" for k, v in item.items())
+                lines.append(f"  {item}")
+        elif isinstance(value, dict):
+            lines.append(f"{key}:")
+            lines.extend(f"  {k} = {v}" for k, v in value.items())
+        else:
+            lines.append(f"{key}: {value}")
+    return "".join(line + "\n" for line in lines)
+
+
+def _pretty_cases():
+    for i, entry in enumerate(json.loads(GOLDEN.read_text())):
+        if not entry["stdout"].startswith("{"):
+            continue  # csv
+        argv = list(entry["argv"])
+        if "--format" in argv:
+            argv[argv.index("--format") + 1] = "pretty"
+        else:
+            argv += ["--format", "pretty"]
+        yield pytest.param(argv, entry, id=f"{i:02d} {' '.join(argv[:3])}")
+
+
+@pytest.mark.parametrize("argv, golden", _pretty_cases())
+def test_pretty_matches_golden_json(argv, golden, capsys, monkeypatch):
+    monkeypatch.delenv("CERTQUAD_TOL", raising=False)
+    code, out, _ = run_cli(*argv, capsys=capsys)
+    assert code == golden["code"]
+    assert out == _reference_pretty(json.loads(golden["stdout"]))

@@ -9,9 +9,25 @@ from certquad import (DomainError, ParseError, builtin_corpus, differentiate,
                       evaluate, from_expression, parse, power_model,
                       probe_convexity, resolve_function, to_string)
 from certquad.expression import (Add, Call, Const, Div, Mul, Neg, Pow, Sub,
-                                 Var, X, _compile, _is_integral,
-                                 derivative_matches_fd)
+                                 Var, X, FunctionModel, _compile, _is_integral)
 from certquad.prng import SplitMix64
+
+
+def derivative_matches_fd(f: FunctionModel, lo, hi, *, points: int = 64,
+                          h: float = 1e-6, tol: float = 1e-6) -> bool:
+    """Central finite difference agrees with the symbolic derivative.
+
+    Mixed absolute/relative comparison at ``tol`` over equispaced interior
+    sample points.
+    """
+    lo, hi = float(lo), float(hi)
+    for i in range(points):
+        x = lo + (hi - lo) * (i + 0.5) / points
+        sym = float(f.derivative(x))
+        fd = (float(f.value(x + h)) - float(f.value(x - h))) / (2 * h)
+        if abs(fd - sym) > tol * (1 + abs(sym)):
+            return False
+    return True
 
 
 def test_parse_examples():
