@@ -20,21 +20,18 @@ from .expression import (Expr, FunctionModel, builtin_corpus, differentiate,
                          probe_convexity, resolve_function, to_string)
 from .means import eval_mean, proposition_check
 from .oracle import OracleResult, hh_check, integrate_ref, mean_ref
-from .params import (ExponentPair, Regime, RuleParams, classify_regime,
-                     conjugate)
-from .rules import (Interval, RuleEvaluation, evaluate_rule, identity_rhs,
-                    named_rule, rule_value)
+from .params import RuleParams, classify_regime, conjugate
+from .rules import Interval, identity_rhs, named_rule, rule_value
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CompositeResult", "DomainError", "ErrorCertificate", "ExponentPair",
-    "Expr", "FunctionModel", "HolderCoefficients", "Interval", "OracleError",
+    "CompositeResult", "DomainError", "ErrorCertificate", "Expr",
+    "FunctionModel", "HolderCoefficients", "Interval", "OracleError",
     "OracleResult", "ParseError", "PowerMeanCoefficients", "Refusal",
-    "Regime", "RuleEvaluation", "RuleParams", "abs_power_integral",
-    "adaptive_integrate", "best_bound", "builtin_corpus", "classify_regime",
-    "composite_integrate", "conjugate", "differentiate", "eval_mean",
-    "evaluate", "evaluate_rule", "from_expression", "hh_check",
+    "RuleParams", "abs_power_integral", "adaptive_integrate", "best_bound",
+    "builtin_corpus", "classify_regime", "composite_integrate", "conjugate",
+    "differentiate", "eval_mean", "evaluate", "from_expression", "hh_check",
     "holder_coeffs", "holder_endpoint_bound", "holder_interior_bound",
     "identity_rhs", "integrate_ref", "mean_ref", "named_rule", "parse",
     "power_mean_bound", "power_mean_coeffs", "power_model",

@@ -16,8 +16,11 @@ Three engines, one per derivation route:
 
 ``prologue`` runs once per (f, [a, b], params, q, engine): q range,
 domain, convexity hypothesis, conjugate, regime tag and the selected
-constants raised to their fixed powers.  Its step certifies any piece of
-[a, b].  An engine steps [a, b] itself; a driver steps every panel.
+constants raised to their fixed powers.  It works on plain values: p is
+the number ``conjugate`` returns and the regime the tag string of
+``classify_regime``; ``coefficients`` maps a tag to its constants and
+decides whether a selected eps underflows.  Its step certifies any piece
+of [a, b].  An engine steps [a, b] itself; a driver steps every panel.
 
 At q = 1 the power-mean shape collapses through the x**0 = 1 convention
 to (b-a) * [(mu_b+eta_b)*X + (mu_a+eta_a)*Y]; there is no separate code
@@ -36,18 +39,16 @@ lies so close to 1 that a selected eps constant underflows.
 from __future__ import annotations
 
 import math
-import sys
 
-from .coefficients import (holder_coeffs, power_mean_coeffs,
+from .coefficients import (eps_underflows, holder_coeffs, power_mean_coeffs,
                            regime_selected, regime_selected_eps)
 from .errors import DomainError, Refusal
 from .expression import FunctionModel, calls_sign, probe_convexity
-from .params import CASE2, CASE3, RuleParams, classify_regime, conjugate, _normalize
+from .params import RuleParams, classify_regime, conjugate, _normalize
 from .record import Record
 from .rules import Interval, interior_node, require_within_domain, rule_value
 
 SOUNDNESS_SLACK = 1e-10  # rounding a float certificate may show against a reference
-_TINY = 2 * sys.float_info.min  # smallest normal float times 2 > 1 / (1 - 1/e)
 
 
 class ErrorCertificate(Record):
@@ -64,32 +65,6 @@ class ErrorCertificate(Record):
 def _clamp(v):
     """Selected constants are nonnegative in-regime; shave rounding dust."""
     return v if v >= 0 else 0 * v
-
-
-def _eps_underflows(regime, p) -> bool:
-    """Whether a selected eps is nonzero but below the smallest normal
-    float, where its 1/p-th power would be lost.  Each eps is a sum or a
-    difference of k-th powers, k = p + 1, of bases in [0, 1] read off the
-    breakpoints (x, y, z).  big**k - (big-gap)**k is at least
-    (1 - 1/e) * min(big**k, k*gap*big**(k-1)), a sum the same with gap = big
-    for its larger base, and either at least (min(y, 1-y)/2)**(k+1), which
-    settles most calls.  Powers are taken in floats, never exactly, so a huge
-    exact k costs nothing.  Float breakpoints read alpha or 1 - alpha below
-    2**-53 as 0; the term of that pair is then of that order.
-    """
-    x, y, z = regime.breakpoints
-    try:
-        k = float(p) + 1
-    except OverflowError:  # an exact p past the float range
-        k = math.inf
-    yf = float(y)
-    if (min(yf, 1 - yf) / 2) ** (k + 1) >= _TINY or y in (0, 1):
-        return False  # at alpha = 0 or 1 one pair is exactly 0, the other's base 1
-    first = (x, y) if regime.tag == CASE3 else (max(x, y - x),) * 2
-    second = (1 - z, 1 - y) if regime.tag == CASE2 else (max(1 - z, z - y),) * 2
-    return any(gap > 0 and min(float(big) ** k,
-                               k * float(gap) * float(big) ** (k - 1)) < _TINY
-               for big, gap in (first, second))
 
 
 def prologue(f: FunctionModel, iv: Interval, params: RuleParams, q,
@@ -109,9 +84,9 @@ def prologue(f: FunctionModel, iv: Interval, params: RuleParams, q,
             f"unknown theorem {theorem!r}; expected one of {sorted(ENGINES)}")
     q = _normalize(q)
     if name == "t22" and not q >= 1:
-        raise Refusal(f"q >= 1 required, got {q!r}")
+        raise Refusal(f"{name} needs q >= 1, got {q}")
     if name != "t22" and not q > 1:
-        raise Refusal(f"q > 1 required, got {q!r}")
+        raise Refusal(f"{name} needs q > 1, got {q}")
     require_within_domain(f, iv)
     if f.provenance != "builtin" and calls_sign(f.expr):
         raise Refusal(f"{name} needs f absolutely continuous on [{iv.a}, {iv.b}]; sign may jump")
@@ -120,12 +95,10 @@ def prologue(f: FunctionModel, iv: Interval, params: RuleParams, q,
     if advisory and q not in verdicts:
         verdicts[q] = probe_convexity(f, q, iv.a, iv.b)
     if advisory and not verdicts[q]:
-        raise Refusal(
-            f"convexity of |f'|**{q} not established for {f.name} on "
-            f"[{iv.a}, {iv.b}]")
-    p = conjugate(q).p
-    regime = classify_regime(params)
-    tag = regime.tag
+        raise Refusal(f"{name} needs convexity of |f'|**{q}, not established "
+                      f"for {f.name} on [{iv.a}, {iv.b}]")
+    p = conjugate(q)
+    tag = classify_regime(params)
     theorem = "T22q1" if q == 1 else name.upper()
     inv_q = 1 / q
     alpha = params.alpha
@@ -136,8 +109,8 @@ def prologue(f: FunctionModel, iv: Interval, params: RuleParams, q,
         gamma_w, upsilon_w = gamma ** outer, upsilon ** outer
     else:
         if not p > 1:  # q so large that q / (q - 1) rounds to 1
-            raise ArithmeticError(f"conjugate exponent of q={q!r} rounds to 1")
-        if _eps_underflows(regime, p):
+            raise ArithmeticError(f"{name} conjugate exponent of q={q} rounds to 1")
+        if eps_underflows(params, tag, p):
             raise ArithmeticError(f"{name} eps underflows at q={q}, too close to 1")
         eps_first, eps_second = (
             _clamp(v) for v in regime_selected_eps(holder_coeffs(params, p), tag))

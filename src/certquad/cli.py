@@ -31,7 +31,7 @@ from .errors import DomainError, OracleError, Refusal
 from .expression import builtin_corpus, resolve_function
 from .params import RuleParams, classify_regime
 from .prng import SplitMix64
-from .rules import Interval, identity_rhs, named_rule, rule_value
+from .rules import NAMED_RULES, Interval, identity_rhs, named_rule, rule_value
 
 SCHEMA = "v1"
 IDENTITY_TOL = 1e-8
@@ -95,7 +95,7 @@ def _add_interval_args(p: _Parser) -> None:
 
 
 def _add_params_args(p: _Parser) -> None:
-    p.add_argument("--rule", choices=("midpoint", "trapezoid", "simpson"),
+    p.add_argument("--rule", choices=NAMED_RULES,
                    help="named parameter pair")
     p.add_argument("--alpha", help="node placement in [0,1]")
     p.add_argument("--lambda", dest="lam", help="endpoint blend in [0,1]")
@@ -283,9 +283,23 @@ def cmd_integrate(args, out) -> int:
     return 0
 
 
+def _refuse_huge_exact_eps(params: RuleParams, p) -> None:
+    """Refuse at once an exact eps that could not be rendered.  With exact
+    alpha strictly inside (0, 1) and exact lambda, a selected eps has a base
+    n/d strictly inside (0, 1), so an integral power k = p + 1 gives it at
+    least k*log10(2) denominator digits, and a sum or difference cancels
+    only a few.  Computing such powers before failing takes seconds."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    exact = all(isinstance(v, Fraction) for v in (params.alpha, params.lam, p))
+    if (limit and exact and 0 < params.alpha < 1 and p.denominator == 1
+            and p + 1 > 4 * limit / math.log10(2)):
+        raise DomainError(
+            f"exact eps at p={p} exceeds the {limit}-digit limit of int/str "
+            f"conversion; pass p as a decimal ({p}.0) for float eps")
+
+
 def cmd_coeffs(args, out) -> int:
     params = RuleParams(parse_number(args.alpha), parse_number(args.lam))
-    regime = classify_regime(params)
     pm = power_mean_coeffs(params).as_dict()
     if args.exact:
         _require_exact(pm)
@@ -293,13 +307,15 @@ def cmd_coeffs(args, out) -> int:
         "schema": SCHEMA,
         "alpha": render(params.alpha),
         "lambda": render(params.lam),
-        "regime": regime.tag,
-        "breakpoints": [render(v) for v in regime.breakpoints],
+        "regime": classify_regime(params),
+        "breakpoints": [render(v) for v in params.breakpoints()],
         "power_mean": {k: render(v) for k, v in pm.items()},
         "power_mean_decimal": {k: render(float(v)) for k, v in pm.items()},
     }
     if args.p is not None:
-        hc = holder_coeffs(params, parse_number(args.p)).as_dict()
+        p = parse_number(args.p)
+        _refuse_huge_exact_eps(params, p)
+        hc = holder_coeffs(params, p).as_dict()
         doc["holder"] = {k: (render(v) if v is not None else None)
                          for k, v in hc.items()}
         doc["holder_decimal"] = {k: (render(float(v)) if v is not None else None)
@@ -405,8 +421,7 @@ def _sweep_identity(rng: SplitMix64, rows: int, corpus, tol):
             f, iv, tol=tol)
         residual = abs(lhs_signed - identity_rhs(f, iv, params, tol=tol))
         out.append(_row(f.name, a, b, alpha, lam, None, "identity",
-                        residual, IDENTITY_TOL,
-                        classify_regime(params).tag))
+                        residual, IDENTITY_TOL, classify_regime(params)))
     return out
 
 

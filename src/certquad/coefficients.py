@@ -20,13 +20,23 @@ constants are always evaluated, including the ones the active regime does
 not select (those may be negative); the eps family is the exception,
 because off-regime eps values would raise a negative base to a
 non-integer power, so they are reported as None ("regime-inactive").
+
+This module is also the one map from a regime tag to its constants:
+``regime_selected`` and ``regime_selected_eps`` pick the six power-mean
+constants and the two eps values a tag selects, and ``eps_underflows``
+tells whether a selected eps is too small for its 1/p-th power.
 """
 
 from __future__ import annotations
 
+import math
+import sys
+
 from .errors import DomainError
 from .params import CASE2, CASE3, RuleParams
 from .record import Record
+
+_TINY = 2 * sys.float_info.min  # smallest normal float times 2 > 1 / (1 - 1/e)
 
 WEIGHT_ONE = "1"
 WEIGHT_T = "t"
@@ -168,3 +178,31 @@ def regime_selected_eps(coeffs: HolderCoefficients, tag: str):
     """The (eps_first, eps_second) pair a regime picks; always active."""
     return (coeffs.eps2 if tag == CASE3 else coeffs.eps1,
             coeffs.eps4 if tag == CASE2 else coeffs.eps3)
+
+
+def eps_underflows(params: RuleParams, tag: str, p) -> bool:
+    """Whether an eps that regime ``tag`` selects is nonzero but below the
+    smallest normal float, where its 1/p-th power would be lost.  Each eps
+    is a sum or a difference of k-th powers, k = p + 1, of bases in [0, 1]
+    read off the breakpoints (x, y, z).  big**k - (big-gap)**k is at least
+    (1 - 1/e) * min(big**k, k*gap*big**(k-1)), a sum the same with gap = big
+    for its larger base, and either at least (min(y, 1-y)/2)**(k+1), which
+    settles most calls from y = 1 - alpha alone.  Powers are taken in
+    floats, never exactly, so a huge exact k costs nothing.  Float
+    breakpoints read alpha or 1 - alpha below 2**-53 as 0; the term of that
+    pair is then of that order.
+    """
+    try:
+        k = float(p) + 1
+    except OverflowError:  # an exact p past the float range
+        k = math.inf
+    y = 1 - params.alpha
+    yf = float(y)
+    if (min(yf, 1 - yf) / 2) ** (k + 1) >= _TINY or y in (0, 1):
+        return False  # at alpha = 0 or 1 one pair is exactly 0, the other's base 1
+    x, y, z = params.breakpoints()
+    first = (x, y) if tag == CASE3 else (max(x, y - x),) * 2
+    second = (1 - z, 1 - y) if tag == CASE2 else (max(1 - z, z - y),) * 2
+    return any(gap > 0 and min(float(big) ** k,
+                               k * float(gap) * float(big) ** (k - 1)) < _TINY
+               for big, gap in (first, second))

@@ -9,7 +9,9 @@ always satisfy x <= z (because z - x = 1 - lambda >= 0), so the
 possible orderings are exactly three.  Which ordering holds decides which
 closed-form coefficient family applies in the bound engines.  Since x <= z,
 two sign tests settle it, one per kink against the split point y: x > y
-and z < y (``classify_regime``).
+and z < y.  ``RuleParams.breakpoints`` is the one source of (x, y, z),
+``classify_regime`` returns the ordering as a plain tag string, and
+``conjugate`` returns the Hoelder conjugate p of q as a plain number.
 
 Everything here is immutable after construction and safe to share between
 threads.
@@ -63,17 +65,8 @@ class RuleParams(Record):
         return (a * l, 1 - a, 1 - l * (1 - a))
 
 
-class Regime(Record):
-    """Which of the three breakpoint orderings holds, plus the breakpoints."""
-
-    __slots__ = ("tag", "breakpoints")
-
-    def __str__(self) -> str:
-        return self.tag
-
-
-def classify_regime(params: RuleParams) -> Regime:
-    """Assign the unique regime for a parameter pair.
+def classify_regime(params: RuleParams) -> str:
+    """The tag of the unique regime for a parameter pair.
 
     Case3 when x > y (alpha*lambda > 1-alpha); otherwise Case1 when
     lambda*y <= alpha (z >= y) and Case2 when not.  These are the two
@@ -85,38 +78,24 @@ def classify_regime(params: RuleParams) -> Regime:
     not change any bound.  Comparisons are exact for rational inputs and
     zero-tolerance for floats.
     """
-    x, y, z = params.breakpoints()
+    x, y, _ = params.breakpoints()
     if x > y:
-        tag = CASE3
-    elif params.lam * y <= params.alpha:
-        tag = CASE1
-    else:
-        tag = CASE2
-    return Regime(tag, (x, y, z))
+        return CASE3
+    if params.lam * y <= params.alpha:
+        return CASE1
+    return CASE2
 
 
-class ExponentPair(Record):
-    """An exponent q >= 1 and its Hoelder conjugate p = q/(q-1).
+def conjugate(q):
+    """Hoelder conjugate p = q/(q-1) of q >= 1, and math.inf at q = 1.
 
-    q = 1 is stored explicitly with p flagged infinite rather than as a
-    limit; the power-mean engine handles it through the x**0 = 1
-    convention, the Hoelder engines reject it.
+    The power-mean engine handles q = 1 through the x**0 = 1 convention,
+    the Hoelder engines reject it.  q < 1 and a non-finite q are domain
+    errors.
     """
-
-    __slots__ = ("q", "p")
-
-    @property
-    def p_is_infinite(self) -> bool:
-        return self.p == math.inf
-
-
-def conjugate(q) -> ExponentPair:
-    """Conjugate pair for q >= 1; q < 1 is a domain error."""
     q = _normalize(q)
     if isinstance(q, float) and not math.isfinite(q):
         raise DomainError(f"q must be finite, got {q!r}")
     if q < 1:
         raise DomainError(f"q must be >= 1, got {q!r}")
-    if q == 1:
-        return ExponentPair(q, math.inf)
-    return ExponentPair(q, q / (q - 1))
+    return math.inf if q == 1 else q / (q - 1)

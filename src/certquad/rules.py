@@ -46,29 +46,26 @@ class Interval(Record):
         return (self.a + self.b) / 2
 
 
-class RuleEvaluation(Record):
-    """Rule value next to the reference mean; error is |approx - mean|."""
-
-    __slots__ = ("approx", "mean", "error")
-
-
 def require_within_domain(f: FunctionModel, iv: Interval) -> None:
     if not f.contains(float(iv.a), float(iv.b)):
         raise DomainError(
             f"[{iv.a}, {iv.b}] is not inside the domain of {f.name}")
 
 
+NAMED_RULES = {
+    "midpoint": RuleParams(Fraction(1, 2), Fraction(0)),
+    "trapezoid": RuleParams(Fraction(1, 2), Fraction(1)),
+    "simpson": RuleParams(Fraction(1, 2), Fraction(1, 3)),
+}
+
+
 def named_rule(kind: str) -> RuleParams:
     """Parameters of a classical rule: midpoint, trapezoid or simpson."""
-    table = {
-        "midpoint": RuleParams(Fraction(1, 2), Fraction(0)),
-        "trapezoid": RuleParams(Fraction(1, 2), Fraction(1)),
-        "simpson": RuleParams(Fraction(1, 2), Fraction(1, 3)),
-    }
     try:
-        return table[kind]
+        return NAMED_RULES[kind]
     except KeyError:
-        raise DomainError(f"unknown rule {kind!r}; expected one of {sorted(table)}") from None
+        raise DomainError(
+            f"unknown rule {kind!r}; expected one of {sorted(NAMED_RULES)}") from None
 
 
 def interior_node(iv: Interval, params: RuleParams):
@@ -114,12 +111,3 @@ def identity_rhs(f: FunctionModel, iv: Interval, params: RuleParams,
     second = oracle.integrate_ref(
         lambda t: (t - c2) * on_chord(t), 1.0 - a, 1.0, tol=tol)
     return width * (first.value + second.value)
-
-
-def evaluate_rule(f: FunctionModel, iv: Interval, params: RuleParams,
-                  tol=None) -> RuleEvaluation:
-    """Rule value, oracle mean and their absolute gap in one record."""
-    approx = rule_value(f, iv, params)
-    mean = oracle.mean_ref(f, iv, tol=tol)
-    return RuleEvaluation(approx=approx, mean=mean,
-                          error=abs(float(approx) - mean))

@@ -51,7 +51,7 @@ def _stratified(per_regime, seed=2718):
     buckets = {"Case1": [], "Case2": [], "Case3": []}
     while any(len(v) < per_regime for v in buckets.values()):
         params = RuleParams(rng.uniform(), rng.uniform())
-        tag = classify_regime(params).tag
+        tag = classify_regime(params)
         if len(buckets[tag]) < per_regime:
             buckets[tag].append((params, tag))
     return [pair for bucket in buckets.values() for pair in bucket]

@@ -351,9 +351,10 @@ def test_best_bound_probes_once_per_q(monkeypatch):
                    [1.0, 2.0])
     assert qs == [1.0, 2.0]
     message = str(info.value)
-    for head in ("t22 at q=1.0", "t22 at q=2.0", "t23 at q=2.0", "t24 at q=2.0"):
-        assert f"{head}: convexity of |f'|**" in message
-    assert "t23 at q=1.0: q > 1 required" in message
+    for name, q in (("t22", 1.0), ("t22", 2.0), ("t23", 2.0), ("t24", 2.0)):
+        assert (f"{name} at q={q}: {name} needs convexity of |f'|**{q}, "
+                "not established for x^1.25 on [0.5, 1.5]") in message
+    assert "t23 at q=1.0: t23 needs q > 1, got 1.0" in message
 
 
 @pytest.mark.parametrize("engine", [holder_interior_bound, holder_endpoint_bound])

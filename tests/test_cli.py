@@ -89,7 +89,19 @@ def test_bound_refusal_exit_2(capsys):
         "--q", "1", "--theorem", "t23", capsys=capsys)
     assert code == 2
     assert out == ""  # no partial JSON
-    assert "q > 1" in err
+    assert err == "certquad: refused: t23 needs q > 1, got 1\n"
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (("--q", "1/2"), 2, "refused: t22 needs q >= 1, got 1/2"),
+    (("--q", "1", "--theorem", "t24"), 2, "refused: t24 needs q > 1, got 1"),
+    (("--q", "1e17", "--theorem", "t24"), 1,
+     "error: t24 conjugate exponent of q=1e+17 rounds to 1"),
+])
+def test_prologue_messages_name_engine_and_q(argv, code, message, capsys):
+    # q prints as the user wrote it, not as Fraction(1, 2)
+    assert run_cli("bound", "--f", "exp", "--a", "0", "--b", "1", "--rule",
+                   "midpoint", *argv, capsys=capsys) == (code, "", f"certquad: {message}\n")
 
 
 def test_bound_probe_refusal(capsys):
@@ -97,7 +109,8 @@ def test_bound_probe_refusal(capsys):
         "bound", "--f", "x^1.5", "--a", "0.5", "--b", "2.5",
         "--rule", "midpoint", "--q", "1", capsys=capsys)
     assert code == 2
-    assert "convexity" in err
+    assert ("t22 needs convexity of |f'|**1, not established for x^1.5 on "
+            "[0.5, 2.5]") in err
 
 
 def test_sign_in_f_refuses(capsys):
@@ -300,6 +313,31 @@ def test_subprocess_entrypoint():
         capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0
     assert '"gamma2": "5/72"' in proc.stdout
+
+
+def test_coeffs_huge_exact_p_refuses_fast():
+    # exact eps at p = 10**6 have denominators of over 10**6 digits: refuse
+    # before computing them, and point to a decimal p
+    env = dict(child_env(), PYTHONINTMAXSTRDIGITS="4300")
+    proc = subprocess.run(
+        [sys.executable, "-m", "certquad", "coeffs", "--alpha", "1/3",
+         "--lambda", "1/4", "--p", "1000000"],
+        capture_output=True, text=True, env=env, timeout=10)
+    assert (proc.returncode, proc.stdout, proc.stderr.count("\n")) == (1, "", 1)
+    assert "4300-digit limit" in proc.stderr and "1000000.0" in proc.stderr
+
+
+@pytest.mark.parametrize("alpha, lam, p", [
+    ("0", "1/3", "1000000"),         # bases 0 and 1: exact eps stay small
+    ("1", "1/3", "1000000"),
+    ("1/3", "0.25", "1000000"),      # a float lambda gives float eps
+    ("1/3", "1/4", "1000000.0"),
+    ("1/3", "1/4", "2000001/2"),     # a non-integral power is a float
+])
+def test_coeffs_huge_p_still_prints_where_it_can(alpha, lam, p, capsys):
+    code, out, _ = run_cli("coeffs", "--alpha", alpha, "--lambda", lam, "--p", p,
+                           capsys=capsys)
+    assert code == 0 and json.loads(out)["holder"]
 
 
 def test_cli_import_skips_dataclasses_and_inspect():

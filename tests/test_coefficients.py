@@ -105,7 +105,7 @@ def test_partition_identities_exact(alpha, lam):
 @settings(max_examples=60)
 def test_selected_coefficients_nonnegative(alpha, lam):
     params = RuleParams(alpha, lam)
-    tag = classify_regime(params).tag
+    tag = classify_regime(params)
     for value in regime_selected(power_mean_coeffs(params), tag):
         assert value >= 0
     for value in regime_selected_eps(holder_coeffs(params, 2), tag):
@@ -122,7 +122,7 @@ def test_selected_coefficients_nonnegative_near_second_kink(alpha, ulps):
     for _ in range(abs(ulps)):
         lam = math.nextafter(lam, math.copysign(math.inf, ulps))
     params = RuleParams(alpha, min(max(lam, 0.0), 1.0))
-    tag = classify_regime(params).tag
+    tag = classify_regime(params)
     for value in regime_selected(power_mean_coeffs(params), tag):
         # cancellation leaves dust of an ulp of 1, which the engines clamp
         assert value >= -1e-15
@@ -159,7 +159,7 @@ def _stratified_samples(per_regime, seed=99):
     buckets = {"Case1": [], "Case2": [], "Case3": []}
     while any(len(v) < per_regime for v in buckets.values()):
         params = RuleParams(rng.uniform(), rng.uniform())
-        tag = classify_regime(params).tag
+        tag = classify_regime(params)
         if len(buckets[tag]) < per_regime:
             buckets[tag].append(params)
     return buckets

@@ -19,38 +19,37 @@ def test_validation_rejects_out_of_range():
 
 
 def test_classify_examples():
-    r = classify_regime(RuleParams(F(1, 2), F(1, 3)))
-    assert r.tag == "Case1"
-    assert r.breakpoints == (F(1, 6), F(1, 2), F(5, 6))
+    params = RuleParams(F(1, 2), F(1, 3))
+    assert classify_regime(params) == "Case1"
+    assert params.breakpoints() == (F(1, 6), F(1, 2), F(5, 6))
 
-    r = classify_regime(RuleParams(0.2, 0.9))
-    assert r.tag == "Case2"
-    assert r.breakpoints == pytest.approx((0.18, 0.8, 0.28))
+    params = RuleParams(0.2, 0.9)
+    assert classify_regime(params) == "Case2"
+    assert params.breakpoints() == pytest.approx((0.18, 0.8, 0.28))
 
-    r = classify_regime(RuleParams(0.9, 0.5))
-    assert r.tag == "Case3"
-    assert r.breakpoints == pytest.approx((0.45, 0.1, 0.95))
+    params = RuleParams(0.9, 0.5)
+    assert classify_regime(params) == "Case3"
+    assert params.breakpoints() == pytest.approx((0.45, 0.1, 0.95))
 
 
 def test_classify_tie_breaks_low():
     # all three breakpoints coincide at 1/2; lowest-numbered case wins
-    r = classify_regime(RuleParams(F(1, 2), F(1)))
-    assert r.tag == "Case1"
-    assert r.breakpoints == (F(1, 2), F(1, 2), F(1, 2))
+    params = RuleParams(F(1, 2), F(1))
+    assert classify_regime(params) == "Case1"
+    assert params.breakpoints() == (F(1, 2), F(1, 2), F(1, 2))
 
 
 def test_classify_total_on_float_rounding_corner():
     # fl(alpha*lambda) > fl(1 - lambda*(1-alpha)) here although the two
     # are equal in exact arithmetic; classification must still land
-    r = classify_regime(RuleParams(0.1, 1.0))
-    assert r.tag in ("Case1", "Case2", "Case3")
+    assert classify_regime(RuleParams(0.1, 1.0)) in ("Case1", "Case2", "Case3")
 
 
 def test_conjugate_examples():
-    assert conjugate(2).p == 2
-    assert conjugate(3).p == F(3, 2)
-    pair = conjugate(1)
-    assert pair.p_is_infinite and pair.p == math.inf
+    assert conjugate(2) == 2
+    assert conjugate(3) == F(3, 2) and isinstance(conjugate(3), F)
+    assert conjugate(1) == math.inf
+    assert conjugate(1.5) == 3.0 and isinstance(conjugate(1.5), float)
 
 
 def test_conjugate_rejects_below_one():
@@ -58,15 +57,20 @@ def test_conjugate_rejects_below_one():
         conjugate(0.5)
 
 
+@pytest.mark.parametrize("q", [math.inf, math.nan])
+def test_conjugate_rejects_non_finite(q):
+    with pytest.raises(DomainError, match="finite"):
+        conjugate(q)
+
+
 @given(st.floats(1.000001, 64.0))
 def test_conjugate_identity(q):
-    pair = conjugate(q)
-    assert abs(1 / pair.p + 1 / pair.q - 1) < 1e-14
+    assert abs(1 / conjugate(q) + 1 / q - 1) < 1e-14
 
 
 @given(st.floats(0, 1, allow_nan=False), st.floats(0, 1, allow_nan=False))
 def test_classification_covers_unit_square(alpha, lam):
-    tag = classify_regime(RuleParams(alpha, lam)).tag
+    tag = classify_regime(RuleParams(alpha, lam))
     assert tag in ("Case1", "Case2", "Case3")
 
 
@@ -82,6 +86,6 @@ def test_exhaustiveness_bulk():
         params = RuleParams(alpha, lam)
         xa, xl = F(alpha), F(lam)
         assert xa * xl <= 1 - xl * (1 - xa)
-        counts[classify_regime(params).tag] += 1
+        counts[classify_regime(params)] += 1
     assert sum(counts.values()) == 1_000_000
     assert all(c > 0 for c in counts.values())

@@ -3,8 +3,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from certquad import (DomainError, Interval, RuleParams, evaluate_rule,
-                      from_expression, identity_rhs, named_rule, rule_value)
+from certquad import (DomainError, Interval, RuleParams, from_expression,
+                      identity_rhs, named_rule, rule_value)
+from certquad.rules import NAMED_RULES
 
 from conftest import INTERVALS
 
@@ -23,8 +24,15 @@ def test_named_rules():
     assert named_rule("midpoint") == RuleParams(F(1, 2), F(0))
     assert named_rule("trapezoid") == RuleParams(F(1, 2), F(1))
     assert named_rule("simpson") == RuleParams(F(1, 2), F(1, 3))
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"unknown rule 'gauss'; expected one of "
+                       r"\['midpoint', 'simpson', 'trapezoid'\]"):
         named_rule("gauss")
+
+
+def test_named_rules_come_from_one_table():
+    assert tuple(NAMED_RULES) == ("midpoint", "trapezoid", "simpson")
+    for kind, params in NAMED_RULES.items():
+        assert named_rule(kind) is params  # built once, at import
 
 
 def test_rule_values_on_square(corpus):
@@ -104,11 +112,3 @@ def test_identity_grid(corpus, oracle_mean):
                 lhs = float(rule_value(f, iv, params)) - oracle_mean(
                     f, *INTERVALS[0])
                 assert abs(lhs - identity_rhs(f, iv, params)) < 1e-8
-
-
-def test_evaluate_rule_record(corpus):
-    r = evaluate_rule(corpus["pow:2"], Interval(F(0), F(1)),
-                      named_rule("midpoint"))
-    assert r.approx == F(1, 4)
-    assert r.mean == pytest.approx(1 / 3, abs=1e-10)
-    assert r.error == pytest.approx(abs(0.25 - r.mean))
