@@ -68,20 +68,21 @@ def _clamp(v):
 
 
 def prologue(f: FunctionModel, iv: Interval, params: RuleParams, q,
-             theorem: str, verdicts=None):
-    """Establish engine ``theorem``'s hypotheses on iv once and return the
-    step that certifies any piece of iv, which inherits them.
+             name: str, verdicts=None):
+    """Establish the hypotheses of engine ``name`` (an ``ENGINES`` key, as
+    given) on iv once and return the step that certifies any piece of iv,
+    which inherits them.
 
     q >= 1 for t22, q > 1 for t23 and t24.  f must be absolutely continuous,
-    so a non-builtin f calling sign is refused, even x*sign(x).  Proven-convex
-    models give non-advisory certificates, a passing probe (shared through
-    ``verdicts``, q -> verdict) advisory ones, a failing probe a Refusal.
+    so a non-builtin f calling sign is refused, even x*sign(x).  Builtin and
+    user-asserted models give non-advisory certificates; a numerically-probed
+    one is sampled, and a passing probe (shared through ``verdicts``,
+    q -> verdict) gives advisory ones, a failing probe a Refusal.
     T23 and T24 share one formula and differ only in two weights and averages.
     """
-    name = theorem.lower()
     if name not in ENGINES:
         raise DomainError(
-            f"unknown theorem {theorem!r}; expected one of {sorted(ENGINES)}")
+            f"unknown theorem {name!r}; expected one of {sorted(ENGINES)}")
     q = _normalize(q)
     if name == "t22" and not q >= 1:
         raise Refusal(f"{name} needs q >= 1, got {q}")
@@ -90,7 +91,7 @@ def prologue(f: FunctionModel, iv: Interval, params: RuleParams, q,
     require_within_domain(f, iv)
     if f.provenance != "builtin" and calls_sign(f.expr):
         raise Refusal(f"{name} needs f absolutely continuous on [{iv.a}, {iv.b}]; sign may jump")
-    advisory = not f.convex_for_all_q
+    advisory = f.provenance == "numerically-probed"
     verdicts = {} if verdicts is None else verdicts
     if advisory and q not in verdicts:
         verdicts[q] = probe_convexity(f, q, iv.a, iv.b)

@@ -11,8 +11,8 @@ Output conventions (schema "v1"): every numeric leaf is rendered as a
 string, exact rationals as "num/den" (or a bare integer) and floats with
 17 significant digits, so repeated runs are byte-identical.  Rational
 command line inputs ("1/3", "2") ride the exact kernels, decimals the
-floating ones.  The CERTQUAD_TOL environment variable overrides the
-reference integrator tolerance used by verify sweeps.
+floating ones.  Verify sweeps run the reference integrator at its
+default tolerance, ``oracle.DEFAULT_TOL``.
 """
 
 from __future__ import annotations
@@ -119,9 +119,7 @@ def build_parser() -> _Parser:
     parser = _Parser(
         prog="certquad",
         description="Certified quadrature error bounds for the two-parameter"
-                    " rule family.",
-        epilog="Set CERTQUAD_TOL to override the reference integrator"
-               " tolerance (default 1e-10).")
+                    " rule family.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("bound", help="one error certificate")
@@ -270,13 +268,13 @@ def cmd_integrate(args, out) -> int:
         "advisory": result.advisory,
         "panel_table": [
             {
-                "a": render(piece.a),
-                "b": render(piece.b),
+                "a": render(cert.interval.a),
+                "b": render(cert.interval.b),
                 "approx": render(cert.approx),
                 "bound": render(cert.bound),
                 "regime": cert.regime,
             }
-            for piece, cert in result.panels
+            for cert in result.panels
         ],
     }
     _emit(doc, args.format, out)
@@ -300,7 +298,7 @@ def _refuse_huge_exact_eps(params: RuleParams, p) -> None:
 
 def cmd_coeffs(args, out) -> int:
     params = RuleParams(parse_number(args.alpha), parse_number(args.lam))
-    pm = power_mean_coeffs(params).as_dict()
+    pm = power_mean_coeffs(params)
     if args.exact:
         _require_exact(pm)
     doc = {
@@ -315,7 +313,7 @@ def cmd_coeffs(args, out) -> int:
     if args.p is not None:
         p = parse_number(args.p)
         _refuse_huge_exact_eps(params, p)
-        hc = holder_coeffs(params, p).as_dict()
+        hc = holder_coeffs(params, p)
         doc["holder"] = {k: (render(v) if v is not None else None)
                          for k, v in hc.items()}
         doc["holder_decimal"] = {k: (render(float(v)) if v is not None else None)
@@ -386,7 +384,7 @@ def _row(function, a, b, alpha, lam, q, theorem, lhs, bound, regime) -> dict:
     }
 
 
-def _sweep_soundness(rng: SplitMix64, rows: int, corpus, tol):
+def _sweep_soundness(rng: SplitMix64, rows: int, corpus):
     mean_cache: dict = {}
     out = []
     for _ in range(rows):
@@ -401,14 +399,14 @@ def _sweep_soundness(rng: SplitMix64, rows: int, corpus, tol):
         cert = bounds.ENGINES[theorem](f, iv, params, q)
         key = (f.name, a, b)
         if key not in mean_cache:
-            mean_cache[key] = oracle.mean_ref(f, iv, tol=tol)
+            mean_cache[key] = oracle.mean_ref(f, iv)
         gap = abs(float(cert.approx) - mean_cache[key])
         out.append(_row(f.name, a, b, alpha, lam, q, cert.theorem,
                         gap, cert.bound, cert.regime))
     return out
 
 
-def _sweep_identity(rng: SplitMix64, rows: int, corpus, tol):
+def _sweep_identity(rng: SplitMix64, rows: int, corpus):
     out = []
     for _ in range(rows):
         f = rng.choice(corpus)
@@ -417,21 +415,20 @@ def _sweep_identity(rng: SplitMix64, rows: int, corpus, tol):
         lam = rng.uniform()
         iv = Interval(a, b)
         params = RuleParams(alpha, lam)
-        lhs_signed = float(rule_value(f, iv, params)) - oracle.mean_ref(
-            f, iv, tol=tol)
-        residual = abs(lhs_signed - identity_rhs(f, iv, params, tol=tol))
+        lhs_signed = float(rule_value(f, iv, params)) - oracle.mean_ref(f, iv)
+        residual = abs(lhs_signed - identity_rhs(f, iv, params))
         out.append(_row(f.name, a, b, alpha, lam, None, "identity",
                         residual, IDENTITY_TOL, classify_regime(params)))
     return out
 
 
-def _sweep_hh(corpus, tol):
+def _sweep_hh(corpus):
     # every corpus member is convex on these intervals, so the sandwich
     # predicate applies to all of them
     out = []
     for f in corpus:
         for a, b in _SWEEP_INTERVALS:
-            gap = oracle.hh_gap(f, Interval(a, b), tol=tol)
+            gap = oracle.hh_gap(f, Interval(a, b))
             out.append(_row(f.name, a, b, None, None, None, "hh",
                             max(gap, 0.0), oracle.HH_SLACK, ""))
     return out
@@ -439,16 +436,15 @@ def _sweep_hh(corpus, tol):
 
 def cmd_verify(args, out) -> int:
     corpus = builtin_corpus()
-    tol = oracle.resolve_tol()
     rng = SplitMix64(args.seed)
     if args.rows < 1:
         raise DomainError(f"--rows must be positive, got {args.rows}")
     if args.check == "soundness":
-        rows = _sweep_soundness(rng, args.rows, corpus, tol)
+        rows = _sweep_soundness(rng, args.rows, corpus)
     elif args.check == "identity":
-        rows = _sweep_identity(rng, args.rows, corpus, tol)
+        rows = _sweep_identity(rng, args.rows, corpus)
     else:
-        rows = _sweep_hh(corpus, tol)
+        rows = _sweep_hh(corpus)
     rows.sort(key=lambda r: tuple(r.values()))
     violations = sum(float(r["margin"]) < -bounds.SOUNDNESS_SLACK for r in rows)
     tightness = max((float(r["lhs"]) / float(r["bound"])

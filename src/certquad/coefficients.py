@@ -20,6 +20,8 @@ constants are always evaluated, including the ones the active regime does
 not select (those may be negative); the eps family is the exception,
 because off-regime eps values would raise a negative base to a
 non-integer power, so they are reported as None ("regime-inactive").
+Each family is a plain dict from constant name to value, gamma1 ... eta4
+and eps1 ... eps4 in that order.
 
 This module is also the one map from a regime tag to its constants:
 ``regime_selected`` and ``regime_selected_eps`` pick the six power-mean
@@ -34,7 +36,6 @@ import sys
 
 from .errors import DomainError
 from .params import CASE2, CASE3, RuleParams
-from .record import Record
 
 _TINY = 2 * sys.float_info.min  # smallest normal float times 2 > 1 / (1 - 1/e)
 
@@ -43,25 +44,9 @@ WEIGHT_T = "t"
 WEIGHT_ONE_MINUS_T = "1-t"
 
 
-class PowerMeanCoefficients(Record):
-    __slots__ = ("gamma1", "gamma2", "upsilon1", "upsilon2", "mu1", "mu2",
-                 "mu3", "mu4", "eta1", "eta2", "eta3", "eta4")
-
-    def as_dict(self) -> dict:
-        return dict(zip(self._fields, self._astuple()))
-
-
-class HolderCoefficients(Record):
-    """eps1..eps4 for a given p > 1; None marks a regime-inactive entry."""
-
-    __slots__ = ("p", "eps1", "eps2", "eps3", "eps4")
-
-    def as_dict(self) -> dict:
-        return dict(zip(self._fields[1:], self._astuple()[1:]))
-
-
-def power_mean_coeffs(params: RuleParams) -> PowerMeanCoefficients:
-    """All twelve constants of the power-mean bound, exactly as written."""
+def power_mean_coeffs(params: RuleParams) -> dict:
+    """All twelve constants of the power-mean bound, exactly as written,
+    keyed gamma1, gamma2, upsilon1, upsilon2, mu1..mu4, eta1..eta4."""
     a, l = params.alpha, params.lam
     c = a * l
     u = 1 - a
@@ -79,17 +64,19 @@ def power_mean_coeffs(params: RuleParams) -> PowerMeanCoefficients:
     eta2 = w * a * a / 2 - a ** 3 / 3
     eta3 = (1 - w) ** 3 / 3 - (1 - w) / 2 * (1 + u * u) + (1 + u ** 3) / 3
     eta4 = w ** 3 / 3 - w * a * a / 2 + a ** 3 / 3
-    return PowerMeanCoefficients(gamma1, gamma2, upsilon1, upsilon2,
-                                 mu1, mu2, mu3, mu4,
-                                 eta1, eta2, eta3, eta4)
+    return {"gamma1": gamma1, "gamma2": gamma2,
+            "upsilon1": upsilon1, "upsilon2": upsilon2,
+            "mu1": mu1, "mu2": mu2, "mu3": mu3, "mu4": mu4,
+            "eta1": eta1, "eta2": eta2, "eta3": eta3, "eta4": eta4}
 
 
-def holder_coeffs(params: RuleParams, p) -> HolderCoefficients:
-    """eps1..eps4 for exponent p > 1.
+def holder_coeffs(params: RuleParams, p) -> dict:
+    """eps1..eps4 for exponent p > 1, keyed by name.
 
     Each entry owns one side of a breakpoint comparison and is only
     defined there; on the other side its second base goes negative and
-    the value is reported as None rather than guessing a continuation.
+    the value is None ("regime-inactive") rather than a guessed
+    continuation.
     Callers divide by (p + 1) when matching the defining integrals.
     """
     if not p > 1:
@@ -100,11 +87,10 @@ def holder_coeffs(params: RuleParams, p) -> HolderCoefficients:
     w = l * u
     k = p + 1
 
-    eps1 = c ** k + (u - c) ** k if c <= u else None
-    eps2 = c ** k - (c - u) ** k if c >= u else None
-    eps3 = w ** k + (a - w) ** k if w <= a else None
-    eps4 = w ** k - (w - a) ** k if w >= a else None
-    return HolderCoefficients(p, eps1, eps2, eps3, eps4)
+    return {"eps1": c ** k + (u - c) ** k if c <= u else None,
+            "eps2": c ** k - (c - u) ** k if c >= u else None,
+            "eps3": w ** k + (a - w) ** k if w <= a else None,
+            "eps4": w ** k - (w - a) ** k if w >= a else None}
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +145,7 @@ def abs_power_integral(c, lo, hi, p, weight: str = WEIGHT_ONE):
             + _piece(c, c, hi, p, weight, above=True))
 
 
-def regime_selected(coeffs: PowerMeanCoefficients, tag: str):
+def regime_selected(coeffs: dict, tag: str):
     """The (gamma, mu_b, mu_a, upsilon, eta_b, eta_a) sextuple a regime picks.
 
     The *_b entries weight |f'(b)|**q, the *_a entries |f'(a)|**q.  The
@@ -167,17 +153,18 @@ def regime_selected(coeffs: PowerMeanCoefficients, tag: str):
     only Case3 switches; the second to the one over [1-alpha, 1], whose
     family only Case2 switches.
     """
-    first = ((coeffs.gamma1, coeffs.mu3, coeffs.mu4) if tag == CASE3
-             else (coeffs.gamma2, coeffs.mu1, coeffs.mu2))
-    second = ((coeffs.upsilon1, coeffs.eta1, coeffs.eta2) if tag == CASE2
-              else (coeffs.upsilon2, coeffs.eta3, coeffs.eta4))
+    c = coeffs
+    first = ((c["gamma1"], c["mu3"], c["mu4"]) if tag == CASE3
+             else (c["gamma2"], c["mu1"], c["mu2"]))
+    second = ((c["upsilon1"], c["eta1"], c["eta2"]) if tag == CASE2
+              else (c["upsilon2"], c["eta3"], c["eta4"]))
     return first + second
 
 
-def regime_selected_eps(coeffs: HolderCoefficients, tag: str):
+def regime_selected_eps(coeffs: dict, tag: str):
     """The (eps_first, eps_second) pair a regime picks; always active."""
-    return (coeffs.eps2 if tag == CASE3 else coeffs.eps1,
-            coeffs.eps4 if tag == CASE2 else coeffs.eps3)
+    return (coeffs["eps2" if tag == CASE3 else "eps1"],
+            coeffs["eps4" if tag == CASE2 else "eps3"])
 
 
 def eps_underflows(params: RuleParams, tag: str, p) -> bool:

@@ -8,7 +8,8 @@ and those add:
 
 Both drivers establish the engine's hypotheses on [a, b] by one prologue
 run per solve; convexity of |f'|**q on [a, b] restricts to every
-subinterval, so each panel inherits them and only takes the per-piece step.
+subinterval, so each panel inherits them and only takes the per-piece
+step.  A result keeps each panel as its certificate, which names it.
 
 ``adaptive_integrate`` greedily bisects the panel with the largest
 width-scaled bound until the summed bound clears the target or the panel
@@ -31,9 +32,9 @@ from .rules import Interval
 class CompositeResult(Record):
     """Approximation of the integral of f over [a, b] with a summed bound.
 
-    ``panels`` lists (Interval, ErrorCertificate) pairs tiling [a, b] left to
-    right; ``target_met`` is None for fixed panel counts and reports target
-    attainment for adaptive runs.
+    ``panels`` lists the panels' ErrorCertificates, whose intervals tile
+    [a, b] left to right; ``target_met`` is None for fixed panel counts and
+    reports target attainment for adaptive runs.
     """
 
     __slots__ = ("value", "total_bound", "panels", "target_met")
@@ -41,13 +42,13 @@ class CompositeResult(Record):
 
     @property
     def advisory(self) -> bool:
-        return any(cert.advisory for _, cert in self.panels)
+        return any(cert.advisory for cert in self.panels)
 
 
-def _assemble(panels_with_certs, target=None) -> CompositeResult:
-    panels = sorted(panels_with_certs, key=lambda pc: float(pc[0].a))
-    value = sum(iv.width * cert.approx for iv, cert in panels)
-    total = sum(iv.width * cert.bound for iv, cert in panels)
+def _assemble(certs, target=None) -> CompositeResult:
+    panels = sorted(certs, key=lambda cert: float(cert.interval.a))
+    value = sum(cert.interval.width * cert.approx for cert in panels)
+    total = sum(cert.interval.width * cert.bound for cert in panels)
     return CompositeResult(value, total, panels,
                            None if target is None else bool(total <= target))
 
@@ -59,8 +60,7 @@ def composite_integrate(f: FunctionModel, iv: Interval, params: RuleParams,
         raise DomainError(f"panel count must be a positive integer, got {n!r}")
     certify = prologue(f, iv, params, q, theorem)
     cuts = [(iv.a * (n - i) + iv.b * i) / n for i in range(n + 1)]
-    pieces = [Interval(u, v) for u, v in zip(cuts, cuts[1:])]
-    return _assemble([(piece, certify(piece)) for piece in pieces])
+    return _assemble([certify(Interval(u, v)) for u, v in zip(cuts, cuts[1:])])
 
 
 def adaptive_integrate(f: FunctionModel, iv: Interval, params: RuleParams,
@@ -79,16 +79,17 @@ def adaptive_integrate(f: FunctionModel, iv: Interval, params: RuleParams,
 
     def entry(piece: Interval):
         cert = certify(piece)
-        return (-(piece.width * cert.bound), float(piece.a), piece, cert)
+        return (-(piece.width * cert.bound), float(piece.a), cert)
 
     heap = [entry(iv)]
-    total = iv.width * heap[0][3].bound
+    total = iv.width * heap[0][2].bound
     while total > target and len(heap) < max_panels:
-        neg_scaled, _, piece, cert = heapq.heappop(heap)
+        neg_scaled, _, cert = heapq.heappop(heap)
+        piece = cert.interval
         mid = piece.midpoint()
         left = entry(Interval(piece.a, mid))
         right = entry(Interval(mid, piece.b))
         heapq.heappush(heap, left)
         heapq.heappush(heap, right)
         total += -left[0] + -right[0] - (-neg_scaled)
-    return _assemble([(piece, cert) for _, _, piece, cert in heap], target)
+    return _assemble([cert for _, _, cert in heap], target)

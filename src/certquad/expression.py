@@ -12,9 +12,10 @@ Known function names: exp, ln, abs, sign.  Powers are right associative
 and bind tighter than unary minus, so -x^2 is -(x^2).  Printing an
 expression yields a canonical string that re-parses to the same tree.
 
-Evaluation compiles a tree once into nested closures; a FunctionModel keeps
-those of f and f'.  Fraction inputs stay exact through +, -, *, /, integer
-powers and abs, and fall to float only at exp/ln or non-integer powers.
+Evaluation compiles a tree once into nested closures.  A FunctionModel
+derives f' from f on construction and keeps the closures of both.
+Fraction inputs stay exact through +, -, *, /, integer powers and abs,
+and fall to float only at exp/ln or non-integer powers.
 
 The symbolic derivative of abs(u) uses sign(u)*u' with sign(0) = 0; no
 builtin ever differentiates abs at its kink on the stated domains.
@@ -462,25 +463,32 @@ def simplify(e: Expr) -> Expr:
 
 NEG_INF = float("-inf")
 INF = float("inf")
+PROVENANCES = ("builtin", "user-asserted", "numerically-probed")
 
 
 class FunctionModel(Record):
     """An evaluatable function with its exact derivative and metadata.
 
-    ``domain`` is an open interval.  ``convex_for_all_q`` marks models for
-    which |f'|**q is convex on the domain for every q >= 1; builtins carry
-    this by construction, user expressions get sampled instead and any
-    certificate built from them is flagged advisory.
+    ``domain`` is an open interval.  ``deriv`` is always
+    ``differentiate(expr)``, derived on construction and never given.
+    ``provenance``, one of PROVENANCES, says how convexity of |f'|**q is
+    known: builtin models carry it for every q >= 1 by construction,
+    user-asserted ones on the caller's word, and numerically-probed ones
+    get sampled, so any certificate built from them is flagged advisory.
     """
 
-    _fields = ("name", "expr", "deriv", "domain", "convex_for_all_q", "provenance")
-    __slots__ = _fields + ("_value", "_derivative")  # caches: compiled expr, deriv
-    _defaults = {"domain": (NEG_INF, INF), "convex_for_all_q": False,
-                 "provenance": "numerically-probed"}  # or builtin, user-asserted
+    _fields = ("name", "expr", "domain", "provenance")
+    __slots__ = _fields + ("deriv", "_value", "_derivative")  # derived: f', compiled f, f'
+    _defaults = {"domain": (NEG_INF, INF), "provenance": "numerically-probed"}
 
     def __post_init__(self):
+        if self.provenance not in PROVENANCES:  # an unknown one must not skip the probe
+            raise DomainError(f"provenance must be one of {PROVENANCES}, "
+                              f"got {self.provenance!r}")
+        deriv = differentiate(self.expr)
+        FunctionModel.deriv.__set__(self, deriv)
         FunctionModel._value.__set__(self, _compile(self.expr))
-        FunctionModel._derivative.__set__(self, _compile(self.deriv))
+        FunctionModel._derivative.__set__(self, _compile(deriv))
 
     def value(self, x):
         return self._value(x)
@@ -497,16 +505,13 @@ class FunctionModel(Record):
 
 def from_expression(text: str, *, domain: tuple = (NEG_INF, INF),
                     assume_convex: bool = False) -> FunctionModel:
-    """Build a model named by its text, deriving f' symbolically."""
-    expr = parse(text)
+    """Build a model named by its text; f' is derived symbolically."""
     provenance = "user-asserted" if assume_convex else "numerically-probed"
-    return FunctionModel(text, expr, differentiate(expr), domain,
-                         convex_for_all_q=assume_convex, provenance=provenance)
+    return FunctionModel(text, parse(text), domain, provenance)
 
 
 def _builtin(name, expr, domain) -> FunctionModel:
-    return FunctionModel(name, expr, differentiate(expr), domain,
-                         convex_for_all_q=True, provenance="builtin")
+    return FunctionModel(name, expr, domain, "builtin")
 
 
 def power_model(n: int, side: str = "pos") -> FunctionModel:

@@ -8,35 +8,17 @@ Integrands with a known interior kink (the |t - c| weight family) should
 be split at the kink by the caller through ``kinks``; that restores the
 fast convergence the error estimate assumes.
 
-The default tolerance is 1e-10 and can be overridden with the
-CERTQUAD_TOL environment variable.
+The tolerance is DEFAULT_TOL unless a caller passes ``tol``.
 """
 
 from __future__ import annotations
 
-import os
-
-from .errors import DomainError, OracleError
+from .errors import OracleError
 from .record import Record
 
 DEFAULT_TOL = 1e-10
 HH_SLACK = 1e-12  # oracle error allowed in the Hermite-Hadamard sandwich
 _MAX_DEPTH = 52
-
-
-def resolve_tol(tol=None) -> float:
-    if tol is not None:
-        return float(tol)
-    env = os.environ.get("CERTQUAD_TOL")
-    if env is not None:
-        try:
-            value = float(env)
-        except ValueError:
-            raise DomainError(f"CERTQUAD_TOL is not a number: {env!r}") from None
-        if not (value > 0):
-            raise DomainError(f"CERTQUAD_TOL must be positive: {env!r}")
-        return value
-    return DEFAULT_TOL
 
 
 class OracleResult(Record):
@@ -75,7 +57,7 @@ def integrate_ref(g, lo, hi, tol=None, kinks=()) -> OracleResult:
     endpoint singularities are out of scope.
     """
     lo, hi = float(lo), float(hi)
-    tol = resolve_tol(tol)
+    tol = DEFAULT_TOL if tol is None else float(tol)
     if lo == hi:
         return OracleResult(0.0, 0.0, 0)
     sign = 1.0

@@ -96,18 +96,15 @@ def identity_rhs(f: FunctionModel, iv: Interval, params: RuleParams,
     up to oracle accuracy.
     """
     require_within_domain(f, iv)
-    a = float(params.alpha)
-    l = float(params.lam)
+    c1, y, c2 = (float(v) for v in params.breakpoints())
     av, bv = float(iv.a), float(iv.b)
     width = bv - av
 
     def on_chord(t: float) -> float:
         return float(f.derivative(t * bv + (1.0 - t) * av))
 
-    c1 = a * l
-    c2 = 1.0 - l * (1.0 - a)
     first = oracle.integrate_ref(
-        lambda t: (t - c1) * on_chord(t), 0.0, 1.0 - a, tol=tol)
+        lambda t: (t - c1) * on_chord(t), 0.0, y, tol=tol)
     second = oracle.integrate_ref(
-        lambda t: (t - c2) * on_chord(t), 1.0 - a, 1.0, tol=tol)
+        lambda t: (t - c2) * on_chord(t), y, 1.0, tol=tol)
     return width * (first.value + second.value)

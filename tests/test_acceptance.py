@@ -64,11 +64,11 @@ def _rel(x, y):
 def test_criterion_1_simpson_coefficient_fixtures():
     start = time.perf_counter()
     c = power_mean_coeffs(RuleParams(F(1, 2), F(1, 3)))
-    assert c.gamma2 == F(5, 72)
-    assert c.mu1 == F(29, 1296)
-    assert c.mu2 == F(61, 1296)
-    assert c.eta3 == F(61, 1296)
-    assert c.eta4 == F(29, 1296)
+    assert c["gamma2"] == F(5, 72)
+    assert c["mu1"] == F(29, 1296)
+    assert c["mu2"] == F(61, 1296)
+    assert c["eta3"] == F(61, 1296)
+    assert c["eta4"] == F(29, 1296)
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
     _report(1, f"simpson rationals bit-exact in {elapsed:.4f}s")
@@ -109,10 +109,10 @@ def test_criterion_3_partition_identities():
     worst = 0.0
     for params, _ in _stratified(1000):
         c = power_mean_coeffs(params)
-        for left, right in ((c.mu1 + c.mu2, c.gamma2),
-                            (c.mu3 + c.mu4, c.gamma1),
-                            (c.eta1 + c.eta2, c.upsilon1),
-                            (c.eta3 + c.eta4, c.upsilon2)):
+        for left, right in ((c["mu1"] + c["mu2"], c["gamma2"]),
+                            (c["mu3"] + c["mu4"], c["gamma1"]),
+                            (c["eta1"] + c["eta2"], c["upsilon1"]),
+                            (c["eta3"] + c["eta4"], c["upsilon2"])):
             gap = abs(left - right)
             worst = max(worst, gap)
             assert gap <= 1e-12
@@ -191,7 +191,7 @@ def test_criterion_6_reduction_equivalences(corpus):
     for p in (2, 3):
         hc = holder_coeffs(SIMPSON, p)
         want = F(1, 6) ** (p + 1) * (1 + 2 ** (p + 1))
-        assert hc.eps1 == want and hc.eps3 == want
+        assert hc["eps1"] == want and hc["eps3"] == want
 
     # numeric layer: engines against the independently coded displays at
     # 20 random (function, interval, q) tuples each

@@ -67,3 +67,30 @@ def test_engines_run_the_traced_layers(monkeypatch):
         assert rec.calls[span] >= 1, span
     assert rec.keys
     assert not [k for k in rec.counts if ".raised." in k]
+
+
+def test_result_hooks_read_the_results(monkeypatch):
+    # the hooks that read results (composite panels, bisections and target
+    # attainment; oracle depth and integrand evaluations) must keep
+    # matching the result types
+    tracing = _tracing(monkeypatch)
+    monkeypatch.setattr("sys.stdout", io.StringIO())
+    rec = tracing.Recorder()
+    restore = tracing.instrument(rec)
+    try:
+        with rec.operation():
+            result = certquad.adaptive_integrate(
+                certquad.resolve_function("exp"), certquad.Interval(0.0, 1.0),
+                certquad.named_rule("midpoint"), 1.0, target=1e-2)
+            code = certquad.cli.main(["verify", "--check", "identity", "--rows", "3"])
+    finally:
+        restore()
+    assert code == 0
+    assert len(result.panels) > 1 and result.target_met is True
+    assert rec.counts["composite.panels"] == len(result.panels)
+    assert rec.counts["composite.adaptive"] == 1
+    assert rec.counts["composite.bisections"] == len(result.panels) - 1
+    assert rec.counts["composite.target_met"] == 1
+    assert rec.peaks["oracle.max_depth"] >= 1
+    assert rec.counts["oracle.integrand_evals"] > 0
+    assert not [k for k in rec.counts if ".raised." in k]

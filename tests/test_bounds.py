@@ -262,9 +262,9 @@ def test_scale_covariance(corpus):
     f = corpus["exp"]
     c = 3.5
     scaled = FunctionModel(
-        name="3.5*exp", expr=Mul(Const(c), f.expr),
-        deriv=Mul(Const(c), f.deriv), domain=f.domain,
-        convex_for_all_q=f.convex_for_all_q, provenance=f.provenance)
+        name="3.5*exp", expr=Mul(Const(c), f.expr), domain=f.domain,
+        provenance=f.provenance)
+    assert scaled.deriv == Mul(Const(c), f.deriv)
     iv = Interval(0.25, 1.75)
     for engine, q in ((power_mean_bound, 2.0), (holder_interior_bound, 1.5),
                       (holder_endpoint_bound, 3.0)):

@@ -228,6 +228,17 @@ def test_means_domain_error_exit_1(capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("prop, q, message", [
+    ("1", "1/2", "t22 needs q >= 1, got 1/2"),
+    ("2", "1", "t23 needs q > 1, got 1"),
+])
+def test_means_q_refusal_names_engine(prop, q, message, capsys):
+    # the engine checks q, so means refuses as bound does
+    assert run_cli("means", "--prop", prop, "--a", "1", "--b", "2", "--alpha",
+                   "1/3", "--lambda", "1/4", "--q", q, "--n", "2",
+                   capsys=capsys) == (2, "", f"certquad: refused: {message}\n")
+
+
 @pytest.mark.parametrize("argv", [
     ("bound", "--f", "exp(1000*x)", "--a", "1", "--b", "2",
      "--rule", "midpoint", "--q", "1"),
@@ -405,8 +416,7 @@ def _pretty_cases():
 
 
 @pytest.mark.parametrize("argv, golden", _pretty_cases())
-def test_pretty_matches_golden_json(argv, golden, capsys, monkeypatch):
-    monkeypatch.delenv("CERTQUAD_TOL", raising=False)
+def test_pretty_matches_golden_json(argv, golden, capsys):
     code, out, _ = run_cli(*argv, capsys=capsys)
     assert code == golden["code"]
     assert out == _reference_pretty(json.loads(golden["stdout"]))

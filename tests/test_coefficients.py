@@ -14,67 +14,67 @@ unit_fraction = st.fractions(min_value=0, max_value=1)
 
 def test_simpson_fixture_exact():
     c = power_mean_coeffs(RuleParams(F(1, 2), F(1, 3)))
-    assert c.gamma2 == F(5, 72)
-    assert c.mu1 == F(29, 1296)
-    assert c.mu2 == F(61, 1296)
-    assert c.eta3 == F(61, 1296)
-    assert c.eta4 == F(29, 1296)
-    assert c.upsilon2 == F(5, 72)
+    assert c["gamma2"] == F(5, 72)
+    assert c["mu1"] == F(29, 1296)
+    assert c["mu2"] == F(61, 1296)
+    assert c["eta3"] == F(61, 1296)
+    assert c["eta4"] == F(29, 1296)
+    assert c["upsilon2"] == F(5, 72)
 
 
 def test_midpoint_fixture_exact():
     c = power_mean_coeffs(RuleParams(F(1, 2), F(0)))
-    assert (c.gamma2, c.mu1, c.mu2) == (F(1, 8), F(1, 24), F(1, 12))
-    assert (c.upsilon2, c.eta3, c.eta4) == (F(1, 8), F(1, 12), F(1, 24))
+    assert (c["gamma2"], c["mu1"], c["mu2"]) == (F(1, 8), F(1, 24), F(1, 12))
+    assert (c["upsilon2"], c["eta3"], c["eta4"]) == (F(1, 8), F(1, 12), F(1, 24))
 
 
 def test_trapezoid_fixture_exact():
     # first bracket weights 1/6 for |f'(b)| and 5/6 for |f'(a)| after the
     # (b-a)/8 factor; the second bracket mirrors them
     c = power_mean_coeffs(RuleParams(F(1, 2), F(1)))
-    assert c.gamma1 == c.gamma2 == F(1, 8)
-    assert (c.mu1, c.mu2) == (F(1, 48), F(5, 48))
-    assert (c.eta3, c.eta4) == (F(5, 48), F(1, 48))
+    assert c["gamma1"] == c["gamma2"] == F(1, 8)
+    assert (c["mu1"], c["mu2"]) == (F(1, 48), F(5, 48))
+    assert (c["eta3"], c["eta4"]) == (F(5, 48), F(1, 48))
     # triple boundary: both integral branches agree
-    assert (c.mu3, c.mu4) == (c.mu1, c.mu2)
-    assert c.upsilon1 == c.upsilon2
+    assert (c["mu3"], c["mu4"]) == (c["mu1"], c["mu2"])
+    assert c["upsilon1"] == c["upsilon2"]
 
 
 def test_gamma1_against_weight_integral():
     c = power_mean_coeffs(RuleParams(0.9, 0.5))
-    assert c.gamma1 == pytest.approx(0.04, abs=1e-15)
-    assert c.gamma1 == pytest.approx(abs_power_integral(0.45, 0.0, 0.1, 1))
+    assert c["gamma1"] == pytest.approx(0.04, abs=1e-15)
+    assert c["gamma1"] == pytest.approx(abs_power_integral(0.45, 0.0, 0.1, 1))
 
 
 def test_holder_simpson_p2():
     hc = holder_coeffs(RuleParams(F(1, 2), F(1, 3)), 2)
-    assert hc.eps1 == F(1, 24)
+    assert hc["eps1"] == F(1, 24)
     # cross-check against the defining integral, eps = (p+1) * integral
-    assert hc.eps1 == 3 * abs_power_integral(F(1, 6), F(0), F(1, 2), 2)
+    assert hc["eps1"] == 3 * abs_power_integral(F(1, 6), F(0), F(1, 2), 2)
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
 def test_holder_simpson_general_p(p):
     hc = holder_coeffs(RuleParams(0.5, 1 / 3), p)
-    assert hc.eps1 == pytest.approx((1 / 6) ** (p + 1) * (1 + 2 ** (p + 1)),
+    assert hc["eps1"] == pytest.approx((1 / 6) ** (p + 1) * (1 + 2 ** (p + 1)),
                                     rel=1e-14)
-    assert hc.eps3 == pytest.approx(hc.eps1, rel=1e-14)
+    assert hc["eps3"] == pytest.approx(hc["eps1"], rel=1e-14)
 
 
 def test_holder_alpha_one_edge():
     # first weight integral is empty, its closed form collapses to zero
     hc = holder_coeffs(RuleParams(1.0, 0.7), 2.0)
-    assert hc.eps2 == pytest.approx(0.0, abs=1e-15)
-    assert hc.eps1 is None  # alpha*lambda > 1-alpha: inactive side
+    assert hc["eps2"] == pytest.approx(0.0, abs=1e-15)
+    assert hc["eps1"] is None  # alpha*lambda > 1-alpha: inactive side
     assert abs_power_integral(0.7, 0.0, 0.0, 2.0) == 0
 
 
 def test_holder_inactive_sides_are_none():
     hc = holder_coeffs(RuleParams(F(1, 2), F(1, 3)), 2)
-    assert hc.eps2 is None  # alpha*lambda < 1-alpha
-    assert hc.eps4 is None  # lambda*(1-alpha) < alpha
+    assert hc["eps2"] is None  # alpha*lambda < 1-alpha
+    assert hc["eps4"] is None  # lambda*(1-alpha) < alpha
     hc = holder_coeffs(RuleParams(0.2, 0.9), 2.0)
-    assert hc.eps3 is None and hc.eps4 is not None
+    assert hc["eps3"] is None and hc["eps4"] is not None
 
 
 def test_holder_rejects_p_at_most_one():
@@ -95,10 +95,10 @@ def test_abs_power_integral_examples():
 @given(unit_fraction, unit_fraction)
 def test_partition_identities_exact(alpha, lam):
     c = power_mean_coeffs(RuleParams(alpha, lam))
-    assert c.mu1 + c.mu2 == c.gamma2
-    assert c.mu3 + c.mu4 == c.gamma1
-    assert c.eta1 + c.eta2 == c.upsilon1
-    assert c.eta3 + c.eta4 == c.upsilon2
+    assert c["mu1"] + c["mu2"] == c["gamma2"]
+    assert c["mu3"] + c["mu4"] == c["gamma1"]
+    assert c["eta1"] + c["eta2"] == c["upsilon1"]
+    assert c["eta3"] + c["eta4"] == c["upsilon2"]
 
 
 @given(unit_fraction, unit_fraction)
@@ -139,8 +139,8 @@ def test_boundary_agreement_first_integral(alpha):
         return
     lam = (1 - alpha) / alpha
     c = power_mean_coeffs(RuleParams(alpha, lam))
-    assert c.gamma1 == c.gamma2 == (1 - alpha) ** 2 / 2
-    assert c.mu1 == c.mu3 and c.mu2 == c.mu4
+    assert c["gamma1"] == c["gamma2"] == (1 - alpha) ** 2 / 2
+    assert c["mu1"] == c["mu3"] and c["mu2"] == c["mu4"]
 
 
 @given(st.fractions(min_value=0, max_value=F(1, 2)))
@@ -150,8 +150,8 @@ def test_boundary_agreement_second_integral(alpha):
         return
     lam = alpha / (1 - alpha)
     c = power_mean_coeffs(RuleParams(alpha, lam))
-    assert c.upsilon1 == c.upsilon2
-    assert c.eta1 == c.eta3 and c.eta2 == c.eta4
+    assert c["upsilon1"] == c["upsilon2"]
+    assert c["eta1"] == c["eta3"] and c["eta2"] == c["eta4"]
 
 
 def _stratified_samples(per_regime, seed=99):

@@ -102,8 +102,15 @@ def test_corpus_contents():
     nl = corpus["neglog"]
     assert nl.domain[0] == 0.0
     assert evaluate(nl.deriv, 2.0) == -0.5
-    assert all(m.provenance == "builtin" and m.convex_for_all_q
-               for m in corpus.values())
+    assert all(m.provenance == "builtin" for m in corpus.values())
+
+
+def test_unknown_provenance_is_refused():
+    # certificates are advisory exactly for numerically-probed models, so a
+    # misspelt provenance must not pass as proven convexity
+    from certquad.expression import FunctionModel
+    with pytest.raises(DomainError):
+        FunctionModel("sq", parse("x^2"), provenance="proven")
 
 
 def test_resolve_function():

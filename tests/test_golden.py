@@ -11,7 +11,6 @@ change in output is intended, with
 import contextlib
 import io
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -123,13 +122,11 @@ def test_case_list_matches_data(golden):
 @pytest.mark.parametrize("index", range(len(CASES)),
                          ids=[f"{i:02d} {' '.join(argv[:3])}"
                               for i, argv in enumerate(CASES)])
-def test_golden_output(index, golden, monkeypatch):
-    monkeypatch.delenv("CERTQUAD_TOL", raising=False)
+def test_golden_output(index, golden):
     assert run_case(CASES[index]) == golden[index]
 
 
 if __name__ == "__main__":
-    os.environ.pop("CERTQUAD_TOL", None)
     DATA.write_text(json.dumps([run_case(argv) for argv in CASES], indent=1)
                     + "\n")
     print(f"wrote {len(CASES)} cases to {DATA}", file=sys.stderr)

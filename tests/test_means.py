@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from certquad import (DomainError, Interval, RuleParams, eval_mean,
+from certquad import (DomainError, Interval, Refusal, RuleParams, eval_mean,
                       holder_interior_bound, mean_ref, power_mean_bound,
                       power_model, proposition_check, resolve_function,
                       rule_value)
@@ -120,8 +120,8 @@ def test_prop_domain_errors():
         proposition_check(1, -1.0, 2.0, params, 1.0, n=2)  # 0 inside
     with pytest.raises(DomainError):
         proposition_check(1, 1.0, 2.0, params, 1.0, n=1)  # |n| < 2
-    with pytest.raises(DomainError):
-        proposition_check(2, 1.0, 2.0, params, 1.0, n=2)  # q must be > 1
+    with pytest.raises(Refusal, match="t23 needs q > 1"):
+        proposition_check(2, 1.0, 2.0, params, 1.0, n=2)  # the engine checks q
     with pytest.raises(DomainError):
         proposition_check(4, -2.0, -1.0, params, 2.0)  # needs 0 < a
     with pytest.raises(DomainError):

@@ -1,11 +1,16 @@
+import json
 import math
+from pathlib import Path
 
 import pytest
 
 from certquad import (Interval, OracleError, from_expression, hh_check,
                       integrate_ref, mean_ref)
-from certquad.oracle import resolve_tol
+from certquad.cli import main
+from certquad.oracle import DEFAULT_TOL
 from certquad.prng import SplitMix64
+
+GOLDEN = Path(__file__).with_name("golden_cli.json")
 
 
 def test_polynomial():
@@ -87,10 +92,15 @@ def test_hh_all_corpus(corpus):
         assert hh_check(f, Interval(0.5, 2.0)), f.name
 
 
-def test_tol_env_override(monkeypatch):
-    monkeypatch.setenv("CERTQUAD_TOL", "1e-6")
-    assert resolve_tol() == 1e-6
-    assert resolve_tol(1e-9) == 1e-9
-    monkeypatch.setenv("CERTQUAD_TOL", "bogus")
-    with pytest.raises(Exception):
-        resolve_tol()
+def test_tolerance_is_a_constant(monkeypatch, capsys):
+    # no environment variable moves the oracle: verify keeps its golden bytes
+    monkeypatch.setenv("CERTQUAD_TOL", "1e-3")
+    f = from_expression("exp(x)")
+    assert integrate_ref(f.value, 0.0, 1.0) == integrate_ref(
+        f.value, 0.0, 1.0, tol=DEFAULT_TOL)
+    cases = [entry for entry in json.loads(GOLDEN.read_text())
+             if entry["argv"][:3] == ["verify", "--check", "identity"]]
+    assert len(cases) == 2  # csv and json
+    for entry in cases:
+        assert main(entry["argv"]) == entry["code"]
+        assert capsys.readouterr().out == entry["stdout"]

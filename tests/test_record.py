@@ -7,9 +7,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from certquad import (Interval, RuleParams, composite_integrate, from_expression,
-                      holder_coeffs, integrate_ref, named_rule, power_mean_bound,
-                      power_mean_coeffs, proposition_check, resolve_function)
+from certquad import (Interval, RuleParams, composite_integrate, differentiate,
+                      from_expression, integrate_ref, named_rule,
+                      power_mean_bound, proposition_check, resolve_function)
 from certquad.composite import CompositeResult
 from certquad.expression import (Add, Call, Const, Div, FunctionModel, Mul, Neg,
                                  Pow, Sub, Var, X)
@@ -20,9 +20,6 @@ SIMPSON = named_rule("simpson")
 FIELDS = {
     "ErrorCertificate": ("interval", "params", "theorem", "q", "p", "bound",
                          "approx", "advisory", "regime"),
-    "PowerMeanCoefficients": ("gamma1", "gamma2", "upsilon1", "upsilon2", "mu1",
-                              "mu2", "mu3", "mu4", "eta1", "eta2", "eta3", "eta4"),
-    "HolderCoefficients": ("p", "eps1", "eps2", "eps3", "eps4"),
     "CompositeResult": ("value", "total_bound", "panels", "target_met"),
     "Const": ("value",),
     "Var": (),
@@ -33,8 +30,7 @@ FIELDS = {
     "Pow": ("base", "exponent"),
     "Neg": ("operand",),
     "Call": ("func", "arg"),
-    "FunctionModel": ("name", "expr", "deriv", "domain", "convex_for_all_q",
-                      "provenance"),
+    "FunctionModel": ("name", "expr", "domain", "provenance"),
     "PropositionResult": ("lhs", "rhs", "holds"),
     "OracleResult": ("value", "abs_error_estimate", "refinement_depth"),
     "RuleParams": ("alpha", "lam"),
@@ -47,8 +43,6 @@ def _instances():
     iv = Interval(F(1, 4), F(3, 2))
     return [
         power_mean_bound(f, iv, SIMPSON, 2.0),
-        power_mean_coeffs(SIMPSON),
-        holder_coeffs(SIMPSON, F(2)),
         composite_integrate(f, iv, SIMPSON, 2.0, "t22", 3),
         Const(F(3, 2)), X, Add(X, Const(1)), Sub(X, Const(1)),
         Mul(Const(2.5), X), Div(Const(1), X), Pow(X, -2), Neg(X),
@@ -99,18 +93,19 @@ def test_equality_needs_the_same_class():
 def test_repr_matches_dataclass_format():
     assert repr(RuleParams(F(1, 2), F(1, 3))) == \
         "RuleParams(alpha=Fraction(1, 2), lam=Fraction(1, 3))"
-    assert repr(from_expression("x^2")) == (
+    f = from_expression("x^2")
+    assert repr(f) == (
         "FunctionModel(name='x^2', expr=Pow(base=Var(), exponent=2), "
-        "deriv=Mul(left=Const(value=2), right=Var()), domain=(-inf, inf), "
-        "convex_for_all_q=False, provenance='numerically-probed')")
+        "domain=(-inf, inf), provenance='numerically-probed')")
+    assert f.deriv == Mul(Const(2), Var())
 
 
 def test_keyword_construction_and_defaults():
-    f = FunctionModel(name="sq", expr=Mul(X, X), deriv=Mul(Const(2), X))
-    assert f == FunctionModel("sq", Mul(X, X), Mul(Const(2), X),
-                              (float("-inf"), float("inf")), False,
+    f = FunctionModel(name="sq", expr=Mul(X, X))
+    assert f == FunctionModel("sq", Mul(X, X), (float("-inf"), float("inf")),
                               "numerically-probed")
-    assert FunctionModel("sq", Mul(X, X), Mul(Const(2), X),
+    assert f.deriv == differentiate(Mul(X, X))
+    assert FunctionModel("sq", Mul(X, X),
                          provenance="builtin").provenance == "builtin"
     r = CompositeResult(1.0, 0.5, [])
     assert r.target_met is None and r.panels == []
@@ -126,11 +121,12 @@ def test_post_init_runs_on_every_construction_path():
 @pytest.mark.parametrize("call", [
     lambda: RuleParams(F(1, 2)),                        # missing
     lambda: Interval(),                                 # missing both
-    lambda: FunctionModel("sq", X),                     # missing, defaults exist
+    lambda: FunctionModel("sq"),                        # missing, defaults exist
     lambda: RuleParams(F(1, 2), F(1, 3), F(1, 4)),      # too many
     lambda: RuleParams(F(1, 2), lam=0, beta=1),         # unknown
     lambda: RuleParams(F(1, 2), alpha=F(1, 3)),         # repeated
     lambda: CompositeResult(1.0, 0.5, [], target_met=True, value=2.0),
+    lambda: FunctionModel("sq", X, deriv=Const(1)),     # f' is derived, not given
 ])
 def test_bad_arguments_raise_type_error(call):
     with pytest.raises(TypeError):
@@ -139,14 +135,16 @@ def test_bad_arguments_raise_type_error(call):
 
 def test_cache_slots_stay_out_of_value_semantics():
     f = from_expression("x^3 + ln(x)")
-    assert FunctionModel.__slots__ == FIELDS["FunctionModel"] + ("_value", "_derivative")
-    assert "_value" not in repr(f) and "_derivative" not in repr(f)
+    assert FunctionModel.__slots__ == FIELDS["FunctionModel"] + (
+        "deriv", "_value", "_derivative")
+    assert "deriv" not in repr(f) and "_value" not in repr(f)
     assert f._astuple() == _fields(f)
     assert hash(f) == hash(_fields(f))
     assert f == from_expression("x^3 + ln(x)")
     assert pickle.loads(pickle.dumps(f)) == f
-    assert b"_value" not in pickle.dumps(f) and b"_derivative" not in pickle.dumps(f)
+    assert b"_value" not in pickle.dumps(f) and b"deriv" not in pickle.dumps(f)
     for twin in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f), copy.copy(f)):
+        assert twin.deriv == f.deriv
         for x in (F(1, 2), 2, 3.5):
             assert repr(twin.value(x)) == repr(f.value(x))
             assert repr(twin.derivative(x)) == repr(f.derivative(x))
