@@ -2,10 +2,10 @@
 
 Subcommands: bound, integrate, coeffs, verify, means.  Exit codes: 0 on
 success, 1 for any ValueError (parse, validation and domain errors, and
-Python's int/str digit limit) or ArithmeticError, 2 when an engine refuses
-(hypothesis not established, exponent out of range, exactness forced but
-unavailable).  The verify exit code is 0 only when the sweep finds zero
-violations.
+Python's int/str digit limit), ArithmeticError or too deeply nested
+expression, 2 when an engine refuses (hypothesis not established,
+exponent out of range, exactness forced but unavailable).  The verify
+exit code is 0 only when the sweep finds zero violations.
 
 Output conventions (schema "v1"): every numeric leaf is rendered as a
 string, exact rationals as "num/den" (or a bare integer) and floats with
@@ -81,24 +81,19 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _add_function_args(p: _Parser) -> None:
+def _add_certificate_args(p: _Parser, q_help=None) -> None:
     p.add_argument("--f", required=True,
                    help="corpus name (pow:N, reciprocal, neglog, exp, negexp)"
                         " or an expression in x")
     p.add_argument("--assume-convex", action="store_true",
                    help="treat |f'|^q as convex for the requested q without probing")
-
-
-def _add_interval_args(p: _Parser) -> None:
     p.add_argument("--a", required=True, help="left endpoint")
     p.add_argument("--b", required=True, help="right endpoint")
-
-
-def _add_params_args(p: _Parser) -> None:
     p.add_argument("--rule", choices=NAMED_RULES,
                    help="named parameter pair")
     p.add_argument("--alpha", help="node placement in [0,1]")
     p.add_argument("--lambda", dest="lam", help="endpoint blend in [0,1]")
+    p.add_argument("--q", required=True, help=q_help)
 
 
 def _params_from(args) -> RuleParams:
@@ -124,11 +119,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("bound", help="one error certificate")
     p.set_defaults(run=cmd_bound)
-    _add_function_args(p)
-    _add_interval_args(p)
-    _add_params_args(p)
-    p.add_argument("--q", required=True,
-                   help="exponent (comma separated list with --theorem best)")
+    _add_certificate_args(p, "exponent (comma separated list with --theorem best)")
     p.add_argument("--theorem", default="t22",
                    choices=(*bounds.ENGINES, "best"))
     p.add_argument("--exact", action="store_true",
@@ -137,10 +128,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("integrate", help="composite or adaptive integration")
     p.set_defaults(run=cmd_integrate)
-    _add_function_args(p)
-    _add_interval_args(p)
-    _add_params_args(p)
-    p.add_argument("--q", required=True)
+    _add_certificate_args(p)
     p.add_argument("--theorem", default="t22", choices=bounds.ENGINES)
     p.add_argument("--panels", type=int, help="uniform panel count")
     p.add_argument("--target", help="adaptive total bound target")
@@ -476,6 +464,9 @@ def main(argv=None) -> int:
         return args.run(args, sys.stdout)
     except (ValueError, ArithmeticError) as exc:  # ParseError, DomainError too
         print(f"certquad: error: {exc}", file=sys.stderr)
+        return 1
+    except RecursionError:
+        print("certquad: error: expression nested too deeply", file=sys.stderr)
         return 1
     except Refusal as exc:
         print(f"certquad: refused: {exc}", file=sys.stderr)

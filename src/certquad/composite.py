@@ -46,7 +46,7 @@ class CompositeResult(Record):
 
 
 def _assemble(certs, target=None) -> CompositeResult:
-    panels = sorted(certs, key=lambda cert: float(cert.interval.a))
+    panels = sorted(certs, key=lambda cert: cert.interval.a)
     value = sum(cert.interval.width * cert.approx for cert in panels)
     total = sum(cert.interval.width * cert.bound for cert in panels)
     return CompositeResult(value, total, panels,
@@ -79,7 +79,7 @@ def adaptive_integrate(f: FunctionModel, iv: Interval, params: RuleParams,
 
     def entry(piece: Interval):
         cert = certify(piece)
-        return (-(piece.width * cert.bound), float(piece.a), cert)
+        return (-(piece.width * cert.bound), piece.a, cert)  # panels' a differ
 
     heap = [entry(iv)]
     total = iv.width * heap[0][2].bound

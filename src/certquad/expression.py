@@ -2,20 +2,26 @@
 
 Grammar (one variable, x):
 
-    expr   :=  term  (("+" | "-") term)*
-    term   :=  unary (("*" | "/") unary)*
+    expr   :=  unary (OP unary)*          OP from _OPERATORS, by precedence
     unary  :=  "-" unary | power
     power  :=  atom ("^" unary)?          exponent must fold to a constant
     atom   :=  NUMBER | "x" | NAME "(" expr ")" | "(" expr ")"
 
-Known function names: exp, ln, abs, sign.  Powers are right associative
-and bind tighter than unary minus, so -x^2 is -(x^2).  Printing an
-expression yields a canonical string that re-parses to the same tree.
+Two tables declare the language: _OPERATORS gives each binary symbol
+its node class and precedence, and _FUNCTIONS gives each function name
+(exp, ln, abs, sign) its evaluator and derivative rule.  Powers are
+right associative and bind tighter than unary minus, so -x^2 is -(x^2).
+Printing an expression yields a canonical string that re-parses to the
+same tree.
 
 Evaluation compiles a tree once into nested closures.  A FunctionModel
 derives f' from f on construction and keeps the closures of both.
 Fraction inputs stay exact through +, -, *, /, integer powers and abs,
-and fall to float only at exp/ln or non-integer powers.
+and fall to float only at exp/ln or non-integer powers.  Dividing two
+integer literals is float division, as in Python, in f and f' alike, and
+so is a quotient that differentiation folds to two integers: 1/3*x^3
+holds the float 1/3, and so does the f' of x/3.  Write x^3/3 to stay
+exact.
 
 The symbolic derivative of abs(u) uses sign(u)*u' with sign(0) = 0; no
 builtin ever differentiates abs at its kink on the stated domains.
@@ -23,6 +29,7 @@ builtin ever differentiates abs at its kink on the stated domains.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from fractions import Fraction
@@ -70,21 +77,43 @@ class Neg(Expr):
 
 
 class Call(Expr):
-    __slots__ = ("func", "arg")  # func: "exp" | "ln" | "abs" | "sign"
+    __slots__ = ("func", "arg")  # func: a key of _FUNCTIONS
 
-
-_FUNCS = ("exp", "ln", "abs", "sign")
 
 X = Var()
+
+# symbol -> (node class, precedence); all binary operators associate left
+_OPERATORS = {"+": (Add, 1), "-": (Sub, 1), "*": (Mul, 2), "/": (Div, 2)}
+_SYMBOL = {cls: symbol for symbol, (cls, _) in _OPERATORS.items()}
+_PREC = {**dict(_OPERATORS.values()), Neg: 3, Pow: 4}
+_PREC_ATOM = 5
+
+
+def _ln(v):
+    if v <= 0:
+        raise DomainError(f"ln of non-positive value {v!r}")
+    return math.log(v)
+
+
+# name -> (evaluator, rule: (u, u') -> derivative of name(u))
+_FUNCTIONS = {
+    "exp": (math.exp, lambda u, du: Mul(Call("exp", u), du)),
+    "ln": (_ln, lambda u, du: Div(du, u)),
+    "abs": (abs, lambda u, du: Mul(Call("sign", u), du)),
+    "sign": (lambda v: (v > 0) - (v < 0),
+             lambda u, du: Const(0)),  # zero a.e.; the kink itself maps to 0
+}
 
 
 # ---------------------------------------------------------------------------
 # Parsing
 
 _TOKEN = re.compile(
-    r"(?P<num>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?)"
+    r"\s+"
+    r"|(?P<num>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?)"
     r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
     r"|(?P<op>[-+*/^()])"
+    r"|(?P<bad>.)"
 )
 
 
@@ -92,24 +121,14 @@ class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.tokens = []  # (kind, value, offset)
-        pos = 0
-        n = len(text)
-        while pos < n:
-            if text[pos].isspace():
-                pos += 1
-                continue
-            m = _TOKEN.match(text, pos)
-            if m is None:
-                raise ParseError(f"unexpected character {text[pos]!r}", pos)
-            if m.lastgroup == "num":
-                tok = m.group()
-                value = int(tok) if re.fullmatch(r"\d+", tok) else float(tok)
-                self.tokens.append(("num", value, pos))
-            elif m.lastgroup == "name":
-                self.tokens.append(("name", m.group(), pos))
-            else:
-                self.tokens.append(("op", m.group(), pos))
-            pos = m.end()
+        for m in _TOKEN.finditer(text):
+            kind, tok = m.lastgroup, m.group()
+            if kind == "bad":
+                raise ParseError(f"unexpected character {tok!r}", m.start())
+            if kind == "num":
+                tok = int(tok) if tok.isdecimal() else float(tok)
+            if kind is not None:  # None: whitespace
+                self.tokens.append((kind, tok, m.start()))
         self.i = 0
 
     def _peek(self):
@@ -134,27 +153,16 @@ class _Parser:
             raise ParseError(f"trailing input {value!r}", offset)
         return e
 
-    def expr(self) -> Expr:
-        e = self.term()
-        while True:
-            kind, value, _ = self._peek()
-            if kind == "op" and value in "+-":
-                self._next()
-                rhs = self.term()
-                e = Add(e, rhs) if value == "+" else Sub(e, rhs)
-            else:
-                return e
-
-    def term(self) -> Expr:
+    def expr(self, min_prec: int = 1) -> Expr:
+        """Operands joined by binary operators of precedence >= min_prec."""
         e = self.unary()
         while True:
             kind, value, _ = self._peek()
-            if kind == "op" and value in "*/":
-                self._next()
-                rhs = self.unary()
-                e = Mul(e, rhs) if value == "*" else Div(e, rhs)
-            else:
+            cls, prec = _OPERATORS.get(value, (None, 0)) if kind == "op" else (None, 0)
+            if prec < min_prec:
                 return e
+            self._next()
+            e = cls(e, self.expr(prec + 1))
 
     def unary(self) -> Expr:
         kind, value, _ = self._peek()
@@ -193,7 +201,7 @@ class _Parser:
         if kind == "name":
             if value == "x":
                 return X
-            if value in _FUNCS:
+            if value in _FUNCTIONS:
                 self._expect_op("(")
                 arg = self.expr()
                 self._expect_op(")")
@@ -213,21 +221,10 @@ def parse(text: str) -> Expr:
 # ---------------------------------------------------------------------------
 # Printing
 
-_PREC_ADD, _PREC_MUL, _PREC_UNARY, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
-
-
 def _prec(e: Expr) -> int:
-    if isinstance(e, (Add, Sub)):
-        return _PREC_ADD
-    if isinstance(e, (Mul, Div)):
-        return _PREC_MUL
-    if isinstance(e, Neg):
-        return _PREC_UNARY
     if isinstance(e, Const) and e.value < 0:
-        return _PREC_UNARY  # prints with a leading minus
-    if isinstance(e, Pow):
-        return _PREC_POW
-    return _PREC_ATOM
+        return _PREC[Neg]  # prints with a leading minus
+    return _PREC.get(type(e), _PREC_ATOM)
 
 
 def _num_str(v) -> str:
@@ -247,16 +244,11 @@ def to_string(e: Expr) -> str:
         return _num_str(e.value)
     if isinstance(e, Var):
         return "x"
-    if isinstance(e, Add):
-        return f"{_wrap(e.left, _PREC_ADD)} + {_wrap(e.right, _PREC_MUL)}"
-    if isinstance(e, Sub):
-        return f"{_wrap(e.left, _PREC_ADD)} - {_wrap(e.right, _PREC_MUL)}"
-    if isinstance(e, Mul):
-        return f"{_wrap(e.left, _PREC_MUL)} * {_wrap(e.right, _PREC_UNARY)}"
-    if isinstance(e, Div):
-        return f"{_wrap(e.left, _PREC_MUL)} / {_wrap(e.right, _PREC_UNARY)}"
+    if type(e) in _SYMBOL:
+        prec = _PREC[type(e)]
+        return f"{_wrap(e.left, prec)} {_SYMBOL[type(e)]} {_wrap(e.right, prec + 1)}"
     if isinstance(e, Neg):
-        return f"-{_wrap(e.operand, _PREC_UNARY)}"
+        return f"-{_wrap(e.operand, _PREC[Neg])}"
     if isinstance(e, Pow):
         return f"{_wrap(e.base, _PREC_ATOM)}^{_num_str(e.exponent)}"
     if isinstance(e, Call):
@@ -323,29 +315,14 @@ def _compile(e: Expr):
             return float(b) ** float(n)
         return real_power
     if isinstance(e, Call):
-        arg = _compile(e.arg)
-        if e.func == "exp":
-            return lambda x: math.exp(arg(x))
-        if e.func == "ln":
-            def ln(x):
-                v = arg(x)
-                if v <= 0:
-                    raise DomainError(f"ln of non-positive value {v!r}")
-                return math.log(v)
-            return ln
-        if e.func == "abs":
-            return lambda x: abs(arg(x))
-        if e.func == "sign":
-            def sign(x):
-                v = arg(x)
-                return (v > 0) - (v < 0)
-            return sign
+        func, arg = _FUNCTIONS[e.func][0], _compile(e.arg)
+        return lambda x: func(arg(x))
     raise TypeError(f"not an Expr: {e!r}")
 
 
 def calls_sign(e: Expr) -> bool:
     """Whether e calls sign anywhere, even where the jump cancels (x*sign(x))."""
-    return (isinstance(e, Call) and e.func == "sign") or any(
+    return getattr(e, "func", None) == "sign" or any(
         isinstance(v, Expr) and calls_sign(v) for v in e._astuple())
 
 
@@ -377,15 +354,7 @@ def _diff(e: Expr) -> Expr:
         n = e.exponent
         return Mul(Mul(Const(n), Pow(e.base, n - 1)), _diff(e.base))
     if isinstance(e, Call):
-        du = _diff(e.arg)
-        if e.func == "exp":
-            return Mul(Call("exp", e.arg), du)
-        if e.func == "ln":
-            return Div(du, e.arg)
-        if e.func == "abs":
-            return Mul(Call("sign", e.arg), du)
-        if e.func == "sign":
-            return Const(0)  # zero a.e.; the kink itself maps to 0
+        return _FUNCTIONS[e.func][1](e.arg, _diff(e.arg))
     raise TypeError(f"not an Expr: {e!r}")
 
 
@@ -451,9 +420,7 @@ def simplify(e: Expr) -> Expr:
         if rc == 1:
             return left
         if lc is not None and rc is not None and rc != 0:
-            return Const(Fraction(lc) / Fraction(rc)
-                         if isinstance(lc, (int, Fraction)) and isinstance(rc, (int, Fraction))
-                         else lc / rc)
+            return Const(lc / rc)
         return Div(left, right)
     raise TypeError(f"not an Expr: {e!r}")
 
@@ -540,7 +507,13 @@ def builtin_corpus() -> list[FunctionModel]:
     Positive powers and the exponentials live on all of R; reciprocal
     powers and -ln(x) on (0, inf).
     """
-    return [
+    return list(_corpus().values())
+
+
+@functools.cache
+def _corpus() -> dict[str, FunctionModel]:
+    """The corpus by name, built once; models are immutable."""
+    return {m.name: m for m in [
         power_model(2),
         power_model(3),
         power_model(4),
@@ -549,21 +522,15 @@ def builtin_corpus() -> list[FunctionModel]:
         _builtin("neglog", Neg(Call("ln", X)), (0.0, INF)),
         _builtin("exp", Call("exp", X), (NEG_INF, INF)),
         _builtin("negexp", Call("exp", Neg(X)), (NEG_INF, INF)),
-    ]
-
-
-_CORPUS_BY_NAME = None
+    ]}
 
 
 def resolve_function(name_or_expr: str, *,
                      assume_convex: bool = False) -> FunctionModel:
     """Look up a corpus name ("pow:3", "reciprocal", "neglog", "exp",
     "negexp") or fall back to parsing the text as an expression."""
-    global _CORPUS_BY_NAME
-    if _CORPUS_BY_NAME is None:
-        _CORPUS_BY_NAME = {m.name: m for m in builtin_corpus()}
-    if name_or_expr in _CORPUS_BY_NAME:
-        return _CORPUS_BY_NAME[name_or_expr]
+    if name_or_expr in _corpus():
+        return _corpus()[name_or_expr]
     if name_or_expr.startswith("pow:"):
         try:
             n = int(name_or_expr[4:])

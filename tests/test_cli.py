@@ -258,12 +258,60 @@ def test_means_q_refusal_names_engine(prop, q, message, capsys):
      "--rule", "midpoint", "--q", "1"),
     ("integrate", "--f", "1e300*x^2", "--a", "1", "--b", "1e10",
      "--rule", "midpoint", "--q", "1", "--target", "1"),
+    ("bound", "--f", "+".join(["x"] * 400), "--a", "0", "--b", "1",
+     "--rule", "midpoint", "--q", "1"),
+    ("bound", "--f", "(" * 3000 + "x" + ")" * 3000, "--a", "0", "--b", "1",
+     "--rule", "midpoint", "--q", "1"),
 ])
 def test_overflow_and_bad_exponent_exit_1(argv, capsys):
     code, out, err = run_cli(*argv, capsys=capsys)
     assert code == 1
     assert out == ""
     assert err.startswith("certquad: error: ") and err.count("\n") == 1
+
+
+_BOUND = ("bound", "--f", "pow:2", "--a", "0", "--b", "1")
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    ((*_BOUND, "--rule", "midpoint", "--alpha", "1/2", "--q", "1"), 1,
+     "error: --rule conflicts with --alpha/--lambda"),
+    ((*_BOUND, "--q", "1"), 1, "error: need --rule or both --alpha and --lambda"),
+    ((*_BOUND, "--rule", "midpoint", "--q", "1,2"), 1,
+     "error: one --q value expected unless --theorem best"),
+    (("means", "--kind", "A", "--prop", "1", "--a", "1", "--b", "2"), 1,
+     "error: exactly one of --kind or --prop is required"),
+    (("means", "--a", "1", "--b", "2"), 1,
+     "error: exactly one of --kind or --prop is required"),
+    (("means", "--prop", "1", "--a", "1", "--b", "2", "--alpha", "1/3",
+      "--lambda", "1/4"), 1, "error: --prop requires --alpha, --lambda and --q"),
+    (("verify", "--rows", "0"), 1, "error: --rows must be positive, got 0"),
+    (("coeffs", "--alpha", "0.5", "--lambda", "1/3", "--exact"), 2,
+     "refused: exact mode: result not exactly representable (inexact fields: "
+     "gamma1, gamma2, upsilon1, upsilon2, mu1, mu2, mu3, mu4, "
+     "eta1, eta2, eta3, eta4)"),
+    (("means", "--kind", "G", "--a", "1", "--b", "2", "--exact"), 2,
+     "refused: exact mode: result not exactly representable (inexact fields: value)"),
+])
+def test_usage_errors(argv, code, message, capsys):
+    assert run_cli(*argv, capsys=capsys) == (code, "", f"certquad: {message}\n")
+
+
+@pytest.mark.parametrize("max_panels", ["4", "13"])
+def test_adaptive_ties_below_float_resolution(max_panels, capsys):
+    # the panels' left ends are closer than a float ulp and |f'| is constant,
+    # so equal-width panels tie on their scaled bound and on float(a)
+    b = F(10 ** 20 + 1, 10 ** 20)
+    code, out, err = run_cli(
+        "integrate", "--f", "3*x+1", "--assume-convex", "--a", "1", "--b", str(b),
+        "--rule", "midpoint", "--q", "1", "--target", f"1/{10 ** 44}",
+        "--max-panels", max_panels, capsys=capsys)
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["panels"] == int(max_panels)
+    ends = [(F(p["a"]), F(p["b"])) for p in doc["panel_table"]]
+    assert ends[0][0] == 1 and ends[-1][1] == b
+    assert all(left[1] == right[0] for left, right in zip(ends, ends[1:]))
 
 
 def test_verify_soundness_in_process(capsys):

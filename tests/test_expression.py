@@ -9,7 +9,8 @@ from certquad import (DomainError, ParseError, builtin_corpus, differentiate,
                       evaluate, from_expression, parse, power_model,
                       probe_convexity, resolve_function, to_string)
 from certquad.expression import (Add, Call, Const, Div, Mul, Neg, Pow, Sub,
-                                 Var, X, FunctionModel, _compile, _is_integral)
+                                 Var, X, FunctionModel, _compile, _diff,
+                                 _is_integral)
 from certquad.prng import SplitMix64
 
 
@@ -180,9 +181,14 @@ def _random_expr(rng: SplitMix64, depth: int):
 
 
 def test_roundtrip_corpus():
-    for f in builtin_corpus():
+    thirds = from_expression("1/3*x^3")
+    for f in [*builtin_corpus(), thirds]:
         assert parse(to_string(f.expr)) == f.expr
         assert parse(to_string(f.deriv)) == f.deriv
+    # simplify folds 1/3 as the evaluator divides it, to a float
+    got = thirds.derivative(F(1, 2))
+    unsimplified = evaluate(_diff(thirds.expr), F(1, 2))
+    assert (type(got), got) == (type(unsimplified), unsimplified)
 
 
 def test_roundtrip_random_trees():
