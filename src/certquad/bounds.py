@@ -18,9 +18,11 @@ Three engines, one per derivation route:
 domain, convexity hypothesis, conjugate, regime tag and the selected
 constants raised to their fixed powers.  It works on plain values: p is
 the number ``conjugate`` returns and the regime the tag string of
-``classify_regime``; ``coefficients`` maps a tag to its constants and
-decides whether a selected eps underflows.  Its step certifies any piece
-of [a, b].  An engine steps [a, b] itself; a driver steps every panel.
+``classify_regime``; ``coefficients.SELECTED`` names the constants a tag
+picks from the two families, and ``coefficients`` decides whether a
+selected eps underflows.  Its step certifies any piece of [a, b].  An
+engine steps [a, b] itself; a driver steps every panel.  The step refuses
+to read f' at a kink of f, where an argument of sign in f' is 0.
 
 At q = 1 the power-mean shape collapses through the x**0 = 1 convention
 to (b-a) * [(mu_b+eta_b)*X + (mu_a+eta_a)*Y]; there is no separate code
@@ -40,10 +42,9 @@ from __future__ import annotations
 
 import math
 
-from .coefficients import (eps_underflows, holder_coeffs, power_mean_coeffs,
-                           regime_selected, regime_selected_eps)
+from .coefficients import SELECTED, eps_underflows, holder_coeffs, power_mean_coeffs
 from .errors import DomainError, Refusal
-from .expression import FunctionModel, calls_sign, probe_convexity
+from .expression import FunctionModel, calls_sign, probe_convexity, sign_arguments
 from .params import RuleParams, classify_regime, conjugate, _normalize
 from .record import Record
 from .rules import Interval, interior_node, require_within_domain, rule_value
@@ -74,10 +75,12 @@ def prologue(f: FunctionModel, iv: Interval, params: RuleParams, q,
     which inherits them.
 
     q >= 1 for t22, q > 1 for t23 and t24.  f must be absolutely continuous,
-    so a non-builtin f calling sign is refused, even x*sign(x).  Builtin and
-    user-asserted models give non-advisory certificates; a numerically-probed
-    one is sampled, and a passing probe (shared through ``verdicts``,
-    q -> verdict) gives advisory ones, a failing probe a Refusal.
+    so a non-builtin f calling sign is refused, even x*sign(x), and the step
+    refuses a piece whose end or t23 node is a kink of f (abs(x) at 0).
+    Builtin and user-asserted models give non-advisory certificates; a
+    numerically-probed one is sampled, and a passing probe (shared through
+    ``verdicts``, q -> verdict) gives advisory ones, a failing probe a
+    Refusal.
     T23 and T24 share one formula and differ only in two weights and averages.
     """
     if name not in ENGINES:
@@ -89,8 +92,17 @@ def prologue(f: FunctionModel, iv: Interval, params: RuleParams, q,
     if name != "t22" and not q > 1:
         raise Refusal(f"{name} needs q > 1, got {q}")
     require_within_domain(f, iv)
-    if f.provenance != "builtin" and calls_sign(f.expr):
-        raise Refusal(f"{name} needs f absolutely continuous on [{iv.a}, {iv.b}]; sign may jump")
+    derivative = f.derivative
+    if f.provenance != "builtin":  # no builtin calls sign or abs
+        if calls_sign(f.expr):
+            raise Refusal(f"{name} needs f absolutely continuous on [{iv.a}, {iv.b}]; sign may jump")
+        kinks = sign_arguments(f.deriv)
+        if kinks:
+            def derivative(x):
+                value = f.derivative(x)
+                if any(g(x) == 0 for g in kinks):
+                    raise Refusal(f"{name} reads |f'|**{q} at the kink x={x} of {f.name}")
+                return value
     advisory = f.provenance == "numerically-probed"
     verdicts = {} if verdicts is None else verdicts
     if advisory and q not in verdicts:
@@ -105,7 +117,7 @@ def prologue(f: FunctionModel, iv: Interval, params: RuleParams, q,
     alpha = params.alpha
     if name == "t22":
         gamma, mu_b, mu_a, upsilon, eta_b, eta_a = (
-            _clamp(v) for v in regime_selected(power_mean_coeffs(params), tag))
+            _clamp(v) for v in map(power_mean_coeffs(params).get, SELECTED[tag][:6]))
         outer = 1 - inv_q
         gamma_w, upsilon_w = gamma ** outer, upsilon ** outer
     else:
@@ -114,7 +126,7 @@ def prologue(f: FunctionModel, iv: Interval, params: RuleParams, q,
         if eps_underflows(params, tag, p):
             raise ArithmeticError(f"{name} eps underflows at q={q}, too close to 1")
         eps_first, eps_second = (
-            _clamp(v) for v in regime_selected_eps(holder_coeffs(params, p), tag))
+            _clamp(v) for v in map(holder_coeffs(params, p).get, SELECTED[tag][6:]))
         inv_p = 1 / p
         scale = (1 / (p + 1)) ** inv_p
         # k1, k2: each weight times its eps**(1/p); the t24 weights are 1
@@ -123,19 +135,23 @@ def prologue(f: FunctionModel, iv: Interval, params: RuleParams, q,
             k1, k2 = (1 - alpha) ** inv_q * k1, alpha ** inv_q * k2
 
     def certify(piece: Interval) -> ErrorCertificate:
-        xb = abs(f.derivative(piece.b)) ** q
-        ya = abs(f.derivative(piece.a)) ** q
+        xb = abs(derivative(piece.b)) ** q
+        ya = abs(derivative(piece.a)) ** q
         if name == "t22":
             bound = piece.width * (
                 gamma_w * _clamp(mu_b * xb + mu_a * ya) ** inv_q
                 + upsilon_w * _clamp(eta_b * xb + eta_a * ya) ** inv_q)
         else:
             if name == "t23":
-                node_pow = abs(f.derivative(interior_node(piece, params))) ** q
+                node_pow = abs(derivative(interior_node(piece, params))) ** q
                 d1, d2 = (node_pow + ya) / 2, (node_pow + xb) / 2
             else:
-                d1 = (xb * (1 - alpha) ** 2 + (1 - alpha * alpha) * ya) / 2
-                d2 = (xb * alpha * (2 - alpha) + alpha * alpha * ya) / 2
+                # params.alpha, not the prologue's alpha: a 20th cell would make
+                # each step's closure a 20-tuple, and CPython 3.11 frees those
+                # onto a free list that it never takes them back from
+                a = params.alpha
+                d1 = (xb * (1 - a) ** 2 + (1 - a * a) * ya) / 2
+                d2 = (xb * a * (2 - a) + a * a * ya) / 2
             bound = piece.width * scale * (k1 * d1 ** inv_q + k2 * d2 ** inv_q)
         approx = rule_value(f, piece, params)
         for v in (bound, approx):

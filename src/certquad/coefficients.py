@@ -13,6 +13,8 @@ c = alpha*lambda, u = 1 - alpha and w = lambda*(1 - alpha):
 
     integral over [0, u] of |t - c|**p      -> eps1 or eps2, times 1/(p+1)
     integral over [u, 1] of |t - (1-w)|**p  -> eps3 or eps4, times 1/(p+1)
+      (t -> 1 - t reflects it onto [0, alpha] with its kink at w, so one
+      (sum, difference) pair of (kink, split) gives eps1/eps2 and eps3/eps4)
 
 All closed forms are plain polynomial arithmetic in alpha and lambda, so
 Fraction inputs give bit-exact rationals.  All twelve power-mean
@@ -24,9 +26,9 @@ Each family is a plain dict from constant name to value, gamma1 ... eta4
 and eps1 ... eps4 in that order.
 
 This module is also the one map from a regime tag to its constants:
-``regime_selected`` and ``regime_selected_eps`` pick the six power-mean
-constants and the two eps values a tag selects, and ``eps_underflows``
-tells whether a selected eps is too small for its 1/p-th power.
+``SELECTED`` names the six power-mean constants and the two eps values a
+tag selects, and ``eps_underflows`` tells whether a selected eps is too
+small for its 1/p-th power.
 """
 
 from __future__ import annotations
@@ -35,13 +37,22 @@ import math
 import sys
 
 from .errors import DomainError
-from .params import CASE2, CASE3, RuleParams
+from .params import CASE1, CASE2, CASE3, RuleParams
 
 _TINY = 2 * sys.float_info.min  # smallest normal float times 2 > 1 / (1 - 1/e)
 
 WEIGHT_ONE = "1"
 WEIGHT_T = "t"
 WEIGHT_ONE_MINUS_T = "1-t"
+
+# tag -> names of (gamma, mu_b, mu_a, upsilon, eta_b, eta_a, eps_first,
+# eps_second); *_b weight |f'(b)|**q, *_a |f'(a)|**q.  Only Case3 switches
+# the first integral's family, only Case2 the second's.
+SELECTED = {
+    CASE1: ("gamma2", "mu1", "mu2", "upsilon2", "eta3", "eta4", "eps1", "eps3"),
+    CASE2: ("gamma2", "mu1", "mu2", "upsilon1", "eta1", "eta2", "eps1", "eps4"),
+    CASE3: ("gamma1", "mu3", "mu4", "upsilon2", "eta3", "eta4", "eps2", "eps3"),
+}
 
 
 def power_mean_coeffs(params: RuleParams) -> dict:
@@ -73,7 +84,7 @@ def power_mean_coeffs(params: RuleParams) -> dict:
 def holder_coeffs(params: RuleParams, p) -> dict:
     """eps1..eps4 for exponent p > 1, keyed by name.
 
-    Each entry owns one side of a breakpoint comparison and is only
+    Each entry owns one side of a kink-versus-split comparison and is only
     defined there; on the other side its second base goes negative and
     the value is None ("regime-inactive") rather than a guessed
     continuation.
@@ -81,16 +92,16 @@ def holder_coeffs(params: RuleParams, p) -> dict:
     """
     if not p > 1:
         raise DomainError(f"holder exponent p must be > 1, got {p!r}")
-    a, l = params.alpha, params.lam
-    c = a * l
+    a, l, k = params.alpha, params.lam, p + 1
     u = 1 - a
-    w = l * u
-    k = p + 1
+    (eps1, eps2), (eps3, eps4) = _eps_pair(a * l, u, k), _eps_pair(l * u, a, k)
+    return {"eps1": eps1, "eps2": eps2, "eps3": eps3, "eps4": eps4}
 
-    return {"eps1": c ** k + (u - c) ** k if c <= u else None,
-            "eps2": c ** k - (c - u) ** k if c >= u else None,
-            "eps3": w ** k + (a - w) ** k if w <= a else None,
-            "eps4": w ** k - (w - a) ** k if w >= a else None}
+
+def _eps_pair(kink, split, k):
+    """(sum, difference) closed forms, each None off its side of the split."""
+    return (kink ** k + (split - kink) ** k if kink <= split else None,
+            kink ** k - (kink - split) ** k if kink >= split else None)
 
 
 # ---------------------------------------------------------------------------
@@ -145,28 +156,6 @@ def abs_power_integral(c, lo, hi, p, weight: str = WEIGHT_ONE):
             + _piece(c, c, hi, p, weight, above=True))
 
 
-def regime_selected(coeffs: dict, tag: str):
-    """The (gamma, mu_b, mu_a, upsilon, eta_b, eta_a) sextuple a regime picks.
-
-    The *_b entries weight |f'(b)|**q, the *_a entries |f'(a)|**q.  The
-    first half belongs to the integral over [0, 1-alpha], whose family
-    only Case3 switches; the second to the one over [1-alpha, 1], whose
-    family only Case2 switches.
-    """
-    c = coeffs
-    first = ((c["gamma1"], c["mu3"], c["mu4"]) if tag == CASE3
-             else (c["gamma2"], c["mu1"], c["mu2"]))
-    second = ((c["upsilon1"], c["eta1"], c["eta2"]) if tag == CASE2
-              else (c["upsilon2"], c["eta3"], c["eta4"]))
-    return first + second
-
-
-def regime_selected_eps(coeffs: dict, tag: str):
-    """The (eps_first, eps_second) pair a regime picks; always active."""
-    return (coeffs["eps2" if tag == CASE3 else "eps1"],
-            coeffs["eps4" if tag == CASE2 else "eps3"])
-
-
 def eps_underflows(params: RuleParams, tag: str, p) -> bool:
     """Whether an eps that regime ``tag`` selects is nonzero but below the
     smallest normal float, where its 1/p-th power would be lost.  Each eps
@@ -188,8 +177,9 @@ def eps_underflows(params: RuleParams, tag: str, p) -> bool:
     if (min(yf, 1 - yf) / 2) ** (k + 1) >= _TINY or y in (0, 1):
         return False  # at alpha = 0 or 1 one pair is exactly 0, the other's base 1
     x, y, z = params.breakpoints()
-    first = (x, y) if tag == CASE3 else (max(x, y - x),) * 2
-    second = (1 - z, 1 - y) if tag == CASE2 else (max(1 - z, z - y),) * 2
+    eps_first, eps_second = SELECTED[tag][6:]  # eps2 and eps4 are the differences
+    first = (x, y) if eps_first == "eps2" else (max(x, y - x),) * 2
+    second = (1 - z, 1 - y) if eps_second == "eps4" else (max(1 - z, z - y),) * 2
     return any(gap > 0 and min(float(big) ** k,
                                k * float(gap) * float(big) ** (k - 1)) < _TINY
                for big, gap in (first, second))

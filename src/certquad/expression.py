@@ -23,8 +23,12 @@ so is a quotient that differentiation folds to two integers: 1/3*x^3
 holds the float 1/3, and so does the f' of x/3.  Write x^3/3 to stay
 exact.
 
-The symbolic derivative of abs(u) uses sign(u)*u' with sign(0) = 0; no
-builtin ever differentiates abs at its kink on the stated domains.
+An integral power of an exact base estimated past POWER_BITS bits is a
+DomainError, evaluated or folded, so 2^1e9 fails at once.
+
+The symbolic derivative of abs(u) uses sign(u)*u' with sign(0) = 0, so
+f' reads 0 at a kink, not a one-sided slope; ``sign_arguments`` lets the
+bound engines refuse to read f' there.  No builtin calls abs.
 """
 
 from __future__ import annotations
@@ -267,6 +271,22 @@ def _is_integral(n) -> bool:
     return isinstance(n, float) and n.is_integer()
 
 
+POWER_BITS = 1 << 20  # an exact power estimated past this many bits is refused
+_PLAIN_POWER = 64  # x**k up to this |k| skips the estimate: x's own size bounds it
+
+
+def _power(b, k: int):
+    """b ** k for an integral k; for an exact b, refused when |k| times the
+    bit lengths of b's numerator and denominator exceeds POWER_BITS.  Float
+    bases overflow fast on their own."""
+    if k < 0 and b == 0:
+        raise DomainError("zero base with negative exponent")
+    if not isinstance(b, float) and abs(k) * (
+            abs(b.numerator).bit_length() + b.denominator.bit_length() - 2) > POWER_BITS:
+        raise DomainError(f"exact power with exponent {k} exceeds {POWER_BITS} bits")
+    return b ** k
+
+
 def evaluate(e: Expr, x):
     """Evaluate at x with domain checks; Fractions stay exact where possible."""
     return _compile(e)(x)
@@ -300,11 +320,12 @@ def _compile(e: Expr):
         base, n = _compile(e.base), e.exponent
         if _is_integral(n):
             k = int(n)
-            def integral_power(x):
-                b = base(x)
-                if k < 0 and b == 0:
+            if not (isinstance(e.base, Var) and abs(k) <= _PLAIN_POWER):
+                return lambda x: _power(base(x), k)
+            def integral_power(x):  # decided once, so x^3 pays nothing per point
+                if k < 0 and x == 0:
                     raise DomainError("zero base with negative exponent")
-                return b ** k
+                return x ** k
             return integral_power
         def real_power(x):
             b = base(x)
@@ -324,6 +345,12 @@ def calls_sign(e: Expr) -> bool:
     """Whether e calls sign anywhere, even where the jump cancels (x*sign(x))."""
     return getattr(e, "func", None) == "sign" or any(
         isinstance(v, Expr) and calls_sign(v) for v in e._astuple())
+
+
+def sign_arguments(e: Expr) -> list:
+    """The compiled u of every sign(u) in e; e reads sign(0) = 0 where u is 0."""
+    found = [_compile(e.arg)] if getattr(e, "func", None) == "sign" else []
+    return found + [g for v in e._astuple() if isinstance(v, Expr) for g in sign_arguments(v)]
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +406,7 @@ def simplify(e: Expr) -> Expr:
         if n == 0:
             return Const(1)
         if isinstance(base, Const) and _is_integral(n) and int(n) >= 0:
-            return Const(base.value ** int(n))
+            return Const(_power(base.value, int(n)))
         return Pow(base, n)
 
     left = simplify(e.left)

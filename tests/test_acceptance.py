@@ -26,7 +26,7 @@ from certquad import (Interval, RuleParams, abs_power_integral, best_bound,
                       identity_rhs, power_mean_bound, power_mean_coeffs,
                       rule_value)
 from certquad.bounds import ENGINES
-from certquad.coefficients import regime_selected, regime_selected_eps
+from certquad.coefficients import SELECTED
 from certquad.prng import SplitMix64
 
 from conftest import INTERVALS, child_env
@@ -81,8 +81,8 @@ def test_criterion_2_coefficients_match_integrals():
     for params, tag in samples:
         a, l = params.alpha, params.lam
         c, u, w = a * l, 1 - a, l * (1 - a)
-        gamma, mu_b, mu_a, upsilon, eta_b, eta_a = regime_selected(
-            power_mean_coeffs(params), tag)
+        pm = power_mean_coeffs(params)
+        gamma, mu_b, mu_a, upsilon, eta_b, eta_a = [pm[k] for k in SELECTED[tag][:6]]
         pairs = [
             (gamma, abs_power_integral(c, 0, u, 1)),
             (mu_b, abs_power_integral(c, 0, u, 1, "t")),
@@ -92,7 +92,8 @@ def test_criterion_2_coefficients_match_integrals():
             (eta_a, abs_power_integral(1 - w, u, 1, 1, "1-t")),
         ]
         for p in (1.5, 2.0, 3.0):
-            ef, es = regime_selected_eps(holder_coeffs(params, p), tag)
+            hc = holder_coeffs(params, p)
+            ef, es = [hc[k] for k in SELECTED[tag][6:]]
             pairs.append((ef / (p + 1), abs_power_integral(c, 0, u, p)))
             pairs.append((es / (p + 1), abs_power_integral(1 - w, u, 1, p)))
         for closed, integral in pairs:

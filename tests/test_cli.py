@@ -128,6 +128,52 @@ def test_sign_in_f_refuses(capsys):
     assert code == 2  # refused although the jump cancels
 
 
+_ABS_T23 = ("bound", "--f", "abs(x)", "--a", "-1", "--b", "1", "--rule", "midpoint")
+
+
+@pytest.mark.parametrize("argv, message", [
+    # the t23 node sits on the kink; f' there reads sign(0) = 0, and the
+    # bound 0.408 was below the true error 1/2
+    ((*_ABS_T23, "--q", "2", "--theorem", "t23"),
+     "t23 reads |f'|**2 at the kink x=0 of abs(x)"),
+    ((*_ABS_T23, "--q", "2", "--theorem", "t23", "--assume-convex"),
+     "t23 reads |f'|**2 at the kink x=0 of abs(x)"),
+    # the left end sits on the kink; the bound was 0 with approx 3/8, mean 1/3
+    (("bound", "--f", "abs(x) - x^2/2", "--assume-convex", "--a", "0", "--b", "1",
+      "--rule", "midpoint", "--q", "1"),
+     "t22 reads |f'|**1 at the kink x=0 of abs(x) - x^2/2"),
+], ids=["t23-probed", "t23-asserted", "t22-left-end"])
+def test_kink_refuses(argv, message, capsys):
+    assert run_cli(*argv, capsys=capsys) == (2, "", f"certquad: refused: {message}\n")
+
+
+def test_best_skips_kink_candidate(capsys):
+    code, out, _ = run_cli(*_ABS_T23, "--q", "1,2", "--theorem", "best",
+                           capsys=capsys)
+    doc = json.loads(out)
+    assert code == 0
+    assert (doc["theorem"], doc["bound"]) == ("T22q1", "1/2")  # the true error
+
+
+@pytest.mark.parametrize("assume", [(), ("--assume-convex",)], ids=["probed", "asserted"])
+def test_kink_off_the_read_points_keeps_bound(assume, capsys):
+    code, out, _ = run_cli("bound", "--f", "abs(x-0.3)", "--a", "0", "--b", "1",
+                           "--rule", "midpoint", "--q", "2", "--theorem", "t23",
+                           *assume, capsys=capsys)
+    assert code == 0
+    assert json.loads(out)["bound"] == "0.28867513459481292"
+
+
+@pytest.mark.parametrize("f", ["x*2^1e9", "x^(2^1e9)"])
+def test_huge_exact_power_exits_1_fast(f):
+    proc = subprocess.run(
+        [sys.executable, "-m", "certquad", "bound", "--f", f, "--a", "0", "--b", "1",
+         "--rule", "midpoint", "--q", "1"],
+        capture_output=True, text=True, env=child_env(), timeout=10)
+    assert (proc.returncode, proc.stdout, proc.stderr.count("\n")) == (1, "", 1)
+    assert "exact power with exponent 1000000000 exceeds" in proc.stderr
+
+
 def test_bound_exact_mode(capsys):
     code, out, _ = run_cli(
         "bound", "--f", "pow:2", "--a", "0", "--b", "1", "--rule", "simpson",

@@ -6,7 +6,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from certquad import (DomainError, RuleParams, abs_power_integral,
                       classify_regime, holder_coeffs, power_mean_coeffs)
-from certquad.coefficients import regime_selected, regime_selected_eps
+from certquad.coefficients import SELECTED
+from certquad.params import CASE1, CASE2, CASE3
 from certquad.prng import SplitMix64
 
 unit_fraction = st.fractions(min_value=0, max_value=1)
@@ -106,9 +107,10 @@ def test_partition_identities_exact(alpha, lam):
 def test_selected_coefficients_nonnegative(alpha, lam):
     params = RuleParams(alpha, lam)
     tag = classify_regime(params)
-    for value in regime_selected(power_mean_coeffs(params), tag):
+    pm, hc = power_mean_coeffs(params), holder_coeffs(params, 2)
+    for value in [pm[k] for k in SELECTED[tag][:6]]:
         assert value >= 0
-    for value in regime_selected_eps(holder_coeffs(params, 2), tag):
+    for value in [hc[k] for k in SELECTED[tag][6:]]:
         assert value is not None and value >= 0
 
 
@@ -123,12 +125,60 @@ def test_selected_coefficients_nonnegative_near_second_kink(alpha, ulps):
         lam = math.nextafter(lam, math.copysign(math.inf, ulps))
     params = RuleParams(alpha, min(max(lam, 0.0), 1.0))
     tag = classify_regime(params)
-    for value in regime_selected(power_mean_coeffs(params), tag):
+    pm = power_mean_coeffs(params)
+    for value in [pm[k] for k in SELECTED[tag][:6]]:
         # cancellation leaves dust of an ulp of 1, which the engines clamp
         assert value >= -1e-15
     for p in (1.5, 2.0, 3.0):
-        for value in regime_selected_eps(holder_coeffs(params, p), tag):
+        hc = holder_coeffs(params, p)
+        for value in [hc[k] for k in SELECTED[tag][6:]]:
             assert value is not None and value >= 0
+
+
+def _near_second_kink(alpha, ulps):
+    """(alpha, lambda) with lambda within a few ulps of alpha/(1-alpha)."""
+    lam = alpha / (1 - alpha)
+    for _ in range(abs(ulps)):
+        lam = math.nextafter(lam, math.copysign(math.inf, ulps))
+    return RuleParams(alpha, min(max(lam, 0.0), 1.0))
+
+
+@given(st.floats(0, 0.5), st.integers(-3, 3))
+@example(0.1859062658947177, 2)
+def test_table_follows_the_case_split(alpha, ulps):
+    # slots 0-2 and 6 belong to the integral over [0, 1-alpha], which only
+    # Case3 switches; slots 3-5 and 7 to the one over [1-alpha, 1], which
+    # only Case2 switches
+    assert set(SELECTED) == {CASE1, CASE2, CASE3}
+    changed = {tag: [i for i in range(8) if SELECTED[tag][i] != SELECTED[CASE1][i]]
+               for tag in (CASE2, CASE3)}
+    assert changed == {CASE3: [0, 1, 2, 6], CASE2: [3, 4, 5, 7]}
+    params = _near_second_kink(alpha, ulps)
+    hc = holder_coeffs(params, 2.0)
+    assert all(hc[k] is not None for k in SELECTED[classify_regime(params)][6:])
+
+
+def _ladders(pm, hc, tag):
+    """The two if-ladders the table replaced, kept as the reference."""
+    first = ((pm["gamma1"], pm["mu3"], pm["mu4"]) if tag == CASE3
+             else (pm["gamma2"], pm["mu1"], pm["mu2"]))
+    second = ((pm["upsilon1"], pm["eta1"], pm["eta2"]) if tag == CASE2
+              else (pm["upsilon2"], pm["eta3"], pm["eta4"]))
+    eps = (hc["eps2" if tag == CASE3 else "eps1"], hc["eps4" if tag == CASE2 else "eps3"])
+    return first + second + eps
+
+
+@given(st.one_of(st.tuples(unit_fraction, unit_fraction),
+                 st.tuples(st.floats(0, 1), st.floats(0, 1))),
+       st.sampled_from([2, F(3, 2), 1.5, 3.0]))
+@settings(max_examples=200)
+def test_table_matches_the_ladders(pair, p):
+    params = RuleParams(*pair)
+    pm, hc = power_mean_coeffs(params), holder_coeffs(params, p)
+    for tag in (CASE1, CASE2, CASE3):
+        table = [{**pm, **hc}[k] for k in SELECTED[tag]]
+        reference = _ladders(pm, hc, tag)
+        assert [(type(v), v) for v in table] == [(type(v), v) for v in reference]
 
 
 @given(st.fractions(min_value=F(1, 2), max_value=1))
@@ -174,8 +224,8 @@ def test_closed_forms_match_weight_integrals(tag):
     for params in _stratified_samples(120)[tag]:
         a, l = params.alpha, params.lam
         c, u, w = a * l, 1 - a, l * (1 - a)
-        gamma, mu_b, mu_a, upsilon, eta_b, eta_a = regime_selected(
-            power_mean_coeffs(params), tag)
+        pm = power_mean_coeffs(params)
+        gamma, mu_b, mu_a, upsilon, eta_b, eta_a = [pm[k] for k in SELECTED[tag][:6]]
         assert _rel_close(gamma, abs_power_integral(c, 0, u, 1), 1e-10)
         assert _rel_close(mu_b, abs_power_integral(c, 0, u, 1, "t"), 1e-10)
         assert _rel_close(mu_a, abs_power_integral(c, 0, u, 1, "1-t"), 1e-10)
@@ -183,7 +233,8 @@ def test_closed_forms_match_weight_integrals(tag):
         assert _rel_close(eta_b, abs_power_integral(1 - w, u, 1, 1, "t"), 1e-10)
         assert _rel_close(eta_a, abs_power_integral(1 - w, u, 1, 1, "1-t"), 1e-10)
         for p in (1.5, 2.0, 3.0):
-            ef, es = regime_selected_eps(holder_coeffs(params, p), tag)
+            hc = holder_coeffs(params, p)
+            ef, es = [hc[k] for k in SELECTED[tag][6:]]
             assert _rel_close(ef / (p + 1), abs_power_integral(c, 0, u, p), 1e-10)
             assert _rel_close(es / (p + 1),
                               abs_power_integral(1 - w, u, 1, p), 1e-10)

@@ -184,6 +184,15 @@ def test_composite_needs_convexity_on_whole_interval():
             composite_integrate(f, Interval(0.0, 2.0), MIDPOINT, 1.0, "t22", n)
 
 
+def test_adaptive_refuses_a_panel_end_on_a_kink():
+    # [-1, 3] passes its own step; the second bisection puts a panel end at 0
+    from certquad import from_expression
+    f = from_expression("abs(x)", assume_convex=True)
+    with pytest.raises(Refusal, match=r"t22 reads \|f'\|\*\*1 at the kink x=0 of abs\(x\)"):
+        adaptive_integrate(f, Interval(F(-1), F(3)), MIDPOINT, 1, "t22",
+                           target=F(1, 100))
+
+
 def test_one_probe_and_one_coefficient_build_per_solve(monkeypatch):
     import certquad.bounds as bounds
     from certquad import from_expression

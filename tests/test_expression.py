@@ -76,6 +76,24 @@ def test_differentiate_abs_uses_sign_with_zero_at_kink():
     assert evaluate(d, 0.0) == 0
 
 
+def test_huge_exact_powers_refuse():
+    # both sites that would expand 2**(10**9) into an exact int refuse at once
+    with pytest.raises(DomainError, match="exponent 1000000000 exceeds"):
+        differentiate(parse("x*2^1e9"))
+    with pytest.raises(DomainError, match="exponent 1000000000 exceeds"):
+        evaluate(Pow(X, 10 ** 9), F(1, 2))
+    # bases 0 and +-1 stay small, and float bases overflow on their own
+    assert [evaluate(Pow(Const(b), 10 ** 9), None) for b in (0, 1, -1)] == [0, 1, 1]
+    assert evaluate(Pow(X, 10 ** 9), 0.5) == 0.0
+    assert evaluate(Pow(X, 1000), F(3, 2)) == F(3, 2) ** 1000
+
+
+def test_small_powers_of_x_skip_the_size_check():
+    # decided at compile time: x^3 and pow:N take x ** k with no helper call
+    assert "_power" not in _compile(Pow(X, 3)).__code__.co_names
+    assert "_power" in _compile(Pow(Add(X, Const(1)), 3)).__code__.co_names
+
+
 def test_evaluate_domain_checks():
     with pytest.raises(DomainError):
         evaluate(parse("1/x"), 0)
