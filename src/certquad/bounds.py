@@ -1,32 +1,28 @@
 """Certified upper bounds on |rule value - integral mean|.
 
-Three engines, one per derivation route:
+Three engines, one per theorem, bound the same two weight integrals of the
+rule-minus-mean identity, each by a weight times a q-mean of |f'|**q, so
+all three share one shape (X, Y, N: |f'|**q at b, a and the rule's node):
 
-  power_mean_bound      q >= 1, needs |f'|**q convex on [a, b].
-                        Shape: (b-a) * [ gamma**(1-1/q) * (mu_b*X + mu_a*Y)**(1/q)
-                                       + upsilon**(1-1/q) * (eta_b*X + eta_a*Y)**(1/q) ]
-                        with X = |f'(b)|**q, Y = |f'(a)|**q and the
-                        constants picked by the parameter regime.
+    (b-a) * scale * [w1 * d1**(1/q) + w2 * d2**(1/q)]
 
-  holder_interior_bound q > 1.  Conjugate-exponent route whose averages
-                        pair each endpoint with the interior node.
+  t22 power_mean_bound       q >= 1; scale 1, w = gamma**(1-1/q),
+                             upsilon**(1-1/q); d = mu_b*X + mu_a*Y, eta_b*X + eta_a*Y
+  t23 holder_interior_bound  q > 1; scale (1/(p+1))**(1/p), w = (1-alpha)**(1/q)
+                             * eps1**(1/p), alpha**(1/q) * eps2**(1/p); d = (N+Y)/2, (N+X)/2
+  t24 holder_endpoint_bound  q > 1; scale as t23, w = eps1**(1/p), eps2**(1/p);
+                             d = alpha-weighted blends of X and Y
 
-  holder_endpoint_bound q > 1.  Conjugate-exponent route with averages
-                        built from the endpoints only.
+The regime tag of ``classify_regime`` picks the constants through
+``coefficients.SELECTED``; ``coefficients`` decides whether a selected eps
+underflows.  At q = 1 the t22 weights are 1 by the x**0 = 1 convention and
+only the certificate tag (T22q1) differs.
 
-``prologue`` runs once per (f, [a, b], params, q, engine): q range,
-domain, convexity hypothesis, conjugate, regime tag and the selected
-constants raised to their fixed powers.  It works on plain values: p is
-the number ``conjugate`` returns and the regime the tag string of
-``classify_regime``; ``coefficients.SELECTED`` names the constants a tag
-picks from the two families, and ``coefficients`` decides whether a
-selected eps underflows.  Its step certifies any piece of [a, b].  An
-engine steps [a, b] itself; a driver steps every panel.  The step refuses
-to read f' at a kink of f, where an argument of sign in f' is 0.
-
-At q = 1 the power-mean shape collapses through the x**0 = 1 convention
-to (b-a) * [(mu_b+eta_b)*X + (mu_a+eta_a)*Y]; there is no separate code
-path for it, only a separate certificate tag.
+``prologue`` runs once per (f, [a, b], params, q, engine): q, domain,
+sign and convexity hypotheses, conjugate, regime tag and the engine's
+constants.  Its step certifies any piece of [a, b]; an engine steps [a, b]
+itself, a driver steps every panel.  The step refuses to read f' at a kink
+of f, where an argument of sign in f' is 0.
 
 A certificate is only issued under an established convexity hypothesis:
 builtin and user-asserted models pass directly, anything else is sampled
@@ -44,8 +40,8 @@ import math
 
 from .coefficients import SELECTED, eps_underflows, holder_coeffs, power_mean_coeffs
 from .errors import DomainError, Refusal
-from .expression import FunctionModel, calls_sign, probe_convexity, sign_arguments
-from .params import RuleParams, classify_regime, conjugate, _normalize
+from .expression import FunctionModel, probe_convexity
+from .params import RuleParams, classify_regime, conjugate, finite_q
 from .record import Record
 from .rules import Interval, interior_node, require_within_domain, rule_value
 
@@ -74,35 +70,32 @@ def prologue(f: FunctionModel, iv: Interval, params: RuleParams, q,
     given) on iv once and return the step that certifies any piece of iv,
     which inherits them.
 
-    q >= 1 for t22, q > 1 for t23 and t24.  f must be absolutely continuous,
-    so a non-builtin f calling sign is refused, even x*sign(x), and the step
-    refuses a piece whose end or t23 node is a kink of f (abs(x) at 0).
+    q must be finite (else a DomainError), >= 1 for t22 and > 1 for t23
+    and t24.  f must be absolutely continuous: an f calling sign is
+    refused, even x*sign(x), and the step refuses a piece whose end or t23
+    node is a kink of f (abs(x) at 0); both facts are read off the model.
     Builtin and user-asserted models give non-advisory certificates; a
     numerically-probed one is sampled, and a passing probe (shared through
     ``verdicts``, q -> verdict) gives advisory ones, a failing probe a
-    Refusal.
-    T23 and T24 share one formula and differ only in two weights and averages.
+    Refusal.  The engine supplies ``scale, w1, w2`` and ``averages(piece,
+    xb, ya) -> (d1, d2)``; the step evaluates the one shape.
     """
     if name not in ENGINES:
         raise DomainError(
             f"unknown theorem {name!r}; expected one of {sorted(ENGINES)}")
-    q = _normalize(q)
-    if name == "t22" and not q >= 1:
-        raise Refusal(f"{name} needs q >= 1, got {q}")
-    if name != "t22" and not q > 1:
-        raise Refusal(f"{name} needs q > 1, got {q}")
+    q = finite_q(q)
+    if not (q >= 1 if name == "t22" else q > 1):
+        raise Refusal(f"{name} needs q {'>=' if name == 't22' else '>'} 1, got {q}")
     require_within_domain(f, iv)
+    if f.has_sign:
+        raise Refusal(f"{name} needs f absolutely continuous on [{iv.a}, {iv.b}]; sign may jump")
     derivative = f.derivative
-    if f.provenance != "builtin":  # no builtin calls sign or abs
-        if calls_sign(f.expr):
-            raise Refusal(f"{name} needs f absolutely continuous on [{iv.a}, {iv.b}]; sign may jump")
-        kinks = sign_arguments(f.deriv)
-        if kinks:
-            def derivative(x):
-                value = f.derivative(x)
-                if any(g(x) == 0 for g in kinks):
-                    raise Refusal(f"{name} reads |f'|**{q} at the kink x={x} of {f.name}")
-                return value
+    if f.kinks:
+        def derivative(x):
+            value = f.derivative(x)
+            if any(g(x) == 0 for g in f.kinks):
+                raise Refusal(f"{name} reads |f'|**{q} at the kink x={x} of {f.name}")
+            return value
     advisory = f.provenance == "numerically-probed"
     verdicts = {} if verdicts is None else verdicts
     if advisory and q not in verdicts:
@@ -118,8 +111,10 @@ def prologue(f: FunctionModel, iv: Interval, params: RuleParams, q,
     if name == "t22":
         gamma, mu_b, mu_a, upsilon, eta_b, eta_a = (
             _clamp(v) for v in map(power_mean_coeffs(params).get, SELECTED[tag][:6]))
-        outer = 1 - inv_q
-        gamma_w, upsilon_w = gamma ** outer, upsilon ** outer
+        scale, w1, w2 = 1, gamma ** (1 - inv_q), upsilon ** (1 - inv_q)
+
+        def averages(piece, xb, ya):
+            return mu_b * xb + mu_a * ya, eta_b * xb + eta_a * ya
     else:
         if not p > 1:  # q so large that q / (q - 1) rounds to 1
             raise ArithmeticError(f"{name} conjugate exponent of q={q} rounds to 1")
@@ -129,30 +124,23 @@ def prologue(f: FunctionModel, iv: Interval, params: RuleParams, q,
             _clamp(v) for v in map(holder_coeffs(params, p).get, SELECTED[tag][6:]))
         inv_p = 1 / p
         scale = (1 / (p + 1)) ** inv_p
-        # k1, k2: each weight times its eps**(1/p); the t24 weights are 1
-        k1, k2 = eps_first ** inv_p, eps_second ** inv_p
+        w1, w2 = eps_first ** inv_p, eps_second ** inv_p  # the t24 weights are 1
         if name == "t23":
-            k1, k2 = (1 - alpha) ** inv_q * k1, alpha ** inv_q * k2
+            w1, w2 = (1 - alpha) ** inv_q * w1, alpha ** inv_q * w2
+
+            def averages(piece, xb, ya):
+                node_pow = abs(derivative(interior_node(piece, params))) ** q
+                return (node_pow + ya) / 2, (node_pow + xb) / 2
+        else:
+            def averages(piece, xb, ya):
+                return ((xb * (1 - alpha) ** 2 + (1 - alpha * alpha) * ya) / 2,
+                        (xb * alpha * (2 - alpha) + alpha * alpha * ya) / 2)
 
     def certify(piece: Interval) -> ErrorCertificate:
         xb = abs(derivative(piece.b)) ** q
         ya = abs(derivative(piece.a)) ** q
-        if name == "t22":
-            bound = piece.width * (
-                gamma_w * _clamp(mu_b * xb + mu_a * ya) ** inv_q
-                + upsilon_w * _clamp(eta_b * xb + eta_a * ya) ** inv_q)
-        else:
-            if name == "t23":
-                node_pow = abs(derivative(interior_node(piece, params))) ** q
-                d1, d2 = (node_pow + ya) / 2, (node_pow + xb) / 2
-            else:
-                # params.alpha, not the prologue's alpha: a 20th cell would make
-                # each step's closure a 20-tuple, and CPython 3.11 frees those
-                # onto a free list that it never takes them back from
-                a = params.alpha
-                d1 = (xb * (1 - a) ** 2 + (1 - a * a) * ya) / 2
-                d2 = (xb * a * (2 - a) + a * a * ya) / 2
-            bound = piece.width * scale * (k1 * d1 ** inv_q + k2 * d2 ** inv_q)
+        d1, d2 = averages(piece, xb, ya)
+        bound = piece.width * scale * (w1 * _clamp(d1) ** inv_q + w2 * _clamp(d2) ** inv_q)
         approx = rule_value(f, piece, params)
         for v in (bound, approx):
             if isinstance(v, float) and not math.isfinite(v):

@@ -27,8 +27,8 @@ An integral power of an exact base estimated past POWER_BITS bits is a
 DomainError, evaluated or folded, so 2^1e9 fails at once.
 
 The symbolic derivative of abs(u) uses sign(u)*u' with sign(0) = 0, so
-f' reads 0 at a kink, not a one-sided slope; ``sign_arguments`` lets the
-bound engines refuse to read f' there.  No builtin calls abs.
+f' reads 0 at a kink, not a one-sided slope; a model keeps its kinks, so
+that the bound engines refuse to read f' there.  No builtin calls abs.
 """
 
 from __future__ import annotations
@@ -341,16 +341,19 @@ def _compile(e: Expr):
     raise TypeError(f"not an Expr: {e!r}")
 
 
-def calls_sign(e: Expr) -> bool:
-    """Whether e calls sign anywhere, even where the jump cancels (x*sign(x))."""
-    return getattr(e, "func", None) == "sign" or any(
-        isinstance(v, Expr) and calls_sign(v) for v in e._astuple())
-
-
 def sign_arguments(e: Expr) -> list:
-    """The compiled u of every sign(u) in e; e reads sign(0) = 0 where u is 0."""
-    found = [_compile(e.arg)] if getattr(e, "func", None) == "sign" else []
-    return found + [g for v in e._astuple() if isinstance(v, Expr) for g in sign_arguments(v)]
+    """The u of every sign(u) in e, outer before inner, left before right;
+    a stack, not recursion, walks any depth the parser admits."""
+    found, stack = [], [e]
+    while stack:
+        e = stack.pop()
+        if getattr(e, "func", None) == "sign":
+            found.append(e.arg)
+        for name in reversed(e._fields):
+            child = getattr(e, name)
+            if isinstance(child, Expr):  # not a number or a function name
+                stack.append(child)
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -463,16 +466,17 @@ PROVENANCES = ("builtin", "user-asserted", "numerically-probed")
 class FunctionModel(Record):
     """An evaluatable function with its exact derivative and metadata.
 
-    ``domain`` is an open interval.  ``deriv`` is always
-    ``differentiate(expr)``, derived on construction and never given.
-    ``provenance``, one of PROVENANCES, says how convexity of |f'|**q is
-    known: builtin models carry it for every q >= 1 by construction,
-    user-asserted ones on the caller's word, and numerically-probed ones
-    get sampled, so any certificate built from them is flagged advisory.
+    ``domain`` is an open interval.  ``provenance``, one of PROVENANCES,
+    says how convexity of |f'|**q is known: builtin models carry it for
+    every q >= 1 by construction, user-asserted ones on the caller's word,
+    and numerically-probed ones get sampled, so any certificate built from
+    them is flagged advisory.  Construction derives ``deriv`` (f'),
+    ``has_sign`` (expr calls sign) and ``kinks`` (the compiled u of every
+    sign(u) in deriv, so an abs(u) whose u' folds to 0 has none) once.
     """
 
     _fields = ("name", "expr", "domain", "provenance")
-    __slots__ = _fields + ("deriv", "_value", "_derivative")  # derived: f', compiled f, f'
+    __slots__ = _fields + ("deriv", "has_sign", "kinks", "_value", "_derivative")  # derived
     _defaults = {"domain": (NEG_INF, INF), "provenance": "numerically-probed"}
 
     def __post_init__(self):
@@ -481,6 +485,8 @@ class FunctionModel(Record):
                               f"got {self.provenance!r}")
         deriv = differentiate(self.expr)
         FunctionModel.deriv.__set__(self, deriv)
+        FunctionModel.has_sign.__set__(self, bool(sign_arguments(self.expr)))
+        FunctionModel.kinks.__set__(self, tuple(map(_compile, sign_arguments(deriv))))
         FunctionModel._value.__set__(self, _compile(self.expr))
         FunctionModel._derivative.__set__(self, _compile(deriv))
 

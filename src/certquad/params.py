@@ -86,6 +86,13 @@ def classify_regime(params: RuleParams) -> str:
     return CASE2
 
 
+def finite_q(q):
+    """q normalised; a non-finite q is a domain error."""
+    if isinstance(q, float) and not math.isfinite(q):
+        raise DomainError(f"q must be finite, got {q!r}")
+    return _normalize(q)
+
+
 def conjugate(q):
     """Hoelder conjugate p = q/(q-1) of q >= 1, and math.inf at q = 1.
 
@@ -93,9 +100,7 @@ def conjugate(q):
     the Hoelder engines reject it.  q < 1 and a non-finite q are domain
     errors.
     """
-    q = _normalize(q)
-    if isinstance(q, float) and not math.isfinite(q):
-        raise DomainError(f"q must be finite, got {q!r}")
+    q = finite_q(q)
     if q < 1:
         raise DomainError(f"q must be >= 1, got {q!r}")
     return math.inf if q == 1 else q / (q - 1)

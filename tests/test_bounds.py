@@ -1,7 +1,9 @@
 import math
+import random
 import subprocess
 import sys
 from fractions import Fraction as F
+from operator import attrgetter
 
 import pytest
 
@@ -410,3 +412,116 @@ def test_holder_exact_q_near_one_refuses_fast():
         capture_output=True, text=True, env=child_env(), timeout=10)
     assert proc.returncode == 1
     assert (proc.stdout, proc.stderr.count("\n")) == ("", 1)
+
+
+# ---------------------------------------------------------------------------
+# The step against its per-engine formulas
+
+def _reference_step(f, piece, params, q, name):
+    """Bound and approx of the step as three per-engine formulas, the form
+    the prologue had before the engines shared one shape; kept verbatim as
+    the reference."""
+    from certquad.bounds import _clamp
+    from certquad.coefficients import SELECTED, holder_coeffs, power_mean_coeffs
+    from certquad.params import classify_regime, conjugate
+    from certquad.rules import interior_node
+    derivative = f.derivative
+    p = conjugate(q)
+    tag = classify_regime(params)
+    inv_q = 1 / q
+    alpha = params.alpha
+    if name == "t22":
+        gamma, mu_b, mu_a, upsilon, eta_b, eta_a = (
+            _clamp(v) for v in map(power_mean_coeffs(params).get, SELECTED[tag][:6]))
+        outer = 1 - inv_q
+        gamma_w, upsilon_w = gamma ** outer, upsilon ** outer
+    else:
+        eps_first, eps_second = (
+            _clamp(v) for v in map(holder_coeffs(params, p).get, SELECTED[tag][6:]))
+        inv_p = 1 / p
+        scale = (1 / (p + 1)) ** inv_p
+        # k1, k2: each weight times its eps**(1/p); the t24 weights are 1
+        k1, k2 = eps_first ** inv_p, eps_second ** inv_p
+        if name == "t23":
+            k1, k2 = (1 - alpha) ** inv_q * k1, alpha ** inv_q * k2
+
+    xb = abs(derivative(piece.b)) ** q
+    ya = abs(derivative(piece.a)) ** q
+    if name == "t22":
+        bound = piece.width * (
+            gamma_w * _clamp(mu_b * xb + mu_a * ya) ** inv_q
+            + upsilon_w * _clamp(eta_b * xb + eta_a * ya) ** inv_q)
+    else:
+        if name == "t23":
+            node_pow = abs(derivative(interior_node(piece, params))) ** q
+            d1, d2 = (node_pow + ya) / 2, (node_pow + xb) / 2
+        else:
+            a = params.alpha
+            d1 = (xb * (1 - a) ** 2 + (1 - a * a) * ya) / 2
+            d2 = (xb * a * (2 - a) + a * a * ya) / 2
+        bound = piece.width * scale * (k1 * d1 ** inv_q + k2 * d2 ** inv_q)
+    return bound, rule_value(f, piece, params)
+
+
+def _outcome(run):
+    """(type, repr) of each value run returns, or the type of what it raises;
+    a non-finite float is what the step raises OverflowError for."""
+    try:
+        values = run()
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc).__name__
+    if any(isinstance(v, float) and not math.isfinite(v) for v in values):
+        return "OverflowError"
+    return [(type(v), repr(v)) for v in values]
+
+
+_SPECIAL = (0, 1, 5e-324, 1 - 2 ** -53)
+_STEP_QS = (F(1), 1 + 1e-9, F(3, 2), F(2), 1e6)
+
+
+def test_step_matches_the_per_engine_formulas(corpus):
+    from certquad.bounds import prologue
+    rng = random.Random(12)
+    models = [corpus["pow:2"], corpus["pow:3"], corpus["exp"], corpus["reciprocal"],
+              from_expression("x^3 + 3*x", assume_convex=True)]
+    compared = 0
+    for case in range(240):
+        exact = case % 2 == 0
+
+        def draw():
+            if rng.random() < 0.4:
+                return rng.choice(_SPECIAL)
+            return F(rng.randint(0, 12), 12) if exact else rng.random()
+
+        params = RuleParams(draw(), draw())
+        lo = F(rng.randint(1, 16), 8) if exact else 0.125 + 2 * rng.random()
+        width = F(rng.randint(1, 16), 8) if exact else 0.01 + 2 * rng.random()
+        pieces = [Interval(lo, lo + width)]
+        f, q = rng.choice(models), rng.choice(_STEP_QS)
+        name = rng.choice(("t22", "t23", "t24"))
+        try:
+            certify = prologue(f, pieces[0], params, q, name)
+        except (Refusal, ArithmeticError):
+            continue  # the hypotheses are checked before the step, as before
+        for _ in range(3):  # bisect, so the t23 node moves with the piece
+            piece, mid = pieces[-1], pieces[-1].midpoint()
+            pieces.append(rng.choice((Interval(piece.a, mid), Interval(mid, piece.b))))
+        for piece in pieces:
+            cert = _outcome(lambda: attrgetter("bound", "approx")(certify(piece)))
+            reference = _outcome(lambda: _reference_step(f, piece, params, q, name))
+            assert cert == reference, (f.name, params, q, name, piece)
+            compared += isinstance(cert, list)
+    assert compared > 400
+
+
+def test_prologue_walks_no_expression_tree(monkeypatch):
+    import certquad.expression as expression
+    f = from_expression("abs(x-0.3)+x^2", assume_convex=True)
+
+    def walked(*args):
+        raise AssertionError("an expression tree was walked after construction")
+
+    monkeypatch.setattr(expression, "_compile", walked)
+    monkeypatch.setattr(expression, "sign_arguments", walked)
+    cert = best_bound(f, Interval(0, 1), MIDPOINT, [1, 2, 3])
+    assert (cert.theorem, cert.bound) == ("T22q1", F(1, 2))

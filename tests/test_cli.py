@@ -285,6 +285,9 @@ def test_means_q_refusal_names_engine(prop, q, message, capsys):
                    capsys=capsys) == (2, "", f"certquad: refused: {message}\n")
 
 
+_CERT = ("--f", "pow:2", "--a", "0", "--b", "1", "--rule", "midpoint")
+
+
 @pytest.mark.parametrize("argv", [
     ("bound", "--f", "exp(1000*x)", "--a", "1", "--b", "2",
      "--rule", "midpoint", "--q", "1"),
@@ -304,16 +307,50 @@ def test_means_q_refusal_names_engine(prop, q, message, capsys):
      "--rule", "midpoint", "--q", "1"),
     ("integrate", "--f", "1e300*x^2", "--a", "1", "--b", "1e10",
      "--rule", "midpoint", "--q", "1", "--target", "1"),
-    ("bound", "--f", "+".join(["x"] * 400), "--a", "0", "--b", "1",
-     "--rule", "midpoint", "--q", "1"),
-    ("bound", "--f", "(" * 3000 + "x" + ")" * 3000, "--a", "0", "--b", "1",
-     "--rule", "midpoint", "--q", "1"),
+    # an explicit id keeps this case's name; the 400-term sum listed before
+    # it now certifies (test_long_sum_certifies)
+    pytest.param(("bound", "--f", "(" * 3000 + "x" + ")" * 3000, "--a", "0",
+                  "--b", "1", "--rule", "midpoint", "--q", "1"), id="argv10"),
 ])
 def test_overflow_and_bad_exponent_exit_1(argv, capsys):
     code, out, err = run_cli(*argv, capsys=capsys)
     assert code == 1
     assert out == ""
     assert err.startswith("certquad: error: ") and err.count("\n") == 1
+
+
+def test_long_sum_certifies(capsys):
+    # a tree 400 levels deep is walked once, without recursion, when the
+    # model is built; f = 400x has f' = 400, so the midpoint rule is exact
+    code, out, err = run_cli("bound", "--f", "+".join(["x"] * 400), "--a", "0",
+                             "--b", "1", "--rule", "midpoint", "--q", "1",
+                             capsys=capsys)
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert (doc["bound"], doc["approx"]) == ("100", "200")
+    assert F(doc["approx"]) - 400 * F(1, 2) == 0  # the true error
+
+
+@pytest.mark.parametrize("argv", [
+    ("bound", *_CERT, "--q", "nan"),
+    ("bound", *_CERT, "--q", "inf"),
+    ("bound", *_CERT, "--q", "nan", "--theorem", "t23"),
+    ("bound", *_CERT, "--q", "2,nan", "--theorem", "best"),
+    ("bound", *_CERT, "--q", "2,inf", "--theorem", "best"),
+    ("integrate", *_CERT, "--q", "nan", "--panels", "2"),
+    ("means", "--prop", "2", "--a", "1", "--b", "2", "--alpha", "1/3",
+     "--lambda", "1/4", "--q", "nan", "--n", "2"),
+])
+def test_non_finite_q_is_an_input_error(argv, capsys):
+    # finiteness is tested before the engine's range, for every command
+    value = "inf" if "inf" in argv[argv.index("--q") + 1] else "nan"
+    assert run_cli(*argv, capsys=capsys) == (
+        1, "", f"certquad: error: q must be finite, got {value}\n")
+
+
+def test_q_below_range_stays_a_refusal(capsys):
+    assert run_cli("bound", *_CERT, "--q", "1/2", capsys=capsys) == (
+        2, "", "certquad: refused: t22 needs q >= 1, got 1/2\n")
 
 
 _BOUND = ("bound", "--f", "pow:2", "--a", "0", "--b", "1")

@@ -12,7 +12,7 @@ from certquad import (Interval, RuleParams, composite_integrate, differentiate,
                       power_mean_bound, proposition_check, resolve_function)
 from certquad.composite import CompositeResult
 from certquad.expression import (Add, Call, Const, Div, FunctionModel, Mul, Neg,
-                                 Pow, Sub, Var, X)
+                                 Pow, Sub, Var, X, sign_arguments, to_string)
 
 SIMPSON = named_rule("simpson")
 
@@ -133,20 +133,44 @@ def test_bad_arguments_raise_type_error(call):
         call()
 
 
+DERIVED = ("deriv", "has_sign", "kinks", "_value", "_derivative")
+
+
 def test_cache_slots_stay_out_of_value_semantics():
-    f = from_expression("x^3 + ln(x)")
-    assert FunctionModel.__slots__ == FIELDS["FunctionModel"] + (
-        "deriv", "_value", "_derivative")
-    assert "deriv" not in repr(f) and "_value" not in repr(f)
-    assert f._astuple() == _fields(f)
-    assert hash(f) == hash(_fields(f))
-    assert f == from_expression("x^3 + ln(x)")
-    assert pickle.loads(pickle.dumps(f)) == f
-    assert b"_value" not in pickle.dumps(f) and b"deriv" not in pickle.dumps(f)
-    for twin in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f), copy.copy(f)):
-        assert twin.deriv == f.deriv
-        for x in (F(1, 2), 2, 3.5):
-            assert repr(twin.value(x)) == repr(f.value(x))
-            assert repr(twin.derivative(x)) == repr(f.derivative(x))
-    with pytest.raises(AttributeError):
-        f._value = None
+    assert FunctionModel.__slots__ == FIELDS["FunctionModel"] + DERIVED
+    for text in ("x^3 + ln(x)", "abs(x - 1/2) + x*abs(x - 3)"):
+        f = from_expression(text)
+        for name in DERIVED:
+            assert f"{name}=" not in repr(f)
+            assert name.encode() not in pickle.dumps(f)
+        assert f._astuple() == _fields(f)
+        assert hash(f) == hash(_fields(f))
+        assert f == from_expression(text)
+        assert pickle.loads(pickle.dumps(f)) == f
+        for twin in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f), copy.copy(f)):
+            assert twin.deriv == f.deriv
+            assert twin.has_sign is f.has_sign is False
+            assert len(twin.kinks) == len(f.kinks)
+            for x in (F(1, 2), 2, 3.5):
+                assert repr(twin.value(x)) == repr(f.value(x))
+                assert repr(twin.derivative(x)) == repr(f.derivative(x))
+                assert [repr(g(x)) for g in twin.kinks] == [repr(g(x)) for g in f.kinks]
+        with pytest.raises(AttributeError):
+            f._value = None
+        with pytest.raises(AttributeError):
+            f.kinks = ()
+
+
+@pytest.mark.parametrize("text, has_sign, kinks", [
+    ("x^2*exp(x)", False, []),
+    ("x*sign(x)", True, ["x"]),  # refused for the sign in f, not the kink
+    ("sign(x)", True, []),
+    ("abs(x - 1/2) + x*abs(x - 3)", False, ["x - 0.5", "x - 3"]),
+    ("abs(3)*x", False, []),  # u' folds to 0, so sign(u)*u' leaves f'
+    ("abs(abs(x) - 1)", False, ["abs(x) - 1", "x"]),  # outer, then inner
+])
+def test_sign_facts_come_from_the_model(text, has_sign, kinks):
+    f = from_expression(text)
+    assert f.has_sign is has_sign
+    assert [to_string(u) for u in sign_arguments(f.deriv)] == kinks
+    assert len(f.kinks) == len(kinks)
