@@ -22,7 +22,9 @@ only the certificate tag (T22q1) differs.
 sign and convexity hypotheses, conjugate, regime tag and the engine's
 constants.  Its step certifies any piece of [a, b]; an engine steps [a, b]
 itself, a driver steps every panel.  The step refuses to read f' at a kink
-of f, where an argument of sign in f' is 0.
+of f, where an argument of sign in f' is 0.  It skips the domain check,
+which [a, b] passed, and keeps |f'|**q and f at the ends of each piece it
+certified, keyed by identity (1, 1.0 and Fraction(1) apart), for one solve.
 
 A certificate is only issued under an established convexity hypothesis:
 builtin and user-asserted models pass directly, anything else is sampled
@@ -43,7 +45,7 @@ from .errors import DomainError, Refusal
 from .expression import FunctionModel, probe_convexity
 from .params import RuleParams, classify_regime, conjugate, finite_q
 from .record import Record
-from .rules import Interval, interior_node, require_within_domain, rule_value
+from .rules import Interval, require_within_domain, stencil
 
 SOUNDNESS_SLACK = 1e-10  # rounding a float certificate may show against a reference
 
@@ -77,8 +79,9 @@ def prologue(f: FunctionModel, iv: Interval, params: RuleParams, q,
     Builtin and user-asserted models give non-advisory certificates; a
     numerically-probed one is sampled, and a passing probe (shared through
     ``verdicts``, q -> verdict) gives advisory ones, a failing probe a
-    Refusal.  The engine supplies ``scale, w1, w2`` and ``averages(piece,
-    xb, ya) -> (d1, d2)``; the step evaluates the one shape.
+    Refusal.  The engine supplies ``scale, w1, w2`` and ``averages(node,
+    xb, ya) -> (d1, d2)``; the step evaluates the one shape on pieces of
+    iv, whose domain it does not re-check.
     """
     if name not in ENGINES:
         raise DomainError(
@@ -89,13 +92,6 @@ def prologue(f: FunctionModel, iv: Interval, params: RuleParams, q,
     require_within_domain(f, iv)
     if f.has_sign:
         raise Refusal(f"{name} needs f absolutely continuous on [{iv.a}, {iv.b}]; sign may jump")
-    derivative = f.derivative
-    if f.kinks:
-        def derivative(x):
-            value = f.derivative(x)
-            if any(g(x) == 0 for g in f.kinks):
-                raise Refusal(f"{name} reads |f'|**{q} at the kink x={x} of {f.name}")
-            return value
     advisory = f.provenance == "numerically-probed"
     verdicts = {} if verdicts is None else verdicts
     if advisory and q not in verdicts:
@@ -108,12 +104,22 @@ def prologue(f: FunctionModel, iv: Interval, params: RuleParams, q,
     theorem = "T22q1" if q == 1 else name.upper()
     inv_q = 1 / q
     alpha = params.alpha
+
+    def slope(x):  # |f'(x)|**q, the one power site
+        d = abs(f.derivative(x))
+        if f.kinks and any(g(x) == 0 for g in f.kinks):
+            raise Refusal(f"{name} reads |f'|**{q} at the kink x={x} of {f.name}")
+        try:
+            return d ** q
+        except OverflowError:
+            raise OverflowError(f"{name} |f'|**{q} overflows at x={x} of {f.name}") from None
+
     if name == "t22":
         gamma, mu_b, mu_a, upsilon, eta_b, eta_a = (
             _clamp(v) for v in map(power_mean_coeffs(params).get, SELECTED[tag][:6]))
         scale, w1, w2 = 1, gamma ** (1 - inv_q), upsilon ** (1 - inv_q)
 
-        def averages(piece, xb, ya):
+        def averages(node, xb, ya):
             return mu_b * xb + mu_a * ya, eta_b * xb + eta_a * ya
     else:
         if not p > 1:  # q so large that q / (q - 1) rounds to 1
@@ -128,23 +134,39 @@ def prologue(f: FunctionModel, iv: Interval, params: RuleParams, q,
         if name == "t23":
             w1, w2 = (1 - alpha) ** inv_q * w1, alpha ** inv_q * w2
 
-            def averages(piece, xb, ya):
-                node_pow = abs(derivative(interior_node(piece, params))) ** q
+            def averages(node, xb, ya):
+                node_pow = slope(node)
                 return (node_pow + ya) / 2, (node_pow + xb) / 2
         else:
-            def averages(piece, xb, ya):
-                return ((xb * (1 - alpha) ** 2 + (1 - alpha * alpha) * ya) / 2,
-                        (xb * alpha * (2 - alpha) + alpha * alpha * ya) / 2)
+            beta_sq, one_minus_sq, alpha_sq = (1 - alpha) ** 2, 1 - alpha * alpha, alpha * alpha
+
+            def averages(node, xb, ya):
+                return ((xb * beta_sq + one_minus_sq * ya) / 2,
+                        (xb * alpha * (2 - alpha) + alpha_sq * ya) / 2)
+
+    node_of, combine = stencil(params)
+    value = f.value
+    memo = {}  # id(x) -> (x, |f'(x)|**q, f(x)) for each end of a certified piece
+
+    def known(x):  # an entry keeps its x alive, so no other object takes its id
+        hit = memo.get(id(x))
+        return hit if hit is not None and hit[0] is x else None
 
     def certify(piece: Interval) -> ErrorCertificate:
-        xb = abs(derivative(piece.b)) ** q
-        ya = abs(derivative(piece.a)) ** q
-        d1, d2 = averages(piece, xb, ya)
+        a, b = piece.a, piece.b
+        ka, kb = known(a), known(b)
+        xb = kb[1] if kb else slope(b)
+        ya = ka[1] if ka else slope(a)
+        node = node_of(a, b)
+        d1, d2 = averages(node, xb, ya)
         bound = piece.width * scale * (w1 * _clamp(d1) ** inv_q + w2 * _clamp(d2) ** inv_q)
-        approx = rule_value(f, piece, params)
+        fa = ka[2] if ka else value(a)
+        fb = kb[2] if kb else value(b)
+        approx = combine(fa, fb, value(node))
         for v in (bound, approx):
             if isinstance(v, float) and not math.isfinite(v):
-                raise OverflowError(f"{theorem} on [{piece.a}, {piece.b}] is not finite")
+                raise OverflowError(f"{theorem} on [{a}, {b}] is not finite")
+        memo[id(a)], memo[id(b)] = (a, ya, fa), (b, xb, fb)
         return ErrorCertificate(piece, params, theorem, q, p, bound, approx,
                                 advisory, tag)
 

@@ -56,25 +56,27 @@ SELECTED = {
 
 
 def power_mean_coeffs(params: RuleParams) -> dict:
-    """All twelve constants of the power-mean bound, exactly as written,
-    keyed gamma1, gamma2, upsilon1, upsilon2, mu1..mu4, eta1..eta4."""
+    """All twelve constants of the power-mean bound, keyed gamma1, gamma2,
+    upsilon1, upsilon2, mu1..mu4, eta1..eta4; a recurring term is computed once."""
     a, l = params.alpha, params.lam
     c = a * l
     u = 1 - a
     w = l * u
+    uu, u3, aa, a3, cw, cc = u * u, u ** 3, a * a, a ** 3, 1 - w, 1 - c
+    cuu, waa = c * u * u / 2, w * a * a / 2
 
     gamma1 = u * (c - u / 2)
     gamma2 = c * c - gamma1
-    upsilon1 = (1 - u * u) / 2 - a * (1 - w)
-    upsilon2 = (1 + u * u) / 2 - (l + 1) * u * (1 - w)
-    mu1 = (c ** 3 + u ** 3) / 3 - c * u * u / 2
-    mu2 = (1 + a ** 3 + (1 - c) ** 3) / 3 - (1 - c) / 2 * (1 + a * a)
-    mu3 = c * u * u / 2 - u ** 3 / 3
-    mu4 = (c - 1) * (1 - a * a) / 2 + (1 - a ** 3) / 3
-    eta1 = (1 - u ** 3) / 3 - (1 - w) / 2 * a * (2 - a)
-    eta2 = w * a * a / 2 - a ** 3 / 3
-    eta3 = (1 - w) ** 3 / 3 - (1 - w) / 2 * (1 + u * u) + (1 + u ** 3) / 3
-    eta4 = w ** 3 / 3 - w * a * a / 2 + a ** 3 / 3
+    upsilon1 = (1 - uu) / 2 - a * cw
+    upsilon2 = (1 + uu) / 2 - (l + 1) * u * cw
+    mu1 = (c ** 3 + u3) / 3 - cuu
+    mu2 = (1 + a3 + cc ** 3) / 3 - cc / 2 * (1 + aa)
+    mu3 = cuu - u3 / 3
+    mu4 = (c - 1) * (1 - aa) / 2 + (1 - a3) / 3
+    eta1 = (1 - u3) / 3 - cw / 2 * a * (2 - a)
+    eta2 = waa - a3 / 3
+    eta3 = cw ** 3 / 3 - cw / 2 * (1 + uu) + (1 + u3) / 3
+    eta4 = w ** 3 / 3 - waa + a3 / 3
     return {"gamma1": gamma1, "gamma2": gamma2,
             "upsilon1": upsilon1, "upsilon2": upsilon2,
             "mu1": mu1, "mu2": mu2, "mu3": mu3, "mu4": mu4,

@@ -9,12 +9,13 @@ and those add:
 Both drivers establish the engine's hypotheses on [a, b] by one prologue
 run per solve; convexity of |f'|**q on [a, b] restricts to every
 subinterval, so each panel inherits them and only takes the per-piece
-step.  A result keeps each panel as its certificate, which names it.
+step, whose memo evaluates each shared end object once.  A result keeps
+each panel as its certificate, which names it.
 
 ``adaptive_integrate`` greedily bisects the panel with the largest
 width-scaled bound until the summed bound clears the target or the panel
-budget runs out.  Panel endpoints always come from affine interpolation
-of indices, never from accumulating widths, so they cannot drift.
+budget runs out.  Panel endpoints are a, b and affine interpolations of
+indices, never accumulated widths, so they cannot drift.
 """
 
 from __future__ import annotations
@@ -45,10 +46,16 @@ class CompositeResult(Record):
         return any(cert.advisory for cert in self.panels)
 
 
-def _assemble(certs, target=None) -> CompositeResult:
-    panels = sorted(certs, key=lambda cert: cert.interval.a)
+def _entry(certify, piece: Interval):
+    cert = certify(piece)
+    return -(piece.width * cert.bound), piece.a, cert  # largest pops first; panels' a differ
+
+
+def _assemble(entries, target=None) -> CompositeResult:
+    entries = sorted(entries, key=lambda entry: entry[1])
+    panels = [cert for _, _, cert in entries]
     value = sum(cert.interval.width * cert.approx for cert in panels)
-    total = sum(cert.interval.width * cert.bound for cert in panels)
+    total = sum(-neg_scaled for neg_scaled, _, _ in entries)
     return CompositeResult(value, total, panels,
                            None if target is None else bool(total <= target))
 
@@ -59,8 +66,8 @@ def composite_integrate(f: FunctionModel, iv: Interval, params: RuleParams,
     if not isinstance(n, int) or n < 1:
         raise DomainError(f"panel count must be a positive integer, got {n!r}")
     certify = prologue(f, iv, params, q, theorem)
-    cuts = [(iv.a * (n - i) + iv.b * i) / n for i in range(n + 1)]
-    return _assemble([certify(Interval(u, v)) for u, v in zip(cuts, cuts[1:])])
+    cuts = [iv.a] + [(iv.a * (n - i) + iv.b * i) / n for i in range(1, n)] + [iv.b]
+    return _assemble([_entry(certify, Interval(u, v)) for u, v in zip(cuts, cuts[1:])])
 
 
 def adaptive_integrate(f: FunctionModel, iv: Interval, params: RuleParams,
@@ -76,20 +83,15 @@ def adaptive_integrate(f: FunctionModel, iv: Interval, params: RuleParams,
     if not isinstance(max_panels, int) or max_panels < 1:
         raise DomainError(f"max_panels must be a positive integer, got {max_panels!r}")
     certify = prologue(f, iv, params, q, theorem)
-
-    def entry(piece: Interval):
-        cert = certify(piece)
-        return (-(piece.width * cert.bound), piece.a, cert)  # panels' a differ
-
-    heap = [entry(iv)]
-    total = iv.width * heap[0][2].bound
+    heap = [_entry(certify, iv)]
+    total = -heap[0][0]
     while total > target and len(heap) < max_panels:
         neg_scaled, _, cert = heapq.heappop(heap)
         piece = cert.interval
         mid = piece.midpoint()
-        left = entry(Interval(piece.a, mid))
-        right = entry(Interval(mid, piece.b))
+        left = _entry(certify, Interval(piece.a, mid))
+        right = _entry(certify, Interval(mid, piece.b))
         heapq.heappush(heap, left)
         heapq.heappush(heap, right)
         total += -left[0] + -right[0] - (-neg_scaled)
-    return _assemble([cert for _, _, cert in heap], target)
+    return _assemble(heap, target)

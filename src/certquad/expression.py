@@ -592,7 +592,11 @@ def probe_convexity(f: FunctionModel, q, lo, hi) -> bool:
     vals = []
     for k in range(fine):
         x = lo + (hi - lo) * k / (fine - 1)
-        vals.append(abs(float(f.derivative(x))) ** float(q))
+        d = abs(float(f.derivative(x)))
+        try:
+            vals.append(d ** float(q))
+        except OverflowError:
+            raise OverflowError(f"probe |f'|**{q} overflows at x={x} of {f.name}") from None
     for i in range(PROBE_GRID):
         for j in range(i, PROBE_GRID):
             if vals[i + j] > (vals[2 * i] + vals[2 * j]) / 2 + PROBE_SLACK:

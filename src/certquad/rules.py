@@ -26,9 +26,10 @@ from .record import Record
 
 
 class Interval(Record):
-    """A nondegenerate interval [a, b] with a < b."""
+    """A nondegenerate interval [a, b] with a < b, and its width b - a."""
 
-    __slots__ = ("a", "b")
+    _fields = ("a", "b")
+    __slots__ = _fields + ("width",)  # derived
 
     def __post_init__(self):
         for label, v in (("a", self.a), ("b", self.b)):
@@ -37,10 +38,7 @@ class Interval(Record):
         if not self.a < self.b:
             raise DomainError(
                 f"interval needs a < b, got a={self.a!r}, b={self.b!r}")
-
-    @property
-    def width(self):
-        return self.b - self.a
+        Interval.width.__set__(self, self.b - self.a)
 
     def midpoint(self):
         return (self.a + self.b) / 2
@@ -68,8 +66,12 @@ def named_rule(kind: str) -> RuleParams:
             f"unknown rule {kind!r}; expected one of {sorted(NAMED_RULES)}") from None
 
 
-def interior_node(iv: Interval, params: RuleParams):
-    return params.alpha * iv.a + (1 - params.alpha) * iv.b
+def stencil(params: RuleParams):
+    """The rule as node(a, b) and combine(fa, fb, fn), 1 - alpha and 1 - lambda computed once."""
+    alpha, lam = params.alpha, params.lam
+    beta, kappa = 1 - alpha, 1 - lam
+    return (lambda a, b: alpha * a + beta * b,
+            lambda fa, fb, fn: lam * (alpha * fa + beta * fb) + kappa * fn)
 
 
 def rule_value(f: FunctionModel, iv: Interval, params: RuleParams):
@@ -79,10 +81,8 @@ def rule_value(f: FunctionModel, iv: Interval, params: RuleParams):
     always lies between the smallest and largest of those three values.
     """
     require_within_domain(f, iv)
-    a, l = params.alpha, params.lam
-    node = interior_node(iv, params)
-    return l * (a * f.value(iv.a) + (1 - a) * f.value(iv.b)) \
-        + (1 - l) * f.value(node)
+    node, combine = stencil(params)
+    return combine(f.value(iv.a), f.value(iv.b), f.value(node(iv.a, iv.b)))
 
 
 def identity_rhs(f: FunctionModel, iv: Interval, params: RuleParams,

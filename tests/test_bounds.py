@@ -424,7 +424,6 @@ def _reference_step(f, piece, params, q, name):
     from certquad.bounds import _clamp
     from certquad.coefficients import SELECTED, holder_coeffs, power_mean_coeffs
     from certquad.params import classify_regime, conjugate
-    from certquad.rules import interior_node
     derivative = f.derivative
     p = conjugate(q)
     tag = classify_regime(params)
@@ -453,7 +452,8 @@ def _reference_step(f, piece, params, q, name):
             + upsilon_w * _clamp(eta_b * xb + eta_a * ya) ** inv_q)
     else:
         if name == "t23":
-            node_pow = abs(derivative(interior_node(piece, params))) ** q
+            node = params.alpha * piece.a + (1 - params.alpha) * piece.b
+            node_pow = abs(derivative(node)) ** q
             d1, d2 = (node_pow + ya) / 2, (node_pow + xb) / 2
         else:
             a = params.alpha

@@ -319,6 +319,16 @@ def test_overflow_and_bad_exponent_exit_1(argv, capsys):
     assert err.startswith("certquad: error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("f, message", [
+    ("pow:3", "t22 |f'|**1000000.0 overflows at x=2 of pow:3"),  # the step
+    ("x^3", "probe |f'|**1000000.0 overflows at x=1.0 of x^3"),  # the probe
+])
+def test_overflowing_power_names_engine_q_and_x(f, message, capsys):
+    code, out, err = run_cli("bound", "--f", f, "--a", "1", "--b", "2", "--rule",
+                             "midpoint", "--q", "1000000.0", capsys=capsys)
+    assert (code, out, err) == (1, "", f"certquad: error: {message}\n")
+
+
 def test_long_sum_certifies(capsys):
     # a tree 400 levels deep is walked once, without recursion, when the
     # model is built; f = 400x has f' = 400, so the midpoint rule is exact

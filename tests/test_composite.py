@@ -31,12 +31,14 @@ def test_two_panels_exact(corpus):
 
 
 def test_panel_endpoints_do_not_drift(corpus):
-    r = composite_integrate(corpus["exp"], Interval(0.0, 1.0), MIDPOINT,
-                            1.0, "t22", 7)
-    pieces = [c.interval for c in r.panels]
-    assert pieces[0].a == 0.0 and pieces[-1].b == 1.0
-    for left, right in zip(pieces, pieces[1:]):
-        assert left.b == right.a
+    # (0.1 * 3) / 3 is 0.10000000000000002: the end cuts are the ends
+    for a, b, n in ((0.0, 1.0, 7), (0.1, 1.1, 3)):
+        iv = Interval(a, b)
+        r = composite_integrate(corpus["exp"], iv, MIDPOINT, 1.0, "t22", n)
+        pieces = [c.interval for c in r.panels]
+        assert pieces[0].a is iv.a and pieces[-1].b is iv.b
+        for left, right in zip(pieces, pieces[1:]):
+            assert left.b == right.a
 
 
 def test_doubling_ratios_on_exp(corpus):
@@ -217,3 +219,109 @@ def test_one_probe_and_one_coefficient_build_per_solve(monkeypatch):
     r = composite_integrate(f, Interval(0.0, 1.0), SIMPSON, 2.0, "t22", 8)
     assert len(r.panels) == 8
     assert calls == {"probe": 1, "coeffs": 1}
+
+
+# ---------------------------------------------------------------------------
+# The step's memo: each point once per solve, and nothing else changes
+
+def _solves(corpus, rng):
+    """Seeded adaptive and composite solves: Fraction, float, int, mixed and
+    -0.0 ends; alpha 0, 1/2, 1 or a float; every engine."""
+    ends = [(F(1, 2), F(3)), (0.1, 1.1), (1, 3), (1.0, 3.0), (F(1), F(3)),
+            (F(1, 3), 2.5), (-0.0, 1.5), (0.0, 1.5), (-1, F(1, 2))]
+    for case in range(72):
+        f = corpus[("exp", "pow:2", "pow:3")[case % 3]]
+        a, b = ends[case % len(ends)]
+        params = RuleParams(rng.choice((F(0), F(1, 2), F(1), 0.3)),
+                            rng.choice((F(0), F(1, 3), F(1), 0.6)))
+        name = ("t22", "t23", "t24")[case // 3 % 3]
+        q = rng.choice((F(1), F(2), 1.5) if name == "t22" else (F(2), 1.5, F(3, 2)))
+        iv = Interval(a, b)
+        if case % 2:
+            yield f, iv, params, q, name, composite_integrate(
+                f, iv, params, q, name, rng.randint(1, 9))
+        else:
+            yield f, iv, params, q, name, adaptive_integrate(
+                f, iv, params, q, name, target=1e-4, max_panels=rng.randint(1, 40))
+
+
+def _twin(x):
+    """An equal number of the same type that is a new object (small ints
+    are shared by the interpreter, so an int stays itself)."""
+    if isinstance(x, F):
+        return F(x.numerator, x.denominator)
+    return float.fromhex(x.hex()) if isinstance(x, float) else x
+
+
+def test_memo_changes_no_certificate(corpus):
+    import random
+
+    from certquad.bounds import prologue
+    panels = 0
+    for f, iv, params, q, name, result in _solves(corpus, random.Random(13)):
+        for cert in result.panels:
+            # a fresh step on new end objects: no memo entry can serve it
+            piece = Interval(_twin(cert.interval.a), _twin(cert.interval.b))
+            fresh = prologue(f, iv, params, q, name)(piece)
+            for field in ("bound", "approx"):
+                got, want = getattr(cert, field), getattr(fresh, field)
+                assert (type(got), repr(got)) == (type(want), repr(want)), (
+                    f.name, iv, params, q, name, piece, field)
+            panels += 1
+    assert panels > 500
+
+
+_KINK = "abs(x - 1/2) + x^2"
+
+
+@pytest.mark.parametrize("text, a, b, n, error, message", [
+    # the kink x = 1/2 lands on a panel end: the first bisection's, the first
+    # cut, or the left end, read after the step's f'(b)
+    (_KINK, F(-1, 2), F(3, 2), None, Refusal, "{name} reads |f'|**{q} at the kink x=1/2 of " + _KINK),
+    (_KINK, F(-1, 2), F(3, 2), 2, Refusal, "{name} reads |f'|**{q} at the kink x=1/2 of " + _KINK),
+    (_KINK, F(1, 2), F(2), 3, Refusal, "{name} reads |f'|**{q} at the kink x=1/2 of " + _KINK),
+    # f' is fine at -1 and f is not; a cut at 0 divides by zero in f'
+    ("ln(x) + x^2", F(-1), F(3), None, DomainError, "ln of non-positive value Fraction(-1, 1)"),
+    # t23 reads f' at the node 0 before any f, the others read f(-1) first
+    ("ln(x) + x^2", F(-1), F(1), None, DomainError,
+     {"t23": "division by zero", None: "ln of non-positive value Fraction(-1, 1)"}),
+    ("ln(x) + x^2", F(-1), F(3), 4, DomainError, "division by zero"),
+    ("1/x", -1.0, 3.0, 4, DomainError, "division by zero"),
+])
+@pytest.mark.parametrize("name, q", [("t22", 1), ("t23", 2), ("t24", 2)])
+def test_memo_keeps_the_first_error(text, a, b, n, error, message, name, q):
+    from certquad import from_expression
+    f = from_expression(text, assume_convex=True)
+    with pytest.raises(error) as info:
+        if n is None:
+            adaptive_integrate(f, Interval(a, b), SIMPSON, q, name, target=F(1, 10 ** 6))
+        else:
+            composite_integrate(f, Interval(a, b), SIMPSON, q, name, n)
+    if isinstance(message, dict):
+        message = message.get(name, message[None])
+    assert str(info.value) == message.format(name=name, q=q)
+
+
+@pytest.mark.parametrize("fname, a, b, params, q, name, derivatives, values", [
+    # 1,024 panels from 2,047 steps: each distinct end once, each node once
+    ("pow:3", F(1), F(2), MIDPOINT, 1, "t22", 1025, 3072),
+    ("exp", F(1, 2), F(3), SIMPSON, 2, "t23", 3072, 3072),
+])
+def test_each_point_is_evaluated_once_per_solve(corpus, monkeypatch, fname, a, b,
+                                                params, q, name, derivatives, values):
+    from certquad.expression import FunctionModel
+    calls = {"derivative": 0, "value": 0}
+
+    def counted(key):
+        original = getattr(FunctionModel, key)
+
+        def wrapper(self, x):
+            calls[key] += 1
+            return original(self, x)
+        return wrapper
+
+    for key in calls:
+        monkeypatch.setattr(FunctionModel, key, counted(key))
+    r = adaptive_integrate(corpus[fname], Interval(a, b), params, q, name, target=1e-3)
+    assert len(r.panels) == 1024
+    assert calls == {"derivative": derivatives, "value": values}

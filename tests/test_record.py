@@ -65,8 +65,7 @@ def test_one_instance_of_every_record_class():
 @pytest.mark.parametrize("r", _instances(), ids=lambda r: type(r).__name__)
 def test_value_semantics(r):
     assert type(r)._fields == FIELDS[type(r).__name__]
-    if not isinstance(r, FunctionModel):  # the one record with cache slots
-        assert type(r).__slots__ == type(r)._fields
+    assert type(r).__slots__ == type(r)._fields + DERIVED.get(type(r).__name__, ())
     for twin in (pickle.loads(pickle.dumps(r)), copy.deepcopy(r), copy.copy(r)):
         assert type(twin) is type(r) and twin == r and _fields(twin) == _fields(r)
     try:
@@ -133,21 +132,33 @@ def test_bad_arguments_raise_type_error(call):
         call()
 
 
-DERIVED = ("deriv", "has_sign", "kinks", "_value", "_derivative")
+# the derived slots, after the fields, of every record class that has them
+DERIVED = {"FunctionModel": ("deriv", "has_sign", "kinks", "_value", "_derivative"),
+           "Interval": ("width",)}
+
+
+def _derived_stay_out(r):
+    """No derived slot in repr or pickle; equality, hash and copies see the
+    fields only; every slot is read-only."""
+    derived = DERIVED[type(r).__name__]
+    assert type(r).__slots__ == FIELDS[type(r).__name__] + derived
+    for name in derived:
+        assert f"{name}=" not in repr(r)
+        assert name.encode() not in pickle.dumps(r)
+        with pytest.raises(AttributeError):
+            setattr(r, name, None)
+    assert r._astuple() == _fields(r)
+    assert hash(r) == hash(_fields(r))
+    assert r == type(r)(*_fields(r))
+    assert pickle.loads(pickle.dumps(r)) == r
+    return (pickle.loads(pickle.dumps(r)), copy.deepcopy(r), copy.copy(r))
 
 
 def test_cache_slots_stay_out_of_value_semantics():
-    assert FunctionModel.__slots__ == FIELDS["FunctionModel"] + DERIVED
     for text in ("x^3 + ln(x)", "abs(x - 1/2) + x*abs(x - 3)"):
         f = from_expression(text)
-        for name in DERIVED:
-            assert f"{name}=" not in repr(f)
-            assert name.encode() not in pickle.dumps(f)
-        assert f._astuple() == _fields(f)
-        assert hash(f) == hash(_fields(f))
         assert f == from_expression(text)
-        assert pickle.loads(pickle.dumps(f)) == f
-        for twin in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f), copy.copy(f)):
+        for twin in _derived_stay_out(f):
             assert twin.deriv == f.deriv
             assert twin.has_sign is f.has_sign is False
             assert len(twin.kinks) == len(f.kinks)
@@ -155,10 +166,12 @@ def test_cache_slots_stay_out_of_value_semantics():
                 assert repr(twin.value(x)) == repr(f.value(x))
                 assert repr(twin.derivative(x)) == repr(f.derivative(x))
                 assert [repr(g(x)) for g in twin.kinks] == [repr(g(x)) for g in f.kinks]
-        with pytest.raises(AttributeError):
-            f._value = None
-        with pytest.raises(AttributeError):
-            f.kinks = ()
+    for a, b, width in ((F(1, 3), 2, F(5, 3)), (-0.0, 0.1, 0.1), (F(-1, 2), 0.75, 1.25),
+                        (1, 3, 2)):
+        iv = Interval(a, b)
+        for twin in (iv, *_derived_stay_out(iv)):
+            assert type(twin.width) is type(width) and twin.width == width
+            assert repr(twin.width) == repr(twin.b - twin.a)
 
 
 @pytest.mark.parametrize("text, has_sign, kinks", [
