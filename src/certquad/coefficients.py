@@ -62,20 +62,20 @@ def power_mean_coeffs(params: RuleParams) -> dict:
     c = a * l
     u = 1 - a
     w = l * u
-    uu, u3, aa, a3, cw, cc = u * u, u ** 3, a * a, a ** 3, 1 - w, 1 - c
+    uu, u3, aa, a3, one_w, one_c = u * u, u ** 3, a * a, a ** 3, 1 - w, 1 - c
     cuu, waa = c * u * u / 2, w * a * a / 2
 
     gamma1 = u * (c - u / 2)
     gamma2 = c * c - gamma1
-    upsilon1 = (1 - uu) / 2 - a * cw
-    upsilon2 = (1 + uu) / 2 - (l + 1) * u * cw
+    upsilon1 = (1 - uu) / 2 - a * one_w
+    upsilon2 = (1 + uu) / 2 - (l + 1) * u * one_w
     mu1 = (c ** 3 + u3) / 3 - cuu
-    mu2 = (1 + a3 + cc ** 3) / 3 - cc / 2 * (1 + aa)
+    mu2 = (1 + a3 + one_c ** 3) / 3 - one_c / 2 * (1 + aa)
     mu3 = cuu - u3 / 3
     mu4 = (c - 1) * (1 - aa) / 2 + (1 - a3) / 3
-    eta1 = (1 - u3) / 3 - cw / 2 * a * (2 - a)
+    eta1 = (1 - u3) / 3 - one_w / 2 * a * (2 - a)
     eta2 = waa - a3 / 3
-    eta3 = cw ** 3 / 3 - cw / 2 * (1 + uu) + (1 + u3) / 3
+    eta3 = one_w ** 3 / 3 - one_w / 2 * (1 + uu) + (1 + u3) / 3
     eta4 = w ** 3 / 3 - waa + a3 / 3
     return {"gamma1": gamma1, "gamma2": gamma2,
             "upsilon1": upsilon1, "upsilon2": upsilon2,

@@ -41,6 +41,45 @@ def test_trapezoid_fixture_exact():
     assert c["upsilon1"] == c["upsilon2"]
 
 
+def _power_mean_as_written(params):
+    """The twelve closed forms with every recurring term written out, the
+    form before each was computed once; kept verbatim as the reference."""
+    a, l = params.alpha, params.lam
+    c = a * l
+    u = 1 - a
+    w = l * u
+    gamma1 = u * (c - u / 2)
+    return {"gamma1": gamma1, "gamma2": c * c - gamma1,
+            "upsilon1": (1 - u * u) / 2 - a * (1 - w),
+            "upsilon2": (1 + u * u) / 2 - (l + 1) * u * (1 - w),
+            "mu1": (c ** 3 + u ** 3) / 3 - c * u * u / 2,
+            "mu2": (1 + a ** 3 + (1 - c) ** 3) / 3 - (1 - c) / 2 * (1 + a * a),
+            "mu3": c * u * u / 2 - u ** 3 / 3,
+            "mu4": (c - 1) * (1 - a * a) / 2 + (1 - a ** 3) / 3,
+            "eta1": (1 - u ** 3) / 3 - (1 - w) / 2 * a * (2 - a),
+            "eta2": w * a * a / 2 - a ** 3 / 3,
+            "eta3": (1 - w) ** 3 / 3 - (1 - w) / 2 * (1 + u * u) + (1 + u ** 3) / 3,
+            "eta4": w ** 3 / 3 - w * a * a / 2 + a ** 3 / 3}
+
+
+def test_shared_terms_keep_every_bit():
+    rng = SplitMix64(5)
+    special = (F(0), F(1), F(1, 2), 5e-324, 1 - 2 ** -53, 0.5, 1e-300)
+    for case in range(600):
+        def draw():
+            pick = rng.next_u64() % 3
+            if pick == 0:
+                return rng.choice(special)
+            if pick == 1:
+                return F(rng.next_u64() % 40, 40 + rng.next_u64() % 40)
+            return rng.uniform()
+        params = RuleParams(draw(), draw())
+        got, want = power_mean_coeffs(params), _power_mean_as_written(params)
+        assert list(got) == list(want)
+        assert [(type(v), repr(v)) for v in got.values()] == \
+            [(type(v), repr(v)) for v in want.values()], params
+
+
 def test_gamma1_against_weight_integral():
     c = power_mean_coeffs(RuleParams(0.9, 0.5))
     assert c["gamma1"] == pytest.approx(0.04, abs=1e-15)
