@@ -124,7 +124,7 @@ def prologue(f: FunctionModel, iv: Interval, params: RuleParams, q,
     else:
         if not p > 1:  # q so large that q / (q - 1) rounds to 1
             raise ArithmeticError(f"{name} conjugate exponent of q={q} rounds to 1")
-        if eps_underflows(params, tag, p):
+        if eps_underflows(params, p):
             raise ArithmeticError(f"{name} eps underflows at q={q}, too close to 1")
         eps_first, eps_second = (
             _clamp(v) for v in map(holder_coeffs(params, p).get, SELECTED[tag][6:]))

@@ -1,11 +1,12 @@
 """Command line front end.
 
 Subcommands: bound, integrate, coeffs, verify, means.  Exit codes: 0 on
-success, 1 for any ValueError (parse, validation and domain errors, and
-Python's int/str digit limit), ArithmeticError or too deeply nested
-expression, 2 when an engine refuses (hypothesis not established,
-exponent out of range, exactness forced but unavailable).  The verify
-exit code is 0 only when the sweep finds zero violations.
+success, 1 for any ValueError (parse, validation and domain errors, an
+exact power past the budget of ``params._power`` and Python's int/str
+digit limit), ArithmeticError or too deeply nested expression, 2 when an
+engine refuses (hypothesis not established, exponent out of range,
+exactness forced but unavailable).  The verify exit code is 0 only when
+the sweep finds zero violations.
 
 Output conventions (schema "v1"): every numeric leaf is rendered as a
 string, exact rationals as "num/den" (or a bare integer) and floats with
@@ -269,21 +270,6 @@ def cmd_integrate(args, out) -> int:
     return 0
 
 
-def _refuse_huge_exact_eps(params: RuleParams, p) -> None:
-    """Refuse at once an exact eps that could not be rendered.  With exact
-    alpha strictly inside (0, 1) and exact lambda, a selected eps has a base
-    n/d strictly inside (0, 1), so an integral power k = p + 1 gives it at
-    least k*log10(2) denominator digits, and a sum or difference cancels
-    only a few.  Computing such powers before failing takes seconds."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
-    exact = all(isinstance(v, Fraction) for v in (params.alpha, params.lam, p))
-    if (limit and exact and 0 < params.alpha < 1 and p.denominator == 1
-            and p + 1 > 4 * limit / math.log10(2)):
-        raise DomainError(
-            f"exact eps at p={p} exceeds the {limit}-digit limit of int/str "
-            f"conversion; pass p as a decimal ({p}.0) for float eps")
-
-
 def cmd_coeffs(args, out) -> int:
     params = RuleParams(parse_number(args.alpha), parse_number(args.lam))
     pm = power_mean_coeffs(params)
@@ -300,7 +286,6 @@ def cmd_coeffs(args, out) -> int:
     }
     if args.p is not None:
         p = parse_number(args.p)
-        _refuse_huge_exact_eps(params, p)
         hc = holder_coeffs(params, p)
         doc["holder"] = {k: (render(v) if v is not None else None)
                          for k, v in hc.items()}

@@ -14,10 +14,11 @@ c = alpha*lambda, u = 1 - alpha and w = lambda*(1 - alpha):
     integral over [0, u] of |t - c|**p      -> eps1 or eps2, times 1/(p+1)
     integral over [u, 1] of |t - (1-w)|**p  -> eps3 or eps4, times 1/(p+1)
       (t -> 1 - t reflects it onto [0, alpha] with its kink at w, so one
-      (sum, difference) pair of (kink, split) gives eps1/eps2 and eps3/eps4)
+      (sum, difference) pair per ``params.kink_pairs`` gives eps1..eps4)
 
 All closed forms are plain polynomial arithmetic in alpha and lambda, so
-Fraction inputs give bit-exact rationals.  All twelve power-mean
+Fraction inputs give bit-exact rationals, within the power budget of
+``params._power`` (a DomainError past it).  All twelve power-mean
 constants are always evaluated, including the ones the active regime does
 not select (those may be negative); the eps family is the exception,
 because off-regime eps values would raise a negative base to a
@@ -27,8 +28,8 @@ and eps1 ... eps4 in that order.
 
 This module is also the one map from a regime tag to its constants:
 ``SELECTED`` names the six power-mean constants and the two eps values a
-tag selects, and ``eps_underflows`` tells whether a selected eps is too
-small for its 1/p-th power.
+tag selects.  ``eps_underflows`` tells whether an active eps is too small
+for its 1/p-th power; it reads the same pairs as the tag, so it needs no tag.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import math
 import sys
 
 from .errors import DomainError
-from .params import CASE1, CASE2, CASE3, RuleParams
+from .params import CASE1, CASE2, CASE3, RuleParams, _power, kink_pairs
 
 _TINY = 2 * sys.float_info.min  # smallest normal float times 2 > 1 / (1 - 1/e)
 
@@ -94,16 +95,15 @@ def holder_coeffs(params: RuleParams, p) -> dict:
     """
     if not p > 1:
         raise DomainError(f"holder exponent p must be > 1, got {p!r}")
-    a, l, k = params.alpha, params.lam, p + 1
-    u = 1 - a
-    (eps1, eps2), (eps3, eps4) = _eps_pair(a * l, u, k), _eps_pair(l * u, a, k)
+    k, (first, second) = p + 1, kink_pairs(params)
+    (eps1, eps2), (eps3, eps4) = _eps_pair(*first, k), _eps_pair(*second, k)
     return {"eps1": eps1, "eps2": eps2, "eps3": eps3, "eps4": eps4}
 
 
 def _eps_pair(kink, split, k):
     """(sum, difference) closed forms, each None off its side of the split."""
-    return (kink ** k + (split - kink) ** k if kink <= split else None,
-            kink ** k - (kink - split) ** k if kink >= split else None)
+    return (_power(kink, k) + _power(split - kink, k) if kink <= split else None,
+            _power(kink, k) - _power(kink - split, k) if kink >= split else None)
 
 
 # ---------------------------------------------------------------------------
@@ -158,30 +158,30 @@ def abs_power_integral(c, lo, hi, p, weight: str = WEIGHT_ONE):
             + _piece(c, c, hi, p, weight, above=True))
 
 
-def eps_underflows(params: RuleParams, tag: str, p) -> bool:
-    """Whether an eps that regime ``tag`` selects is nonzero but below the
-    smallest normal float, where its 1/p-th power would be lost.  Each eps
-    is a sum or a difference of k-th powers, k = p + 1, of bases in [0, 1]
-    read off the breakpoints (x, y, z).  big**k - (big-gap)**k is at least
-    (1 - 1/e) * min(big**k, k*gap*big**(k-1)), a sum the same with gap = big
-    for its larger base, and either at least (min(y, 1-y)/2)**(k+1), which
-    settles most calls from y = 1 - alpha alone.  Powers are taken in
-    floats, never exactly, so a huge exact k costs nothing.  Float
-    breakpoints read alpha or 1 - alpha below 2**-53 as 0; the term of that
+def eps_underflows(params: RuleParams, p) -> bool:
+    """Whether an active eps is nonzero but below the smallest normal
+    float, where its 1/p-th power would be lost.  Each (kink, split) of
+    ``kink_pairs`` has one active eps: as the regime tag chooses, the
+    difference of k-th powers, k = p + 1, when kink > split and else the
+    sum.  big**k - (big-gap)**k, (big, gap) = (kink, split), is at least
+    (1 - 1/e) * min(big**k, k*gap*big**(k-1)), a sum the same with gap =
+    big for its larger base, and either at least (min(y, 1-y)/2)**(k+1),
+    y = 1 - alpha, which settles most calls from alpha alone.  Powers are
+    taken in floats, never exactly, so a huge exact k costs nothing.  Float
+    parameters read alpha or 1 - alpha below 2**-53 as 0; the term of that
     pair is then of that order.
     """
     try:
         k = float(p) + 1
     except OverflowError:  # an exact p past the float range
         k = math.inf
-    y = 1 - params.alpha
+    pairs = kink_pairs(params)
+    y = pairs[0][1]
     yf = float(y)
     if (min(yf, 1 - yf) / 2) ** (k + 1) >= _TINY or y in (0, 1):
         return False  # at alpha = 0 or 1 one pair is exactly 0, the other's base 1
-    x, y, z = params.breakpoints()
-    eps_first, eps_second = SELECTED[tag][6:]  # eps2 and eps4 are the differences
-    first = (x, y) if eps_first == "eps2" else (max(x, y - x),) * 2
-    second = (1 - z, 1 - y) if eps_second == "eps4" else (max(1 - z, z - y),) * 2
     return any(gap > 0 and min(float(big) ** k,
                                k * float(gap) * float(big) ** (k - 1)) < _TINY
-               for big, gap in (first, second))
+               for big, gap in ((kink, split) if kink > split
+                                else (max(kink, split - kink),) * 2
+                                for kink, split in pairs))

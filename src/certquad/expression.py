@@ -23,8 +23,9 @@ so is a quotient that differentiation folds to two integers: 1/3*x^3
 holds the float 1/3, and so does the f' of x/3.  Write x^3/3 to stay
 exact.
 
-An integral power of an exact base estimated past POWER_BITS bits is a
-DomainError, evaluated or folded, so 2^1e9 fails at once.
+An integral power of an exact base goes through ``params._power``, evaluated
+or folded, so one estimated past its bit budget is a DomainError and 2^1e9
+fails at once.
 
 The symbolic derivative of abs(u) uses sign(u)*u' with sign(0) = 0, so
 f' reads 0 at a kink, not a one-sided slope; a model keeps its kinks, so
@@ -39,6 +40,7 @@ import re
 from fractions import Fraction
 
 from .errors import DomainError, ParseError
+from .params import _power
 from .record import Record
 
 
@@ -271,20 +273,7 @@ def _is_integral(n) -> bool:
     return isinstance(n, float) and n.is_integer()
 
 
-POWER_BITS = 1 << 20  # an exact power estimated past this many bits is refused
 _PLAIN_POWER = 64  # x**k up to this |k| skips the estimate: x's own size bounds it
-
-
-def _power(b, k: int):
-    """b ** k for an integral k; for an exact b, refused when |k| times the
-    bit lengths of b's numerator and denominator exceeds POWER_BITS.  Float
-    bases overflow fast on their own."""
-    if k < 0 and b == 0:
-        raise DomainError("zero base with negative exponent")
-    if not isinstance(b, float) and abs(k) * (
-            abs(b.numerator).bit_length() + b.denominator.bit_length() - 2) > POWER_BITS:
-        raise DomainError(f"exact power with exponent {k} exceeds {POWER_BITS} bits")
-    return b ** k
 
 
 def evaluate(e: Expr, x):
@@ -503,11 +492,10 @@ class FunctionModel(Record):
         return self.name
 
 
-def from_expression(text: str, *, domain: tuple = (NEG_INF, INF),
-                    assume_convex: bool = False) -> FunctionModel:
-    """Build a model named by its text; f' is derived symbolically."""
+def from_expression(text: str, *, assume_convex: bool = False) -> FunctionModel:
+    """Build a model on all of R named by its text; f' is derived symbolically."""
     provenance = "user-asserted" if assume_convex else "numerically-probed"
-    return FunctionModel(text, parse(text), domain, provenance)
+    return FunctionModel(text, parse(text), (NEG_INF, INF), provenance)
 
 
 def _builtin(name, expr, domain) -> FunctionModel:

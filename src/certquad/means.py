@@ -31,7 +31,7 @@ import math
 from .bounds import SOUNDNESS_SLACK, holder_interior_bound, power_mean_bound
 from .errors import DomainError
 from .expression import power_model, resolve_function
-from .params import RuleParams
+from .params import RuleParams, _power
 from .record import Record
 from .rules import Interval
 
@@ -65,7 +65,7 @@ def power_log_mean_nth(n: int, a, b):
     _require(a != b, "L_n requires a != b")
     if n < 0:
         _require(a * b > 0, "L_n with negative n requires 0 outside [a, b]")
-    return (b ** (n + 1) - a ** (n + 1)) / ((n + 1) * (b - a))
+    return (_power(b, n + 1) - _power(a, n + 1)) / ((n + 1) * (b - a))
 
 
 def identric_mean(a, b):

@@ -1,4 +1,4 @@
-"""Rule parameters, the three coefficient regimes, and conjugate exponents.
+"""Rule parameters, the three coefficient regimes, conjugate exponents, exact powers.
 
 A rule is picked by a pair (alpha, lambda) in the unit square.  Three
 breakpoints derived from the pair,
@@ -8,10 +8,11 @@ breakpoints derived from the pair,
 always satisfy x <= z (because z - x = 1 - lambda >= 0), so the
 possible orderings are exactly three.  Which ordering holds decides which
 closed-form coefficient family applies in the bound engines.  Since x <= z,
-two sign tests settle it, one per kink against the split point y: x > y
-and z < y.  ``RuleParams.breakpoints`` is the one source of (x, y, z),
-``classify_regime`` returns the ordering as a plain tag string, and
-``conjugate`` returns the Hoelder conjugate p of q as a plain number.
+two sign tests settle it, one per kink against its split point.
+``kink_pairs`` is the one source of those (kink, split) pairs, (x, y) and
+(1 - z, alpha), ``classify_regime`` returns the ordering as a plain tag,
+``conjugate`` the Hoelder conjugate p of q as a plain number, and
+``_power`` holds the one bit budget for integral powers of exact bases.
 
 Everything here is immutable after construction and safe to share between
 threads.
@@ -65,23 +66,30 @@ class RuleParams(Record):
         return (a * l, 1 - a, 1 - l * (1 - a))
 
 
+def kink_pairs(params: RuleParams):
+    """(alpha*lambda, 1-alpha) and (lambda*(1-alpha), alpha): each kink with
+    the split it is tested against, in the input arithmetic."""
+    a, l = params.alpha, params.lam
+    u = 1 - a
+    return (a * l, u), (l * u, a)
+
+
 def classify_regime(params: RuleParams) -> str:
     """The tag of the unique regime for a parameter pair.
 
-    Case3 when x > y (alpha*lambda > 1-alpha); otherwise Case1 when
-    lambda*y <= alpha (z >= y) and Case2 when not.  These are the two
-    kink-versus-split tests, computed with the same float operations as
-    the activity tests of ``holder_coeffs``, so every input, float
+    Case3 when the first of ``kink_pairs`` passes its split (x > y);
+    otherwise Case1 when the second does not (z >= y) and Case2 when it
+    does.  ``holder_coeffs`` reads the same pairs, so every input, float
     rounding corners included, gets a tag whose eps entries are active;
     there is no fallback branch.  Ties pick the lowest-numbered case; the
     coefficient families coincide on the boundaries, so the choice does
     not change any bound.  Comparisons are exact for rational inputs and
     zero-tolerance for floats.
     """
-    x, y, _ = params.breakpoints()
+    (x, y), (w, a) = kink_pairs(params)
     if x > y:
         return CASE3
-    if params.lam * y <= params.alpha:
+    if w <= a:
         return CASE1
     return CASE2
 
@@ -104,3 +112,17 @@ def conjugate(q):
     if q < 1:
         raise DomainError(f"q must be >= 1, got {q!r}")
     return math.inf if q == 1 else q / (q - 1)
+
+
+POWER_BITS = 1 << 20  # an exact power estimated past this many bits is refused
+
+
+def _power(b, k):
+    """b ** k; for an exact b and an integral k, refused when |k| times the
+    bit lengths of b's numerator and denominator exceeds POWER_BITS."""
+    if k < 0 and b == 0:
+        raise DomainError("zero base with negative exponent")
+    if (not isinstance(b, float) and getattr(k, "denominator", 0) == 1 and abs(k.numerator) * (
+            abs(b.numerator).bit_length() + b.denominator.bit_length() - 2) > POWER_BITS):
+        raise DomainError(f"exact power with exponent {k} exceeds {POWER_BITS} bits")
+    return b ** k

@@ -11,6 +11,7 @@ from certquad import (Interval, Refusal, RuleParams, best_bound,
                       from_expression, holder_endpoint_bound,
                       holder_interior_bound, named_rule, power_mean_bound,
                       rule_value)
+from certquad.params import POWER_BITS
 from certquad.prng import SplitMix64
 
 from conftest import INTERVALS, child_env
@@ -404,14 +405,20 @@ def test_holder_underflow_guard_reads_differences_exactly(corpus):
 
 def test_holder_exact_q_near_one_refuses_fast():
     # q = 1 + 1/N has exact eps powers of exponent N + 2; the refusal must
-    # come before any of them is computed
-    proc = subprocess.run(
-        [sys.executable, "-m", "certquad", "bound", "--f", "pow:2", "--a", "0",
-         "--b", "1", "--alpha", "1/3", "--lambda", "1/4",
-         "--q", "1000001/1000000", "--theorem", "t23"],
-        capture_output=True, text=True, env=child_env(), timeout=10)
-    assert proc.returncode == 1
-    assert (proc.stdout, proc.stderr.count("\n")) == ("", 1)
+    # come before any of them is computed: from the underflow guard inside
+    # (0, 1), from the power budget at alpha = 0 or 1, where no eps underflows
+    for alpha, lam, q, theorem in (("1/3", "1/4", "1000001/1000000", "t23"),
+                                   ("1", "1/3", "100000001/100000000", "t23"),
+                                   ("0", "1/3", "100000001/100000000", "t24")):
+        proc = subprocess.run(
+            [sys.executable, "-m", "certquad", "bound", "--f", "pow:2", "--a", "0",
+             "--b", "1", "--alpha", alpha, "--lambda", lam,
+             "--q", q, "--theorem", theorem],
+            capture_output=True, text=True, env=child_env(), timeout=10)
+        assert proc.returncode == 1, alpha
+        assert (proc.stdout, proc.stderr.count("\n")) == ("", 1)
+        if alpha != "1/3":
+            assert f"exceeds {POWER_BITS} bits" in proc.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from certquad.cli import CSV_HEADER, main, parse_number, render
+from certquad.params import POWER_BITS
 
 from conftest import child_env
 
@@ -468,15 +469,18 @@ def test_subprocess_entrypoint():
 
 
 def test_coeffs_huge_exact_p_refuses_fast():
-    # exact eps at p = 10**6 have denominators of over 10**6 digits: refuse
-    # before computing them, and point to a decimal p
-    env = dict(child_env(), PYTHONINTMAXSTRDIGITS="4300")
-    proc = subprocess.run(
-        [sys.executable, "-m", "certquad", "coeffs", "--alpha", "1/3",
-         "--lambda", "1/4", "--p", "1000000"],
-        capture_output=True, text=True, env=env, timeout=10)
-    assert (proc.returncode, proc.stdout, proc.stderr.count("\n")) == (1, "", 1)
-    assert "4300-digit limit" in proc.stderr and "1000000.0" in proc.stderr
+    # exact eps at p = 10**6 have denominators of over 10**6 digits, and an
+    # L_n power at n = 10**8 as many bits: the one power budget refuses them
+    # before they are computed
+    for argv in (("coeffs", "--alpha", "1/3", "--lambda", "1/4", "--p", "1000000"),
+                 ("coeffs", "--alpha", "1", "--lambda", "1/3", "--p", "100000001"),
+                 ("means", "--kind", "L_n", "--a", "1/3", "--b", "2/3",
+                  "--n", "100000000")):
+        proc = subprocess.run(
+            [sys.executable, "-m", "certquad", *argv],
+            capture_output=True, text=True, env=child_env(), timeout=10)
+        assert (proc.returncode, proc.stdout, proc.stderr.count("\n")) == (1, "", 1)
+        assert f"exceeds {POWER_BITS} bits" in proc.stderr, argv
 
 
 @pytest.mark.parametrize("alpha, lam, p", [

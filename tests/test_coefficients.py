@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from certquad import (DomainError, RuleParams, abs_power_integral,
                       classify_regime, holder_coeffs, power_mean_coeffs)
-from certquad.coefficients import SELECTED
+from certquad.coefficients import _TINY, SELECTED, eps_underflows
 from certquad.params import CASE1, CASE2, CASE3
 from certquad.prng import SplitMix64
 
@@ -78,6 +78,50 @@ def test_shared_terms_keep_every_bit():
         assert list(got) == list(want)
         assert [(type(v), repr(v)) for v in got.values()] == \
             [(type(v), repr(v)) for v in want.values()], params
+
+
+def _eps_underflows_by_breakpoints(params, tag, p):
+    """The underflow guard as it read the breakpoints (x, y, z) and the eps
+    names that ``tag`` selects; kept verbatim as the reference."""
+    try:
+        k = float(p) + 1
+    except OverflowError:
+        k = math.inf
+    y = 1 - params.alpha
+    yf = float(y)
+    if (min(yf, 1 - yf) / 2) ** (k + 1) >= _TINY or y in (0, 1):
+        return False
+    x, y, z = params.breakpoints()
+    eps_first, eps_second = SELECTED[tag][6:]
+    first = (x, y) if eps_first == "eps2" else (max(x, y - x),) * 2
+    second = (1 - z, 1 - y) if eps_second == "eps4" else (max(1 - z, z - y),) * 2
+    return any(gap > 0 and min(float(big) ** k,
+                               k * float(gap) * float(big) ** (k - 1)) < _TINY
+               for big, gap in (first, second))
+
+
+def test_underflow_guard_reads_the_shared_pairs():
+    rng = SplitMix64(14)
+    special = (F(0), F(1), 5e-324, 2 ** -53, 1 - 2 ** -53, 1 - F(1, 10 ** 400))
+    special_p = (1 + 1e-9, 1e300, F(10 ** 6 + 1), F(10 ** 400 + 1))
+
+    def draw():
+        pick = rng.next_u64() % 3
+        if pick == 0:
+            return rng.choice(special)
+        if pick == 1:
+            return F(rng.next_u64() % 6, 5)
+        return rng.uniform()
+
+    seen = set()
+    for _ in range(20_000):
+        params = RuleParams(draw(), draw())
+        p = (rng.choice(special_p) if rng.next_u64() % 4 == 0
+             else 1 + 10 ** (rng.uniform() * 309 - 9))  # 1 + 1e-9 .. 1e300
+        want = _eps_underflows_by_breakpoints(params, classify_regime(params), p)
+        assert eps_underflows(params, p) is want, (params, p)
+        seen.add(want)
+    assert seen == {True, False}
 
 
 def test_gamma1_against_weight_integral():

@@ -8,7 +8,7 @@ from fractions import Fraction as F
 import pytest
 
 from certquad import (Interval, RuleParams, composite_integrate, differentiate,
-                      from_expression, integrate_ref, named_rule,
+                      from_expression, integrate_ref, named_rule, parse,
                       power_mean_bound, proposition_check, resolve_function)
 from certquad.composite import CompositeResult
 from certquad.expression import (Add, Call, Const, Div, FunctionModel, Mul, Neg,
@@ -47,7 +47,7 @@ def _instances():
         Const(F(3, 2)), X, Add(X, Const(1)), Sub(X, Const(1)),
         Mul(Const(2.5), X), Div(Const(1), X), Pow(X, -2), Neg(X),
         Call("exp", Neg(X)),
-        from_expression("x^3 + ln(x)", domain=(0.0, float("inf"))),
+        FunctionModel("x^3 + ln(x)", parse("x^3 + ln(x)"), (0.0, float("inf"))),
         proposition_check(1, 1.5, 3.25, RuleParams(0.55, 0.15), 1.5, n=3),
         integrate_ref(lambda x: x * x, 0.0, 1.0),
         RuleParams(F(1, 2), 0.25), Interval(-1.0, F(1, 3)),
