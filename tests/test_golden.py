@@ -11,6 +11,7 @@ change in output is intended, with
 import contextlib
 import io
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -97,16 +98,43 @@ def _prop_cases():
            "--lambda", "1/3", "--q", "1", "--n", "2")
 
 
+def _help_and_pretty_cases():
+    yield ("--help",)
+    for command in ("bound", "integrate", "coeffs", "verify", "means"):
+        yield (command, "--help")
+    yield ("bound", "--f", "pow:3", *_EXACT_SPAN, "--q", "3/2", "--format", "pretty")
+    yield ("integrate", "--f", "exp", *_FLOAT_SPAN, "--q", "2", "--theorem", "t24",
+           "--panels", "2", "--format", "pretty")
+    yield ("coeffs", "--alpha", "1/3", "--lambda", "1/4", "--p", "2",
+           "--format", "pretty")
+    yield ("verify", "--check", "soundness", "--seed", "7", "--rows", "3",
+           "--format", "pretty")
+    yield ("means", "--kind", "L_n", "--a", "1", "--b", "2", "--n", "3",
+           "--format", "pretty")
+    yield ("means", "--prop", "1", "--a", "1", "--b", "5/2", "--alpha", "1/3",
+           "--lambda", "1/4", "--q", "1", "--n", "3", "--format", "pretty")
+
+
 CASES = [list(argv) for gen in (_verify_cases, _bound_cases, _integrate_cases,
-                                _coeffs_cases, _mean_kind_cases, _prop_cases)
+                                _coeffs_cases, _mean_kind_cases, _prop_cases,
+                                _help_and_pretty_cases)
          for argv in gen()]
 
 
 def run_case(argv):
+    # argparse wraps --help to the terminal width, which it reads from COLUMNS
     out = io.StringIO()
-    with contextlib.redirect_stdout(out), \
-            contextlib.redirect_stderr(io.StringIO()):
-        code = main(list(argv))
+    columns = os.environ.get("COLUMNS")
+    os.environ["COLUMNS"] = "80"
+    try:
+        with contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main(list(argv))
+    finally:
+        if columns is None:
+            del os.environ["COLUMNS"]
+        else:
+            os.environ["COLUMNS"] = columns
     return {"argv": list(argv), "code": code, "stdout": out.getvalue()}
 
 
