@@ -209,9 +209,10 @@ def best_bound(f: FunctionModel, iv: Interval, params: RuleParams,
     ``ENGINES`` order, then by ascending q, and the first smallest bound
     wins, so ties break toward the power-mean engine, then the
     interior-node engine, then smaller q.  A candidate that refuses or
-    fails arithmetically (overflow at a large q) drops out.  Raises Refusal
-    when the grid is empty or every candidate drops out, naming each
-    candidate's engine, q and reason.
+    fails arithmetically (a float overflow at a large q, an exact power
+    past the budget of ``params._power``) drops out; a DomainError stops
+    the search.  Raises Refusal when the grid is empty or every candidate
+    drops out, naming each candidate's engine, q and reason.
     """
     q_grid = sorted(q_grid)
     if not q_grid:

@@ -1,19 +1,22 @@
 """Command line front end.
 
 Subcommands: bound, integrate, coeffs, verify, means.  Exit codes: 0 on
-success, 1 for any ValueError (parse, validation and domain errors, an
-exact power past the budget of ``params._power`` and Python's int/str
-digit limit), ArithmeticError or too deeply nested expression, 2 when an
-engine refuses (hypothesis not established, exponent out of range,
-exactness forced but unavailable).  The verify exit code is 0 only when
-the sweep finds zero violations.
+success, 1 for any ValueError (parse, validation and domain errors and
+Python's int/str digit limit), ArithmeticError (an exact power past the
+budget of ``params._power`` is an OverflowError) or too deeply nested
+expression, 2 when an engine refuses (hypothesis not established,
+exponent out of range, exactness forced but unavailable).  The verify
+exit code is 0 only when the sweep finds zero violations.
 
 Output conventions (schema "v1"): every numeric leaf is rendered as a
 string, exact rationals as "num/den" (or a bare integer) and floats with
 17 significant digits, so repeated runs are byte-identical.  Rational
 command line inputs ("1/3", "2") ride the exact kernels, decimals the
-floating ones.  Verify sweeps run the reference integrator at its
-default tolerance, ``oracle.DEFAULT_TOL``.
+floating ones.  ``_pair_from`` is the one reader of an --alpha/--lambda
+pair and ``_head`` the one writer of the "a", "b", "alpha", "lambda"
+fields that bound, integrate and means --prop documents share.  Verify
+sweeps run the reference integrator at its default tolerance,
+``oracle.DEFAULT_TOL``.
 """
 
 from __future__ import annotations
@@ -97,6 +100,11 @@ def _add_certificate_args(p: _Parser, q_help=None) -> None:
     p.add_argument("--q", required=True, help=q_help)
 
 
+def _pair_from(args) -> RuleParams:
+    """The --alpha and --lambda texts as a parameter pair."""
+    return RuleParams(parse_number(args.alpha), parse_number(args.lam))
+
+
 def _params_from(args) -> RuleParams:
     if args.rule is not None:
         if args.alpha is not None or args.lam is not None:
@@ -104,7 +112,7 @@ def _params_from(args) -> RuleParams:
         return named_rule(args.rule)
     if args.alpha is None or args.lam is None:
         raise DomainError("need --rule or both --alpha and --lambda")
-    return RuleParams(parse_number(args.alpha), parse_number(args.lam))
+    return _pair_from(args)
 
 
 def _interval_from(args) -> Interval:
@@ -194,21 +202,10 @@ def _emit(doc: dict, fmt: str, out) -> None:
         print(json.dumps(doc, indent=2), file=out)
 
 
-def _certificate_doc(cert: bounds.ErrorCertificate) -> dict:
-    return {
-        "schema": SCHEMA,
-        "a": render(cert.interval.a),
-        "b": render(cert.interval.b),
-        "alpha": render(cert.params.alpha),
-        "lambda": render(cert.params.lam),
-        "theorem": cert.theorem,
-        "q": render(cert.q),
-        "p": render(cert.p),
-        "approx": render(cert.approx),
-        "bound": render(cert.bound),
-        "advisory": cert.advisory,
-        "regime": cert.regime,
-    }
+def _head(a, b, params: RuleParams) -> dict:
+    """The interval and parameter fields that lead a document."""
+    return {"a": render(a), "b": render(b),
+            "alpha": render(params.alpha), "lambda": render(params.lam)}
 
 
 def cmd_bound(args, out) -> int:
@@ -224,7 +221,18 @@ def cmd_bound(args, out) -> int:
         cert = bounds.ENGINES[args.theorem](f, iv, params, q_values[0])
     if args.exact:
         _require_exact({"approx": cert.approx, "bound": cert.bound})
-    _emit(_certificate_doc(cert), args.format, out)
+    doc = {
+        "schema": SCHEMA,
+        **_head(cert.interval.a, cert.interval.b, cert.params),
+        "theorem": cert.theorem,
+        "q": render(cert.q),
+        "p": render(cert.p),
+        "approx": render(cert.approx),
+        "bound": render(cert.bound),
+        "advisory": cert.advisory,
+        "regime": cert.regime,
+    }
+    _emit(doc, args.format, out)
     return 0
 
 
@@ -244,10 +252,7 @@ def cmd_integrate(args, out) -> int:
             target=parse_number(args.target), max_panels=args.max_panels)
     doc = {
         "schema": SCHEMA,
-        "a": render(iv.a),
-        "b": render(iv.b),
-        "alpha": render(params.alpha),
-        "lambda": render(params.lam),
+        **_head(iv.a, iv.b, params),
         "q": render(q),
         "theorem": args.theorem,
         "value": render(result.value),
@@ -271,26 +276,24 @@ def cmd_integrate(args, out) -> int:
 
 
 def cmd_coeffs(args, out) -> int:
-    params = RuleParams(parse_number(args.alpha), parse_number(args.lam))
-    pm = power_mean_coeffs(params)
+    params = _pair_from(args)
+    families = {"power_mean": power_mean_coeffs(params)}
     if args.exact:
-        _require_exact(pm)
+        _require_exact(families["power_mean"])
     doc = {
         "schema": SCHEMA,
         "alpha": render(params.alpha),
         "lambda": render(params.lam),
         "regime": classify_regime(params),
         "breakpoints": [render(v) for v in params.breakpoints()],
-        "power_mean": {k: render(v) for k, v in pm.items()},
-        "power_mean_decimal": {k: render(float(v)) for k, v in pm.items()},
     }
     if args.p is not None:
-        p = parse_number(args.p)
-        hc = holder_coeffs(params, p)
-        doc["holder"] = {k: (render(v) if v is not None else None)
-                         for k, v in hc.items()}
-        doc["holder_decimal"] = {k: (render(float(v)) if v is not None else None)
-                                 for k, v in hc.items()}
+        families["holder"] = holder_coeffs(params, parse_number(args.p))
+    for name, family in families.items():  # a regime-inactive eps stays None
+        doc[name] = {k: render(v) if v is not None else None
+                     for k, v in family.items()}
+        doc[name + "_decimal"] = {k: render(float(v)) if v is not None else None
+                                  for k, v in family.items()}
     _emit(doc, args.format, out)
     return 0
 
@@ -300,6 +303,7 @@ def cmd_means(args, out) -> int:
     b = parse_number(args.b)
     if (args.kind is None) == (args.prop is None):
         raise DomainError("exactly one of --kind or --prop is required")
+    holds = True
     if args.kind is not None:
         alpha = parse_number(args.alpha) if args.alpha is not None else None
         value = means.eval_mean(args.kind, a, b, alpha=alpha, n=args.n)
@@ -309,33 +313,23 @@ def cmd_means(args, out) -> int:
                "a": render(a), "b": render(b)}
         if alpha is not None:
             doc["alpha"] = render(alpha)
-        if args.n is not None:
-            doc["n"] = str(args.n)
-        doc["value"] = render(value)
-        _emit(doc, args.format, out)
-        return 0
-    if args.alpha is None or args.lam is None or args.q is None:
-        raise DomainError("--prop requires --alpha, --lambda and --q")
-    params = RuleParams(parse_number(args.alpha), parse_number(args.lam))
-    q = parse_number(args.q)
-    result = means.proposition_check(args.prop, a, b, params, q, n=args.n)
-    doc = {
-        "schema": SCHEMA,
-        "prop": str(args.prop),
-        "a": render(a), "b": render(b),
-        "alpha": render(params.alpha), "lambda": render(params.lam),
-        "q": render(q),
-    }
+        results = {"value": render(value)}
+    else:
+        if args.alpha is None or args.lam is None or args.q is None:
+            raise DomainError("--prop requires --alpha, --lambda and --q")
+        params = _pair_from(args)
+        q = parse_number(args.q)
+        result = means.proposition_check(args.prop, a, b, params, q, n=args.n)
+        holds = result.holds
+        doc = {"schema": SCHEMA, "prop": str(args.prop), **_head(a, b, params),
+               "q": render(q)}
+        results = {"lhs": render(result.lhs), "rhs": render(result.rhs),
+                   "holds": holds, "margin": render(result.margin)}
     if args.n is not None:
         doc["n"] = str(args.n)
-    doc.update({
-        "lhs": render(result.lhs),
-        "rhs": render(result.rhs),
-        "holds": result.holds,
-        "margin": render(result.margin),
-    })
+    doc.update(results)
     _emit(doc, args.format, out)
-    return 0 if result.holds else 1
+    return 0 if holds else 1
 
 
 # ---------------------------------------------------------------------------
@@ -343,12 +337,11 @@ def cmd_means(args, out) -> int:
 
 def _row(function, a, b, alpha, lam, q, theorem, lhs, bound, regime) -> dict:
     lhs_f, bound_f = float(lhs), float(bound)
+    alpha, lam, q = (render(v) if v is not None else "" for v in (alpha, lam, q))
     return {
         "function": function,
         "a": render(a), "b": render(b),
-        "alpha": render(alpha) if alpha is not None else "",
-        "lambda": render(lam) if lam is not None else "",
-        "q": render(q) if q is not None else "",
+        "alpha": alpha, "lambda": lam, "q": q,
         "theorem": theorem,
         "lhs": render(lhs_f),
         "bound": render(bound_f),

@@ -18,7 +18,7 @@ c = alpha*lambda, u = 1 - alpha and w = lambda*(1 - alpha):
 
 All closed forms are plain polynomial arithmetic in alpha and lambda, so
 Fraction inputs give bit-exact rationals, within the power budget of
-``params._power`` (a DomainError past it).  All twelve power-mean
+``params._power`` (an OverflowError past it).  All twelve power-mean
 constants are always evaluated, including the ones the active regime does
 not select (those may be negative); the eps family is the exception,
 because off-regime eps values would raise a negative base to a
@@ -60,9 +60,7 @@ def power_mean_coeffs(params: RuleParams) -> dict:
     """All twelve constants of the power-mean bound, keyed gamma1, gamma2,
     upsilon1, upsilon2, mu1..mu4, eta1..eta4; a recurring term is computed once."""
     a, l = params.alpha, params.lam
-    c = a * l
-    u = 1 - a
-    w = l * u
+    (c, u), (w, _) = kink_pairs(params)
     uu, u3, aa, a3, one_w, one_c = u * u, u ** 3, a * a, a ** 3, 1 - w, 1 - c
     cuu, waa = c * u * u / 2, w * a * a / 2
 

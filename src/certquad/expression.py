@@ -24,7 +24,7 @@ holds the float 1/3, and so does the f' of x/3.  Write x^3/3 to stay
 exact.
 
 An integral power of an exact base goes through ``params._power``, evaluated
-or folded, so one estimated past its bit budget is a DomainError and 2^1e9
+or folded, so one estimated past its bit budget is an OverflowError and 2^1e9
 fails at once.
 
 The symbolic derivative of abs(u) uses sign(u)*u' with sign(0) = 0, so

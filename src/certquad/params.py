@@ -61,9 +61,10 @@ class RuleParams(Record):
                 raise DomainError(f"{label} must lie in [0, 1], got {v!r}")
 
     def breakpoints(self):
-        """(alpha*lambda, 1-alpha, 1-lambda*(1-alpha)) in the input arithmetic."""
-        a, l = self.alpha, self.lam
-        return (a * l, 1 - a, 1 - l * (1 - a))
+        """(alpha*lambda, 1-alpha, 1-lambda*(1-alpha)) in the input arithmetic,
+        read off ``kink_pairs``."""
+        (x, y), (w, _) = kink_pairs(self)
+        return (x, y, 1 - w)
 
 
 def kink_pairs(params: RuleParams):
@@ -118,11 +119,14 @@ POWER_BITS = 1 << 20  # an exact power estimated past this many bits is refused
 
 
 def _power(b, k):
-    """b ** k; for an exact b and an integral k, refused when |k| times the
-    bit lengths of b's numerator and denominator exceeds POWER_BITS."""
+    """b ** k; for an exact b and an integral k, an OverflowError when |k|
+    times the bit lengths of b's numerator and denominator exceeds
+    POWER_BITS.  The budget is an ArithmeticError like a float overflow, so
+    ``best_bound`` drops such a candidate; a zero base with a negative k
+    stays a DomainError."""
     if k < 0 and b == 0:
         raise DomainError("zero base with negative exponent")
     if (not isinstance(b, float) and getattr(k, "denominator", 0) == 1 and abs(k.numerator) * (
             abs(b.numerator).bit_length() + b.denominator.bit_length() - 2) > POWER_BITS):
-        raise DomainError(f"exact power with exponent {k} exceeds {POWER_BITS} bits")
+        raise OverflowError(f"exact power with exponent {k} exceeds {POWER_BITS} bits")
     return b ** k

@@ -84,6 +84,31 @@ def test_bound_best_skips_overflowing_q(capsys):
     assert json.loads(out)["q"] == "2"
 
 
+def test_bound_best_skips_q_past_the_power_budget(capsys):
+    # at alpha = 1 the exact eps of t23 and t24 at q = 1 + 1e-8 exceed the
+    # power budget; those candidates drop out and t22 at that q wins
+    code, out, err = run_cli(
+        "bound", "--f", "exp", "--a", "0", "--b", "1", "--alpha", "1",
+        "--lambda", "1/3", "--q", "2,100000001/100000000", "--theorem", "best",
+        capsys=capsys)
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert (doc["theorem"], doc["q"], doc["bound"]) == (
+        "T22", "100000001/100000000", "0.78638030571265882")
+
+
+@pytest.mark.parametrize("f, a, b, message", [
+    ("ln(x)", "-2", "-1", "ln of non-positive value Fraction(-2, 1)"),
+    ("x^0.5", "-2", "-1", "negative base -2.0 with non-integer exponent"),
+    ("reciprocal", "-1", "1", "[-1, 1] is not inside the domain of reciprocal"),
+])
+def test_bound_best_stops_on_a_domain_error(f, a, b, message, capsys):
+    # an input outside the domain of f is not a candidate's arithmetic failure
+    assert run_cli("bound", "--f", f, "--a", a, "--b", b, "--rule", "simpson",
+                   "--q", "1,2", "--theorem", "best", capsys=capsys) == (
+        1, "", f"certquad: error: {message}\n")
+
+
 def test_bound_refusal_exit_2(capsys):
     code, out, err = run_cli(
         "bound", "--f", "pow:2", "--a", "0", "--b", "1", "--rule", "simpson",
