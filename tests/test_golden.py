@@ -14,6 +14,7 @@ import json
 import os
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -124,17 +125,10 @@ CASES = [list(argv) for gen in (_verify_cases, _bound_cases, _integrate_cases,
 def run_case(argv):
     # argparse wraps --help to the terminal width, which it reads from COLUMNS
     out = io.StringIO()
-    columns = os.environ.get("COLUMNS")
-    os.environ["COLUMNS"] = "80"
-    try:
-        with contextlib.redirect_stdout(out), \
-                contextlib.redirect_stderr(io.StringIO()):
-            code = main(list(argv))
-    finally:
-        if columns is None:
-            del os.environ["COLUMNS"]
-        else:
-            os.environ["COLUMNS"] = columns
+    with mock.patch.dict(os.environ, COLUMNS="80"), \
+            contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = main(list(argv))
     return {"argv": list(argv), "code": code, "stdout": out.getvalue()}
 
 
