@@ -13,7 +13,7 @@ all three share one shape (X, Y, N: |f'|**q at b, a and the rule's node):
   t24 holder_endpoint_bound  q > 1; scale as t23, w = eps1**(1/p), eps2**(1/p);
                              d = alpha-weighted blends of X and Y
 
-The regime tag of ``classify_regime`` picks the constants through
+The regime tag that ``RuleParams`` derives once picks the constants through
 ``coefficients.SELECTED``; ``coefficients`` decides whether a selected eps
 underflows.  At q = 1 the t22 weights are 1 by the x**0 = 1 convention and
 only the certificate tag (T22q1) differs.
@@ -32,8 +32,8 @@ and the resulting certificate is flagged advisory.  Bounds are evaluated
 in ordinary floating point (exact rationals when the inputs allow); they
 are analytic constants, not outward-rounded interval enclosures, so
 soundness tests should carry ``SOUNDNESS_SLACK``.  A non-finite float bound
-or rule value raises OverflowError; t23 and t24 raise ArithmeticError when q
-lies so close to 1 that a selected eps constant underflows.
+or rule value raises OverflowError, a lost power ArithmeticError: a nonzero
+|f'| whose q-th power is 0, or in t23 and t24 an eps that underflows near q = 1.
 """
 
 from __future__ import annotations
@@ -110,9 +110,12 @@ def prologue(f: FunctionModel, iv: Interval, params: RuleParams, q,
         if f.kinks and any(g(x) == 0 for g in f.kinks):
             raise Refusal(f"{name} reads |f'|**{q} at the kink x={x} of {f.name}")
         try:
-            return d ** q
+            h = d ** q
         except OverflowError:
             raise OverflowError(f"{name} |f'|**{q} overflows at x={x} of {f.name}") from None
+        if d and not h:  # the q-mean of a lost power would read 0, not max |f'|
+            raise ArithmeticError(f"{name} |f'|**{q} underflows at x={x} of {f.name}")
+        return h
 
     if name == "t22":
         gamma, mu_b, mu_a, upsilon, eta_b, eta_a = (

@@ -14,7 +14,7 @@ c = alpha*lambda, u = 1 - alpha and w = lambda*(1 - alpha):
     integral over [0, u] of |t - c|**p      -> eps1 or eps2, times 1/(p+1)
     integral over [u, 1] of |t - (1-w)|**p  -> eps3 or eps4, times 1/(p+1)
       (t -> 1 - t reflects it onto [0, alpha] with its kink at w, so one
-      (sum, difference) pair per ``params.kink_pairs`` gives eps1..eps4)
+      (sum, difference) pair per ``RuleParams.kink_pairs`` gives eps1..eps4)
 
 All closed forms are plain polynomial arithmetic in alpha and lambda, so
 Fraction inputs give bit-exact rationals, within the power budget of
@@ -38,7 +38,7 @@ import math
 import sys
 
 from .errors import DomainError
-from .params import CASE1, CASE2, CASE3, RuleParams, _power, kink_pairs
+from .params import CASE1, CASE2, CASE3, RuleParams, _power
 
 _TINY = 2 * sys.float_info.min  # smallest normal float times 2 > 1 / (1 - 1/e)
 
@@ -60,7 +60,7 @@ def power_mean_coeffs(params: RuleParams) -> dict:
     """All twelve constants of the power-mean bound, keyed gamma1, gamma2,
     upsilon1, upsilon2, mu1..mu4, eta1..eta4; a recurring term is computed once."""
     a, l = params.alpha, params.lam
-    (c, u), (w, _) = kink_pairs(params)
+    (c, u), (w, _) = params.kink_pairs
     uu, u3, aa, a3, one_w, one_c = u * u, u ** 3, a * a, a ** 3, 1 - w, 1 - c
     cuu, waa = c * u * u / 2, w * a * a / 2
 
@@ -93,7 +93,7 @@ def holder_coeffs(params: RuleParams, p) -> dict:
     """
     if not p > 1:
         raise DomainError(f"holder exponent p must be > 1, got {p!r}")
-    k, (first, second) = p + 1, kink_pairs(params)
+    k, (first, second) = p + 1, params.kink_pairs
     (eps1, eps2), (eps3, eps4) = _eps_pair(*first, k), _eps_pair(*second, k)
     return {"eps1": eps1, "eps2": eps2, "eps3": eps3, "eps4": eps4}
 
@@ -159,7 +159,7 @@ def abs_power_integral(c, lo, hi, p, weight: str = WEIGHT_ONE):
 def eps_underflows(params: RuleParams, p) -> bool:
     """Whether an active eps is nonzero but below the smallest normal
     float, where its 1/p-th power would be lost.  Each (kink, split) of
-    ``kink_pairs`` has one active eps: as the regime tag chooses, the
+    ``params.kink_pairs`` has one active eps: as the regime tag chooses, the
     difference of k-th powers, k = p + 1, when kink > split and else the
     sum.  big**k - (big-gap)**k, (big, gap) = (kink, split), is at least
     (1 - 1/e) * min(big**k, k*gap*big**(k-1)), a sum the same with gap =
@@ -173,8 +173,7 @@ def eps_underflows(params: RuleParams, p) -> bool:
         k = float(p) + 1
     except OverflowError:  # an exact p past the float range
         k = math.inf
-    pairs = kink_pairs(params)
-    y = pairs[0][1]
+    y = params.kink_pairs[0][1]
     yf = float(y)
     if (min(yf, 1 - yf) / 2) ** (k + 1) >= _TINY or y in (0, 1):
         return False  # at alpha = 0 or 1 one pair is exactly 0, the other's base 1
@@ -182,4 +181,4 @@ def eps_underflows(params: RuleParams, p) -> bool:
                                k * float(gap) * float(big) ** (k - 1)) < _TINY
                for big, gap in ((kink, split) if kink > split
                                 else (max(kink, split - kink),) * 2
-                                for kink, split in pairs))
+                                for kink, split in params.kink_pairs))

@@ -9,9 +9,9 @@ always satisfy x <= z (because z - x = 1 - lambda >= 0), so the
 possible orderings are exactly three.  Which ordering holds decides which
 closed-form coefficient family applies in the bound engines.  Since x <= z,
 two sign tests settle it, one per kink against its split point.
-``kink_pairs`` is the one source of those (kink, split) pairs, (x, y) and
-(1 - z, alpha), ``classify_regime`` returns the ordering as a plain tag,
-``conjugate`` the Hoelder conjugate p of q as a plain number, and
+``RuleParams`` derives the (kink, split) pairs (x, y), (1 - z, alpha) and
+the tag once, as ``kink_pairs`` and ``regime``; ``classify_regime`` returns
+the tag, ``conjugate`` the Hoelder conjugate p of q as a plain number, and
 ``_power`` holds the one bit budget for integral powers of exact bases.
 
 Everything here is immutable after construction and safe to share between
@@ -46,10 +46,13 @@ class RuleParams(Record):
     ``alpha`` places the interior node at alpha*a + (1-alpha)*b and splits
     the endpoint weights; ``lam`` blends the endpoint combination against
     the interior node.  Fraction inputs keep all downstream coefficient
-    arithmetic exact; floats select the floating kernels.
+    arithmetic exact; floats select the floating kernels.  Construction
+    derives ``kink_pairs``, (alpha*lambda, 1-alpha) and (lambda*(1-alpha),
+    alpha), each kink with its split, and the ``regime`` tag of the pairs.
     """
 
-    __slots__ = ("alpha", "lam")
+    _fields = ("alpha", "lam")
+    __slots__ = _fields + ("kink_pairs", "regime")  # derived
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", _normalize(self.alpha))
@@ -59,40 +62,32 @@ class RuleParams(Record):
                 raise DomainError(f"{label} must be finite, got {v!r}")
             if not (0 <= v <= 1):
                 raise DomainError(f"{label} must lie in [0, 1], got {v!r}")
+        a, l = self.alpha, self.lam
+        u = 1 - a
+        (x, y), (w, _) = pairs = (a * l, u), (l * u, a)
+        RuleParams.kink_pairs.__set__(self, pairs)
+        RuleParams.regime.__set__(self, CASE3 if x > y else CASE1 if w <= a else CASE2)
 
     def breakpoints(self):
         """(alpha*lambda, 1-alpha, 1-lambda*(1-alpha)) in the input arithmetic,
         read off ``kink_pairs``."""
-        (x, y), (w, _) = kink_pairs(self)
+        (x, y), (w, _) = self.kink_pairs
         return (x, y, 1 - w)
-
-
-def kink_pairs(params: RuleParams):
-    """(alpha*lambda, 1-alpha) and (lambda*(1-alpha), alpha): each kink with
-    the split it is tested against, in the input arithmetic."""
-    a, l = params.alpha, params.lam
-    u = 1 - a
-    return (a * l, u), (l * u, a)
 
 
 def classify_regime(params: RuleParams) -> str:
     """The tag of the unique regime for a parameter pair.
 
-    Case3 when the first of ``kink_pairs`` passes its split (x > y);
+    Case3 when the first of ``params.kink_pairs`` passes its split (x > y);
     otherwise Case1 when the second does not (z >= y) and Case2 when it
     does.  ``holder_coeffs`` reads the same pairs, so every input, float
     rounding corners included, gets a tag whose eps entries are active;
     there is no fallback branch.  Ties pick the lowest-numbered case; the
     coefficient families coincide on the boundaries, so the choice does
     not change any bound.  Comparisons are exact for rational inputs and
-    zero-tolerance for floats.
+    zero-tolerance for floats.  ``RuleParams`` decides it once, when built.
     """
-    (x, y), (w, a) = kink_pairs(params)
-    if x > y:
-        return CASE3
-    if w <= a:
-        return CASE1
-    return CASE2
+    return params.regime
 
 
 def finite_q(q):

@@ -482,6 +482,22 @@ def _outcome(run):
     return [(type(v), repr(v)) for v in values]
 
 
+def _loses_a_power(f, piece, params, q, name):
+    """Whether the reference reads |f'|**q as 0 for a nonzero |f'| at b, a
+    or the t23 node, where its q-mean would read 0 instead of max |f'|."""
+    points = [piece.b, piece.a]
+    if name == "t23":
+        points.append(params.alpha * piece.a + (1 - params.alpha) * piece.b)
+    for x in points:
+        d = abs(f.derivative(x))
+        try:
+            if d and not d ** q:
+                return True
+        except OverflowError:
+            pass
+    return False
+
+
 _SPECIAL = (0, 1, 5e-324, 1 - 2 ** -53)
 _STEP_QS = (F(1), 1 + 1e-9, F(3, 2), F(2), 1e6)
 
@@ -491,7 +507,7 @@ def test_step_matches_the_per_engine_formulas(corpus):
     rng = random.Random(12)
     models = [corpus["pow:2"], corpus["pow:3"], corpus["exp"], corpus["reciprocal"],
               from_expression("x^3 + 3*x", assume_convex=True)]
-    compared = 0
+    compared = lost = 0
     for case in range(240):
         exact = case % 2 == 0
 
@@ -515,10 +531,14 @@ def test_step_matches_the_per_engine_formulas(corpus):
             pieces.append(rng.choice((Interval(piece.a, mid), Interval(mid, piece.b))))
         for piece in pieces:
             cert = _outcome(lambda: attrgetter("bound", "approx")(certify(piece)))
+            if cert == "ArithmeticError":  # the step refuses a lost power
+                assert _loses_a_power(f, piece, params, q, name), (f.name, params, q, name, piece)
+                lost += 1
+                continue
             reference = _outcome(lambda: _reference_step(f, piece, params, q, name))
             assert cert == reference, (f.name, params, q, name, piece)
             compared += isinstance(cert, list)
-    assert compared > 400
+    assert compared > 400 and lost > 0
 
 
 def test_prologue_walks_no_expression_tree(monkeypatch):

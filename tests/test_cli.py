@@ -97,6 +97,26 @@ def test_bound_best_skips_q_past_the_power_budget(capsys):
         "T22", "100000001/100000000", "0.78638030571265882")
 
 
+_HUGE_Q = ("bound", "--f", "pow:4", "--a", "0.5", "--b", "0.6", "--rule", "midpoint")
+
+
+def test_bound_refuses_a_power_that_underflows(capsys):
+    # |f'| = 4x^3 < 1 on [0.5, 0.6], so |f'|**1e15 is 0.0 and the bound
+    # would read 0 instead of max |f'|; the true error is about 1.5e-3
+    assert run_cli(*_HUGE_Q, "--q", "1e15", "--theorem", "t22", capsys=capsys) == (
+        1, "", "certquad: error: t22 |f'|**1000000000000000.0 underflows at "
+               "x=0.6 of pow:4\n")
+
+
+def test_bound_best_skips_a_power_that_underflows(capsys):
+    code, out, err = run_cli(*_HUGE_Q, "--q", "1e15,2", "--theorem", "best",
+                             capsys=capsys)
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert (doc["theorem"], doc["q"], doc["bound"], doc["advisory"]) == (
+        "T22", "2", "0.017585295891165521", False)
+
+
 @pytest.mark.parametrize("f, a, b, message", [
     ("ln(x)", "-2", "-1", "ln of non-positive value Fraction(-2, 1)"),
     ("x^0.5", "-2", "-1", "negative base -2.0 with non-integer exponent"),

@@ -4,7 +4,10 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
-from certquad import DomainError, RuleParams, classify_regime, conjugate
+from certquad import (DomainError, RuleParams, classify_regime, conjugate,
+                      holder_coeffs, power_mean_coeffs)
+from certquad.coefficients import eps_underflows
+from certquad.params import CASE1, CASE2, CASE3
 from certquad.prng import SplitMix64
 
 
@@ -89,3 +92,74 @@ def test_exhaustiveness_bulk():
         counts[classify_regime(params)] += 1
     assert sum(counts.values()) == 1_000_000
     assert all(c > 0 for c in counts.values())
+
+
+def _kink_pairs_as_written(params):
+    """The free function that computed the (kink, split) pairs on every
+    read, before ``RuleParams`` derived them; kept verbatim as the reference."""
+    a, l = params.alpha, params.lam
+    u = 1 - a
+    return (a * l, u), (l * u, a)
+
+
+def _classify_as_written(params):
+    """``classify_regime`` as it read those pairs; kept verbatim."""
+    (x, y), (w, a) = _kink_pairs_as_written(params)
+    if x > y:
+        return CASE3
+    if w <= a:
+        return CASE1
+    return CASE2
+
+
+class _AsWritten:
+    """A stand-in that hands the coefficient kernels the reference pairs."""
+
+    def __init__(self, params):
+        self.alpha, self.lam = params.alpha, params.lam
+        self.kink_pairs = _kink_pairs_as_written(params)
+
+
+def _typed(run):
+    """(type, repr) of what run returns, each value of a dict or tuple
+    apart, or the type of what it raises."""
+    try:
+        v = run()
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc).__name__
+    values = v.values() if isinstance(v, dict) else v if isinstance(v, tuple) else (v,)
+    return [(type(x), repr(x)) for x in values]
+
+
+def test_derived_pairs_and_regime_keep_every_bit():
+    rng = SplitMix64(16)
+    special = (F(0), F(1), F(1, 2), F(1, 2 ** 53), 1 - F(1, 2 ** 53), 0.0, 1.0, 0.5,
+               5e-324, 2 ** -53, 1 - 2 ** -53, 0.1, 1e-300)
+    ps = (1 + 1e-9, F(3, 2), F(2), 3.5, 1e6)
+
+    def draw():
+        pick = rng.next_u64() % 3
+        if pick == 0:
+            return rng.choice(special)
+        if pick == 1:
+            return F(rng.next_u64() % 40, 40 + rng.next_u64() % 40)
+        return rng.uniform()
+
+    seen = {CASE1: 0, CASE2: 0, CASE3: 0}
+    for _ in range(4_000):
+        params = RuleParams(draw(), draw())
+        ref = _AsWritten(params)
+        (x, y), (w, _) = ref.kink_pairs
+        assert repr(params.kink_pairs) == repr(ref.kink_pairs), params
+        assert [(type(v), repr(v)) for v in params.breakpoints()] == \
+            [(type(v), repr(v)) for v in (x, y, 1 - w)], params
+        tag = _classify_as_written(params)
+        assert classify_regime(params) is params.regime == tag, params
+        seen[tag] += 1
+        assert _typed(lambda: power_mean_coeffs(params)) == \
+            _typed(lambda: power_mean_coeffs(ref)), params
+        for p in ps:
+            assert _typed(lambda: holder_coeffs(params, p)) == \
+                _typed(lambda: holder_coeffs(ref, p)), (params, p)
+            assert eps_underflows(params, p) is eps_underflows(ref, p), (params, p)
+    assert all(seen.values()), seen

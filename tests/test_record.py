@@ -134,7 +134,7 @@ def test_bad_arguments_raise_type_error(call):
 
 # the derived slots, after the fields, of every record class that has them
 DERIVED = {"FunctionModel": ("deriv", "has_sign", "kinks", "_value", "_derivative"),
-           "Interval": ("width",)}
+           "Interval": ("width",), "RuleParams": ("kink_pairs", "regime")}
 
 
 def _derived_stay_out(r):
@@ -172,6 +172,16 @@ def test_cache_slots_stay_out_of_value_semantics():
         for twin in (iv, *_derived_stay_out(iv)):
             assert type(twin.width) is type(width) and twin.width == width
             assert repr(twin.width) == repr(twin.b - twin.a)
+    edges = (0, 2 ** -53, 0.5, 1 - 2 ** -53, 1)
+    exact_edges = (0, F(1, 2 ** 53), F(1, 2), 1 - F(1, 2 ** 53), 1)
+    for alpha, lam in ([(F(1, 3), F(1, 4)), (0.3, 0.8), (F(1, 2), 0.25), (0.1, 1.0)]
+                       + [(a, l) for a in edges for l in edges]
+                       + [(a, l) for a in exact_edges for l in exact_edges]):
+        params = RuleParams(alpha, lam)
+        for twin in _derived_stay_out(params):
+            for name in DERIVED["RuleParams"]:
+                got, want = getattr(twin, name), getattr(params, name)
+                assert type(got) is type(want) and repr(got) == repr(want), (params, name)
 
 
 @pytest.mark.parametrize("text, has_sign, kinks", [
