@@ -121,14 +121,13 @@ class _AsWritten:
 
 
 def _typed(run):
-    """(type, repr) of what run returns, each value of a dict or tuple
-    apart, or the type of what it raises."""
+    """(name, type, repr) of each constant in the family run returns, or
+    the type of what it raises."""
     try:
-        v = run()
+        family = run()
     except (ArithmeticError, ValueError) as exc:
         return type(exc).__name__
-    values = v.values() if isinstance(v, dict) else v if isinstance(v, tuple) else (v,)
-    return [(type(x), repr(x)) for x in values]
+    return [(name, type(v), repr(v)) for name, v in family.items()]
 
 
 def test_derived_pairs_and_regime_keep_every_bit():
