@@ -33,7 +33,10 @@ in ordinary floating point (exact rationals when the inputs allow); they
 are analytic constants, not outward-rounded interval enclosures, so
 soundness tests should carry ``SOUNDNESS_SLACK``.  A non-finite float bound
 or rule value raises OverflowError, a lost power ArithmeticError: a nonzero
-|f'| whose q-th power is 0, or in t23 and t24 an eps that underflows near q = 1.
+|f'| whose q-th power is 0, a q-mean whose 1/q-th power is 0 though a term
+in it has a nonzero weight and power (a float mean that rounds to 0, or
+an exact one below the float range), or in t23 and t24 an eps that
+underflows near q = 1.
 """
 
 from __future__ import annotations
@@ -79,9 +82,11 @@ def prologue(f: FunctionModel, iv: Interval, params: RuleParams, q,
     Builtin and user-asserted models give non-advisory certificates; a
     numerically-probed one is sampled, and a passing probe (shared through
     ``verdicts``, q -> verdict) gives advisory ones, a failing probe a
-    Refusal.  The engine supplies ``scale, w1, w2`` and ``averages(node,
-    xb, ya) -> (d1, d2)``; the step evaluates the one shape on pieces of
-    iv, whose domain it does not re-check.
+    Refusal.  The engine supplies ``scale, w1, w2``, ``averages(node_pow,
+    xb, ya) -> (d1, d2)`` and ``feeds``, the weights of (xb, ya, node_pow)
+    in d1 and d2, which tell a lost q-mean from a true 0; the step
+    evaluates the one shape on pieces of iv, whose domain it does not
+    re-check.
     """
     if name not in ENGINES:
         raise DomainError(
@@ -103,7 +108,7 @@ def prologue(f: FunctionModel, iv: Interval, params: RuleParams, q,
     tag = classify_regime(params)
     theorem = "T22q1" if q == 1 else name.upper()
     inv_q = 1 / q
-    alpha = params.alpha
+    alpha, beta = params.alpha, params.kink_pairs[0][1]  # beta = 1 - alpha
 
     def slope(x):  # |f'(x)|**q, the one power site
         d = abs(f.derivative(x))
@@ -119,10 +124,11 @@ def prologue(f: FunctionModel, iv: Interval, params: RuleParams, q,
 
     if name == "t22":
         gamma, mu_b, mu_a, upsilon, eta_b, eta_a = (
-            _clamp(v) for v in map(power_mean_coeffs(params).get, SELECTED[tag][:6]))
+            _clamp(v) for v in power_mean_coeffs(params, SELECTED[tag][:6]).values())
         scale, w1, w2 = 1, gamma ** (1 - inv_q), upsilon ** (1 - inv_q)
+        feeds = (mu_b, mu_a, 0), (eta_b, eta_a, 0)
 
-        def averages(node, xb, ya):
+        def averages(node_pow, xb, ya):
             return mu_b * xb + mu_a * ya, eta_b * xb + eta_a * ya
     else:
         if not p > 1:  # q so large that q / (q - 1) rounds to 1
@@ -135,19 +141,21 @@ def prologue(f: FunctionModel, iv: Interval, params: RuleParams, q,
         scale = (1 / (p + 1)) ** inv_p
         w1, w2 = eps_first ** inv_p, eps_second ** inv_p  # the t24 weights are 1
         if name == "t23":
-            w1, w2 = (1 - alpha) ** inv_q * w1, alpha ** inv_q * w2
+            w1, w2 = beta ** inv_q * w1, alpha ** inv_q * w2
+            feeds = (0, 1, 1), (1, 0, 1)
 
-            def averages(node, xb, ya):
-                node_pow = slope(node)
+            def averages(node_pow, xb, ya):
                 return (node_pow + ya) / 2, (node_pow + xb) / 2
         else:
-            beta_sq, one_minus_sq, alpha_sq = (1 - alpha) ** 2, 1 - alpha * alpha, alpha * alpha
+            beta_sq, one_minus_sq, alpha_sq = beta ** 2, 1 - alpha * alpha, alpha * alpha
+            feeds = (beta_sq, one_minus_sq, 0), (alpha * (2 - alpha), alpha_sq, 0)
 
-            def averages(node, xb, ya):
+            def averages(node_pow, xb, ya):
                 return ((xb * beta_sq + one_minus_sq * ya) / 2,
                         (xb * alpha * (2 - alpha) + alpha_sq * ya) / 2)
 
     node_of, combine = stencil(params)
+    reads_node = name == "t23"
     value = f.value
     memo = {}  # id(x) -> (x, |f'(x)|**q, f(x)) for each end of a certified piece
 
@@ -161,8 +169,15 @@ def prologue(f: FunctionModel, iv: Interval, params: RuleParams, q,
         xb = kb[1] if kb else slope(b)
         ya = ka[1] if ka else slope(a)
         node = node_of(a, b)
-        d1, d2 = averages(node, xb, ya)
-        bound = piece.width * scale * (w1 * _clamp(d1) ** inv_q + w2 * _clamp(d2) ** inv_q)
+        node_pow = slope(node) if reads_node else 0
+        d1, d2 = averages(node_pow, xb, ya)
+        r1, r2 = _clamp(d1) ** inv_q, _clamp(d2) ** inv_q
+        if not (r1 and r2):  # a root of a mean of nonnegative terms is 0 only if each term is
+            for r, weights in zip((r1, r2), feeds):
+                if not r and any(w and x for w, x in zip(weights, (xb, ya, node_pow))):
+                    raise ArithmeticError(
+                        f"{name} q-mean of |f'|**{q} underflows on [{a}, {b}] of {f.name}")
+        bound = piece.width * scale * (w1 * r1 + w2 * r2)
         fa = ka[2] if ka else value(a)
         fb = kb[2] if kb else value(b)
         approx = combine(fa, fb, value(node))

@@ -18,13 +18,17 @@ c = alpha*lambda, u = 1 - alpha and w = lambda*(1 - alpha):
 
 All closed forms are plain polynomial arithmetic in alpha and lambda, so
 Fraction inputs give bit-exact rationals, within the power budget of
-``params._power`` (an OverflowError past it).  All twelve power-mean
-constants are always evaluated, including the ones the active regime does
-not select (those may be negative); the eps family is the exception,
-because off-regime eps values would raise a negative base to a
-non-integer power, so they are reported as None ("regime-inactive").
-Each family is a plain dict from constant name to value, gamma1 ... eta4
-and eps1 ... eps4 in that order.
+``params._power`` (an OverflowError past it).  With Fraction alpha and
+lambda the power-mean forms run on an unreduced numerator and denominator
+and each constant is reduced once, by one gcd, not after every operation.
+``power_mean_coeffs`` evaluates the constants it is asked for, by default
+all twelve, including the ones the active regime does not select (those
+may be negative); the t22 engine asks for the six its tag selects.  The
+eps family always has four entries, but an off-regime eps would raise a
+negative base to a non-integer power, so it is reported as None
+("regime-inactive").  Each family is a plain dict from constant name to
+value, gamma1 ... eta4 (or the names asked, in their order) and
+eps1 ... eps4.
 
 This module is also the one map from a regime tag to its constants:
 ``SELECTED`` names the six power-mean constants and the two eps values a
@@ -36,6 +40,7 @@ from __future__ import annotations
 
 import math
 import sys
+from fractions import Fraction
 
 from .errors import DomainError
 from .params import CASE1, CASE2, CASE3, RuleParams, _power
@@ -56,30 +61,84 @@ SELECTED = {
 }
 
 
-def power_mean_coeffs(params: RuleParams) -> dict:
-    """All twelve constants of the power-mean bound, keyed gamma1, gamma2,
-    upsilon1, upsilon2, mu1..mu4, eta1..eta4; a recurring term is computed once."""
+POWER_MEAN = ("gamma1", "gamma2", "upsilon1", "upsilon2",
+              "mu1", "mu2", "mu3", "mu4", "eta1", "eta2", "eta3", "eta4")
+
+
+class _Ratio:
+    """n/d with d > 0, never reduced: ``+``, ``-`` and ``*`` with another or
+    an int, ``/`` by a positive int, ``**`` by a small int."""
+
+    __slots__ = ("n", "d")
+
+    def __add__(self, o):
+        if type(o) is int:
+            return _ratio(self.n + o * self.d, self.d)
+        return _ratio(self.n * o.d + o.n * self.d, self.d * o.d)
+
+    __radd__ = __add__
+
+    def __sub__(self, o):
+        if type(o) is int:
+            return _ratio(self.n - o * self.d, self.d)
+        return _ratio(self.n * o.d - o.n * self.d, self.d * o.d)
+
+    def __rsub__(self, o):
+        return _ratio(o * self.d - self.n, self.d)
+
+    def __mul__(self, o):
+        if type(o) is int:
+            return _ratio(self.n * o, self.d)
+        return _ratio(self.n * o.n, self.d * o.d)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, k):
+        return _ratio(self.n, self.d * k)
+
+    def __pow__(self, k):
+        return _ratio(self.n ** k, self.d ** k)
+
+
+def _ratio(n, d):
+    r = object.__new__(_Ratio)  # no __init__ call: every operation builds one
+    r.n, r.d = n, d
+    return r
+
+
+def power_mean_coeffs(params: RuleParams, names=POWER_MEAN) -> dict:
+    """The power-mean constants ``names``, by default all twelve of
+    ``POWER_MEAN``, keyed in the order asked; a recurring term is computed
+    once.  Fraction alpha and lambda run the forms on ``_Ratio`` and reduce
+    each constant once, so it is the same Fraction as step-by-step
+    arithmetic; other inputs run them on their own arithmetic."""
     a, l = params.alpha, params.lam
     (c, u), (w, _) = params.kink_pairs
+    exact = isinstance(a, Fraction) and isinstance(l, Fraction)
+    if exact:
+        a, l, c, u, w = (_ratio(v.numerator, v.denominator) for v in (a, l, c, u, w))
     uu, u3, aa, a3, one_w, one_c = u * u, u ** 3, a * a, a ** 3, 1 - w, 1 - c
     cuu, waa = c * u * u / 2, w * a * a / 2
-
     gamma1 = u * (c - u / 2)
-    gamma2 = c * c - gamma1
-    upsilon1 = (1 - uu) / 2 - a * one_w
-    upsilon2 = (1 + uu) / 2 - (l + 1) * u * one_w
-    mu1 = (c ** 3 + u3) / 3 - cuu
-    mu2 = (1 + a3 + one_c ** 3) / 3 - one_c / 2 * (1 + aa)
-    mu3 = cuu - u3 / 3
-    mu4 = (c - 1) * (1 - aa) / 2 + (1 - a3) / 3
-    eta1 = (1 - u3) / 3 - one_w / 2 * a * (2 - a)
-    eta2 = waa - a3 / 3
-    eta3 = one_w ** 3 / 3 - one_w / 2 * (1 + uu) + (1 + u3) / 3
-    eta4 = w ** 3 / 3 - waa + a3 / 3
-    return {"gamma1": gamma1, "gamma2": gamma2,
-            "upsilon1": upsilon1, "upsilon2": upsilon2,
-            "mu1": mu1, "mu2": mu2, "mu3": mu3, "mu4": mu4,
-            "eta1": eta1, "eta2": eta2, "eta3": eta3, "eta4": eta4}
+    out = {}
+    for name in names:
+        match name:
+            case "gamma1": v = gamma1
+            case "gamma2": v = c * c - gamma1
+            case "upsilon1": v = (1 - uu) / 2 - a * one_w
+            case "upsilon2": v = (1 + uu) / 2 - (l + 1) * u * one_w
+            case "mu1": v = (c ** 3 + u3) / 3 - cuu
+            case "mu2": v = (1 + a3 + one_c ** 3) / 3 - one_c / 2 * (1 + aa)
+            case "mu3": v = cuu - u3 / 3
+            case "mu4": v = (c - 1) * (1 - aa) / 2 + (1 - a3) / 3
+            case "eta1": v = (1 - u3) / 3 - one_w / 2 * a * (2 - a)
+            case "eta2": v = waa - a3 / 3
+            case "eta3": v = one_w ** 3 / 3 - one_w / 2 * (1 + uu) + (1 + u3) / 3
+            case "eta4": v = w ** 3 / 3 - waa + a3 / 3
+            case _:
+                raise KeyError(name)
+        out[name] = Fraction(v.n, v.d) if exact else v
+    return out
 
 
 def holder_coeffs(params: RuleParams, p) -> dict:

@@ -67,9 +67,10 @@ def named_rule(kind: str) -> RuleParams:
 
 
 def stencil(params: RuleParams):
-    """The rule as node(a, b) and combine(fa, fb, fn), 1 - alpha and 1 - lambda computed once."""
+    """The rule as node(a, b) and combine(fa, fb, fn); 1 - alpha is read off
+    ``params.kink_pairs``, 1 - lambda computed once."""
     alpha, lam = params.alpha, params.lam
-    beta, kappa = 1 - alpha, 1 - lam
+    beta, kappa = params.kink_pairs[0][1], 1 - lam
     return (lambda a, b: alpha * a + beta * b,
             lambda fa, fb, fn: lam * (alpha * fa + beta * fb) + kappa * fn)
 

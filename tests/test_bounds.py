@@ -484,18 +484,39 @@ def _outcome(run):
 
 def _loses_a_power(f, piece, params, q, name):
     """Whether the reference reads |f'|**q as 0 for a nonzero |f'| at b, a
-    or the t23 node, where its q-mean would read 0 instead of max |f'|."""
+    or the t23 node, where its q-mean would read 0 instead of max |f'|, or
+    reads the 1/q-th power of a q-mean as 0 although a term of the mean has
+    a nonzero weight and a nonzero power."""
+    from certquad.bounds import _clamp
+    from certquad.coefficients import SELECTED, power_mean_coeffs
+    from certquad.params import classify_regime
     points = [piece.b, piece.a]
     if name == "t23":
         points.append(params.alpha * piece.a + (1 - params.alpha) * piece.b)
+    powers = []
     for x in points:
         d = abs(f.derivative(x))
         try:
-            if d and not d ** q:
-                return True
+            powers.append(d ** q)
         except OverflowError:
-            pass
-    return False
+            return False
+        if d and not powers[-1]:
+            return True
+    xb, ya, a = powers[0], powers[1], params.alpha
+    if name == "t22":
+        mu_b, mu_a, _, eta_b, eta_a = (_clamp(v) for v in map(
+            power_mean_coeffs(params).get, SELECTED[classify_regime(params)][1:6]))
+        means = ((mu_b * xb + mu_a * ya, (mu_b, xb), (mu_a, ya)),
+                 (eta_b * xb + eta_a * ya, (eta_b, xb), (eta_a, ya)))
+    elif name == "t23":
+        node_pow = powers[2]
+        means = (((node_pow + ya) / 2, (1, node_pow), (1, ya)),
+                 ((node_pow + xb) / 2, (1, node_pow), (1, xb)))
+    else:
+        means = (((xb * (1 - a) ** 2 + (1 - a * a) * ya) / 2, ((1 - a) ** 2, xb), (1 - a * a, ya)),
+                 ((xb * a * (2 - a) + a * a * ya) / 2, (a * (2 - a), xb), (a * a, ya)))
+    return any(not _clamp(d) ** (1 / q) and any(w and x for w, x in terms)
+               for d, *terms in means)
 
 
 _SPECIAL = (0, 1, 5e-324, 1 - 2 ** -53)
@@ -539,6 +560,27 @@ def test_step_matches_the_per_engine_formulas(corpus):
             assert cert == reference, (f.name, params, q, name, piece)
             compared += isinstance(cert, list)
     assert compared > 400 and lost > 0
+
+
+def test_prologue_asks_for_the_six_selected_constants(monkeypatch, corpus):
+    import certquad.bounds as bounds
+    from certquad.coefficients import SELECTED
+    built = bounds.power_mean_coeffs
+    asked = []
+
+    def recorded(params, names=None):
+        asked.append(names)
+        return built(params, names)
+
+    monkeypatch.setattr(bounds, "power_mean_coeffs", recorded)
+    seen = set()
+    for alpha, lam in ((F(1, 2), F(1, 3)), (F(1, 10), F(1, 2)), (0.9, 0.5)):
+        params = RuleParams(alpha, lam)
+        asked.clear()
+        bounds.prologue(corpus["exp"], Interval(0, 1), params, 2, "t22")
+        assert asked == [SELECTED[params.regime][:6]], params
+        seen.add(params.regime)
+    assert seen == set(SELECTED)
 
 
 def test_prologue_walks_no_expression_tree(monkeypatch):

@@ -117,6 +117,37 @@ def test_bound_best_skips_a_power_that_underflows(capsys):
         "T22", "2", "0.017585295891165521", False)
 
 
+# q = 1074 loses a q-mean that is not 0: with float ends each |f'|**1074
+# (|f'| = 2x, about 1/2) is the subnormal 5e-324, and a weighted mean of
+# them rounds to 0 (the true error is about 8.3e-16); with exact ends the
+# powers stay exact, and the float 1/q-th power of their mean is 0
+_LOST_MEANS = {  # ends -> (the piece as the refusal names it, arguments)
+    "float": ("[0.25, 0.2500001] of pow:2",
+              ("--f", "pow:2", "--a", "0.25", "--b", "0.2500001", "--rule", "midpoint")),
+    "exact": ("[7/4, 27/8] of pow:-2",
+              ("--f", "pow:-2", "--a", "7/4", "--b", "27/8", "--alpha", "1/6",
+               "--lambda", "1/2")),
+}
+
+
+@pytest.mark.parametrize("ends, theorem", [
+    ("float", "t22"), ("float", "t24"), ("exact", "t22"), ("exact", "t23"), ("exact", "t24")])
+def test_bound_refuses_a_q_mean_that_underflows(ends, theorem, capsys):
+    where, args = _LOST_MEANS[ends]
+    assert run_cli("bound", *args, "--q", "1074", "--theorem", theorem, capsys=capsys) == (
+        1, "", f"certquad: error: {theorem} q-mean of |f'|**1074 underflows on {where}\n")
+
+
+@pytest.mark.parametrize("ends, bound", [
+    ("float", "1.250000250035967e-08"), ("exact", "0.1241782776781864")])
+def test_bound_best_skips_a_q_mean_that_underflows(ends, bound, capsys):
+    code, out, err = run_cli("bound", *_LOST_MEANS[ends][1], "--q", "1074,2",
+                             "--theorem", "best", capsys=capsys)
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert (doc["theorem"], doc["q"], doc["bound"], doc["advisory"]) == ("T22", "2", bound, False)
+
+
 @pytest.mark.parametrize("f, a, b, message", [
     ("ln(x)", "-2", "-1", "ln of non-positive value Fraction(-2, 1)"),
     ("x^0.5", "-2", "-1", "negative base -2.0 with non-integer exponent"),

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from certquad import (DomainError, RuleParams, abs_power_integral,
                       classify_regime, holder_coeffs, power_mean_coeffs)
-from certquad.coefficients import _TINY, SELECTED, eps_underflows
+from certquad.coefficients import _TINY, POWER_MEAN, SELECTED, eps_underflows
 from certquad.params import CASE1, CASE2, CASE3
 from certquad.prng import SplitMix64
 
@@ -63,21 +63,33 @@ def _power_mean_as_written(params):
 
 
 def test_shared_terms_keep_every_bit():
+    # exact inputs run on the unreduced kernel, the rest on their own
+    # arithmetic; both must give the reference's value, type and repr, for
+    # every constant and for each tag's six
     rng = SplitMix64(5)
-    special = (F(0), F(1), F(1, 2), 5e-324, 1 - 2 ** -53, 0.5, 1e-300)
-    for case in range(600):
-        def draw():
-            pick = rng.next_u64() % 3
-            if pick == 0:
-                return rng.choice(special)
-            if pick == 1:
-                return F(rng.next_u64() % 40, 40 + rng.next_u64() % 40)
-            return rng.uniform()
+    special = (F(0), F(1), F(1, 2), 0.0, 1.0, 5e-324, 1 - 2 ** -53, 0.5, 1e-300)
+    subsets = [POWER_MEAN] + [names[:6] for names in SELECTED.values()]
+
+    def draw():
+        pick = rng.next_u64() % 4
+        if pick == 0:
+            return rng.choice(special)
+        if pick == 1:
+            return F(rng.next_u64() % 40, 40 + rng.next_u64() % 40)
+        if pick == 2:  # denominators up to 2**64
+            d = 1 + rng.next_u64()
+            return F(rng.next_u64() % (d + 1), d)
+        return rng.uniform()
+
+    for case in range(1200):
         params = RuleParams(draw(), draw())
-        got, want = power_mean_coeffs(params), _power_mean_as_written(params)
-        assert list(got) == list(want)
-        assert [(type(v), repr(v)) for v in got.values()] == \
-            [(type(v), repr(v)) for v in want.values()], params
+        want = _power_mean_as_written(params)
+        assert list(power_mean_coeffs(params)) == list(want) == list(POWER_MEAN)
+        for names in subsets:
+            got = power_mean_coeffs(params, names)
+            assert list(got) == list(names)
+            assert [(type(v), repr(v)) for v in got.values()] == \
+                [(type(want[k]), repr(want[k])) for k in names], (params, names)
 
 
 def _eps_underflows_by_breakpoints(params, tag, p):
