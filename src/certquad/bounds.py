@@ -36,7 +36,17 @@ or rule value raises OverflowError, a lost power ArithmeticError: a nonzero
 |f'| whose q-th power is 0, a q-mean whose 1/q-th power is 0 though a term
 in it has a nonzero weight and power (a float mean that rounds to 0, or
 an exact one below the float range), or in t23 and t24 an eps that
-underflows near q = 1.
+underflows near q = 1.  An f or f' that overflows is an OverflowError that
+names the engine, the point and f.
+
+Exact arithmetic defers its gcds.  When ``params.exact`` (alpha or lambda
+is a Fraction), the prologue lifts its exact constants (mu/eta, the t24
+blend weights, scale, w1, w2) to unreduced ``params._Ratio`` values once
+per solve, and the step lifts each exact |f'|**q once, which the memo
+keeps.  The step reduces the bound, and ``rules.stencil`` the node handed
+to f and the rule value, once each, so every value that leaves the step is
+the Fraction, or the float, that step-by-step arithmetic gives.  Float
+parameters run plain arithmetic, with nothing lifted.
 """
 
 from __future__ import annotations
@@ -46,7 +56,7 @@ import math
 from .coefficients import SELECTED, eps_underflows, holder_coeffs, power_mean_coeffs
 from .errors import DomainError, Refusal
 from .expression import FunctionModel, probe_convexity
-from .params import RuleParams, classify_regime, conjugate, finite_q
+from .params import RuleParams, _lift, _ratio, _reduced, classify_regime, conjugate, finite_q
 from .record import Record
 from .rules import Interval, require_within_domain, stencil
 
@@ -109,23 +119,27 @@ def prologue(f: FunctionModel, iv: Interval, params: RuleParams, q,
     theorem = "T22q1" if q == 1 else name.upper()
     inv_q = 1 / q
     alpha, beta = params.alpha, params.kink_pairs[0][1]  # beta = 1 - alpha
+    exact = params.exact  # lift exact values once, reduce each result once
 
     def slope(x):  # |f'(x)|**q, the one power site
-        d = abs(f.derivative(x))
-        if f.kinks and any(g(x) == 0 for g in f.kinks):
-            raise Refusal(f"{name} reads |f'|**{q} at the kink x={x} of {f.name}")
         try:
+            d = abs(f.derivative(x))
+            if f.kinks and any(g(x) == 0 for g in f.kinks):
+                raise Refusal(f"{name} reads |f'|**{q} at the kink x={x} of {f.name}")
             h = d ** q
         except OverflowError:
             raise OverflowError(f"{name} |f'|**{q} overflows at x={x} of {f.name}") from None
         if d and not h:  # the q-mean of a lost power would read 0, not max |f'|
             raise ArithmeticError(f"{name} |f'|**{q} underflows at x={x} of {f.name}")
-        return h
+        return _lift(h) if exact else h
 
     if name == "t22":
         gamma, mu_b, mu_a, upsilon, eta_b, eta_a = (
             _clamp(v) for v in power_mean_coeffs(params, SELECTED[tag][:6]).values())
         scale, w1, w2 = 1, gamma ** (1 - inv_q), upsilon ** (1 - inv_q)
+        if exact:
+            scale, w1, w2, mu_b, mu_a, eta_b, eta_a = _ratio(1, 1), *map(
+                _lift, (w1, w2, mu_b, mu_a, eta_b, eta_a))
         feeds = (mu_b, mu_a, 0), (eta_b, eta_a, 0)
 
         def averages(node_pow, xb, ya):
@@ -148,11 +162,15 @@ def prologue(f: FunctionModel, iv: Interval, params: RuleParams, q,
                 return (node_pow + ya) / 2, (node_pow + xb) / 2
         else:
             beta_sq, one_minus_sq, alpha_sq = beta ** 2, 1 - alpha * alpha, alpha * alpha
-            feeds = (beta_sq, one_minus_sq, 0), (alpha * (2 - alpha), alpha_sq, 0)
+            two_minus = 2 - alpha  # xb * alpha * two_minus stays left-associated
+            if exact:
+                alpha, two_minus, beta_sq, one_minus_sq, alpha_sq = map(
+                    _lift, (alpha, two_minus, beta_sq, one_minus_sq, alpha_sq))
+            feeds = (beta_sq, one_minus_sq, 0), (alpha * two_minus, alpha_sq, 0)
 
             def averages(node_pow, xb, ya):
                 return ((xb * beta_sq + one_minus_sq * ya) / 2,
-                        (xb * alpha * (2 - alpha) + alpha_sq * ya) / 2)
+                        (xb * alpha * two_minus + alpha_sq * ya) / 2)
 
     node_of, combine = stencil(params)
     reads_node = name == "t23"
@@ -178,9 +196,15 @@ def prologue(f: FunctionModel, iv: Interval, params: RuleParams, q,
                     raise ArithmeticError(
                         f"{name} q-mean of |f'|**{q} underflows on [{a}, {b}] of {f.name}")
         bound = piece.width * scale * (w1 * r1 + w2 * r2)
-        fa = ka[2] if ka else value(a)
-        fb = kb[2] if kb else value(b)
-        approx = combine(fa, fb, value(node))
+        if exact:
+            bound = _reduced(bound)
+        try:
+            fa = ka[2] if ka else value(x := a)
+            fb = kb[2] if kb else value(x := b)
+            fn = value(x := node)
+        except OverflowError:
+            raise OverflowError(f"{name} f overflows at x={x} of {f.name}") from None
+        approx = combine(fa, fb, fn)
         for v in (bound, approx):
             if isinstance(v, float) and not math.isfinite(v):
                 raise OverflowError(f"{theorem} on [{a}, {b}] is not finite")

@@ -62,7 +62,10 @@ def parse_number(text: str):
     """'p/q' and integer strings become Fractions, decimals become floats."""
     text = text.strip()
     if re.fullmatch(r"[+-]?\d+/\d+", text):
-        return Fraction(text)
+        try:
+            return Fraction(text)
+        except ZeroDivisionError:
+            raise DomainError(f"zero denominator in {text!r}") from None
     if re.fullmatch(r"[+-]?\d+", text):
         return Fraction(int(text))
     try:

@@ -19,8 +19,9 @@ c = alpha*lambda, u = 1 - alpha and w = lambda*(1 - alpha):
 All closed forms are plain polynomial arithmetic in alpha and lambda, so
 Fraction inputs give bit-exact rationals, within the power budget of
 ``params._power`` (an OverflowError past it).  With Fraction alpha and
-lambda the power-mean forms run on an unreduced numerator and denominator
-and each constant is reduced once, by one gcd, not after every operation.
+lambda the power-mean forms run on ``params._Ratio``, an unreduced
+numerator and denominator: the inputs are lifted once, and each constant
+is reduced once, by one gcd, not after every operation.
 ``power_mean_coeffs`` evaluates the constants it is asked for, by default
 all twelve, including the ones the active regime does not select (those
 may be negative); the t22 engine asks for the six its tag selects.  The
@@ -43,7 +44,7 @@ import sys
 from fractions import Fraction
 
 from .errors import DomainError
-from .params import CASE1, CASE2, CASE3, RuleParams, _power
+from .params import CASE1, CASE2, CASE3, RuleParams, _lift, _power
 
 _TINY = 2 * sys.float_info.min  # smallest normal float times 2 > 1 / (1 - 1/e)
 
@@ -65,47 +66,6 @@ POWER_MEAN = ("gamma1", "gamma2", "upsilon1", "upsilon2",
               "mu1", "mu2", "mu3", "mu4", "eta1", "eta2", "eta3", "eta4")
 
 
-class _Ratio:
-    """n/d with d > 0, never reduced: ``+``, ``-`` and ``*`` with another or
-    an int, ``/`` by a positive int, ``**`` by a small int."""
-
-    __slots__ = ("n", "d")
-
-    def __add__(self, o):
-        if type(o) is int:
-            return _ratio(self.n + o * self.d, self.d)
-        return _ratio(self.n * o.d + o.n * self.d, self.d * o.d)
-
-    __radd__ = __add__
-
-    def __sub__(self, o):
-        if type(o) is int:
-            return _ratio(self.n - o * self.d, self.d)
-        return _ratio(self.n * o.d - o.n * self.d, self.d * o.d)
-
-    def __rsub__(self, o):
-        return _ratio(o * self.d - self.n, self.d)
-
-    def __mul__(self, o):
-        if type(o) is int:
-            return _ratio(self.n * o, self.d)
-        return _ratio(self.n * o.n, self.d * o.d)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, k):
-        return _ratio(self.n, self.d * k)
-
-    def __pow__(self, k):
-        return _ratio(self.n ** k, self.d ** k)
-
-
-def _ratio(n, d):
-    r = object.__new__(_Ratio)  # no __init__ call: every operation builds one
-    r.n, r.d = n, d
-    return r
-
-
 def power_mean_coeffs(params: RuleParams, names=POWER_MEAN) -> dict:
     """The power-mean constants ``names``, by default all twelve of
     ``POWER_MEAN``, keyed in the order asked; a recurring term is computed
@@ -114,9 +74,9 @@ def power_mean_coeffs(params: RuleParams, names=POWER_MEAN) -> dict:
     arithmetic; other inputs run them on their own arithmetic."""
     a, l = params.alpha, params.lam
     (c, u), (w, _) = params.kink_pairs
-    exact = isinstance(a, Fraction) and isinstance(l, Fraction)
+    exact = type(a) is Fraction and type(l) is Fraction
     if exact:
-        a, l, c, u, w = (_ratio(v.numerator, v.denominator) for v in (a, l, c, u, w))
+        a, l, c, u, w = map(_lift, (a, l, c, u, w))
     uu, u3, aa, a3, one_w, one_c = u * u, u ** 3, a * a, a ** 3, 1 - w, 1 - c
     cuu, waa = c * u * u / 2, w * a * a / 2
     gamma1 = u * (c - u / 2)
@@ -137,7 +97,7 @@ def power_mean_coeffs(params: RuleParams, names=POWER_MEAN) -> dict:
             case "eta4": v = w ** 3 / 3 - waa + a3 / 3
             case _:
                 raise KeyError(name)
-        out[name] = Fraction(v.n, v.d) if exact else v
+        out[name] = Fraction(v._numerator, v._denominator) if exact else v
     return out
 
 

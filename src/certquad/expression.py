@@ -580,9 +580,8 @@ def probe_convexity(f: FunctionModel, q, lo, hi) -> bool:
     vals = []
     for k in range(fine):
         x = lo + (hi - lo) * k / (fine - 1)
-        d = abs(float(f.derivative(x)))
         try:
-            vals.append(d ** float(q))
+            vals.append(abs(float(f.derivative(x))) ** float(q))
         except OverflowError:
             raise OverflowError(f"probe |f'|**{q} overflows at x={x} of {f.name}") from None
     for i in range(PROBE_GRID):

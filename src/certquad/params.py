@@ -14,6 +14,13 @@ the tag once, as ``kink_pairs`` and ``regime``; ``classify_regime`` returns
 the tag, ``conjugate`` the Hoelder conjugate p of q as a plain number, and
 ``_power`` holds the one bit budget for integral powers of exact bases.
 
+``_Ratio`` is the one exact arithmetic that defers reduction: ``_lift``
+turns a Fraction into it, ``_reduced`` turns a result back, with one gcd.
+The kernels lift where their exact inputs enter and reduce each value that
+leaves them: ``coefficients.power_mean_coeffs`` each constant,
+``rules.stencil`` the node it hands to f and the rule value, and the step
+of ``bounds.prologue`` the bound.
+
 Everything here is immutable after construction and safe to share between
 threads.
 """
@@ -21,6 +28,7 @@ threads.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 from .errors import DomainError
@@ -48,11 +56,13 @@ class RuleParams(Record):
     the interior node.  Fraction inputs keep all downstream coefficient
     arithmetic exact; floats select the floating kernels.  Construction
     derives ``kink_pairs``, (alpha*lambda, 1-alpha) and (lambda*(1-alpha),
-    alpha), each kink with its split, and the ``regime`` tag of the pairs.
+    alpha), each kink with its split, the ``regime`` tag of the pairs, and
+    ``exact``, whether alpha or lambda is a Fraction: then the engines' step
+    and ``rules.stencil`` lift their exact values to ``_Ratio``.
     """
 
     _fields = ("alpha", "lam")
-    __slots__ = _fields + ("kink_pairs", "regime")  # derived
+    __slots__ = _fields + ("kink_pairs", "regime", "exact")  # derived
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", _normalize(self.alpha))
@@ -67,6 +77,7 @@ class RuleParams(Record):
         (x, y), (w, _) = pairs = (a * l, u), (l * u, a)
         RuleParams.kink_pairs.__set__(self, pairs)
         RuleParams.regime.__set__(self, CASE3 if x > y else CASE1 if w <= a else CASE2)
+        RuleParams.exact.__set__(self, type(a) is Fraction or type(l) is Fraction)
 
     def breakpoints(self):
         """(alpha*lambda, 1-alpha, 1-lambda*(1-alpha)) in the input arithmetic,
@@ -125,3 +136,145 @@ def _power(b, k):
             abs(b.numerator).bit_length() + b.denominator.bit_length() - 2) > POWER_BITS):
         raise OverflowError(f"exact power with exponent {k} exceeds {POWER_BITS} bits")
     return b ** k
+
+
+class _Ratio:
+    """n/d with d > 0, never reduced, with Fraction's mixed-type arithmetic,
+    so that ``_reduced`` of a result is what step-by-step Fraction
+    arithmetic gives, in type and value.
+
+    ``+ - * /`` and the comparisons are exact with an int, a Fraction or
+    another _Ratio.  With a float x, ``op`` gives (n / d) op x: Fraction
+    gives float(F) op x, and both n / d and float(F) are the correctly
+    rounded value of the same rational, so the bits are equal.  ``**`` is
+    exact for an integral int or Fraction exponent and (n / d) ** float(k)
+    for any other Fraction or float k; a _Ratio is never an exponent.  Any
+    other operand, a subclass of int or float (bool, say) included, is a
+    TypeError.  The slots carry Fraction's own slot names, so a Fraction
+    operand is read without a property call.
+    """
+
+    __slots__ = ("_numerator", "_denominator")  # Fraction's own slot names
+
+    # operands are told apart by exact type, the cheapest test
+    def __add__(self, o):
+        t = type(o)
+        if t is _Ratio or t is Fraction:
+            return _ratio(self._numerator * o._denominator + o._numerator * self._denominator,
+                          self._denominator * o._denominator)
+        if t is int:
+            return _ratio(self._numerator + o * self._denominator, self._denominator)
+        return self._numerator / self._denominator + o if t is float else NotImplemented
+
+    __radd__ = __add__  # float + and * are commutative, bit for bit
+
+    def __sub__(self, o):
+        t = type(o)
+        if t is _Ratio or t is Fraction:
+            return _ratio(self._numerator * o._denominator - o._numerator * self._denominator,
+                          self._denominator * o._denominator)
+        if t is int:
+            return _ratio(self._numerator - o * self._denominator, self._denominator)
+        return self._numerator / self._denominator - o if t is float else NotImplemented
+
+    def __rsub__(self, o):
+        t = type(o)
+        if t is _Ratio or t is Fraction:
+            return _ratio(o._numerator * self._denominator - self._numerator * o._denominator,
+                          self._denominator * o._denominator)
+        if t is int:
+            return _ratio(o * self._denominator - self._numerator, self._denominator)
+        return o - self._numerator / self._denominator if t is float else NotImplemented
+
+    def __mul__(self, o):
+        t = type(o)
+        if t is _Ratio or t is Fraction:
+            return _ratio(self._numerator * o._numerator, self._denominator * o._denominator)
+        if t is int:
+            return _ratio(self._numerator * o, self._denominator)
+        return self._numerator / self._denominator * o if t is float else NotImplemented
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, o):
+        t = type(o)
+        if t is _Ratio or t is Fraction:
+            return _quotient(self._numerator * o._denominator, self._denominator * o._numerator)
+        if t is int:
+            return _quotient(self._numerator, self._denominator * o)
+        return self._numerator / self._denominator / o if t is float else NotImplemented
+
+    def __rtruediv__(self, o):
+        t = type(o)
+        if t is _Ratio or t is Fraction:
+            return _quotient(o._numerator * self._denominator, o._denominator * self._numerator)
+        if t is int:
+            return _quotient(o * self._denominator, self._numerator)
+        return o / (self._numerator / self._denominator) if t is float else NotImplemented
+
+    def __pow__(self, k):
+        t = type(k)
+        if t is int or t is Fraction and k._denominator == 1:
+            k = k if t is int else k._numerator
+            if k >= 0:
+                return _ratio(self._numerator ** k, self._denominator ** k)
+            return _quotient(self._denominator ** -k, self._numerator ** -k)
+        if t is Fraction:  # float(k), without the call
+            return (self._numerator / self._denominator) ** (k._numerator / k._denominator)
+        return (self._numerator / self._denominator) ** k if t is float else NotImplemented
+
+    def _compare(self, o, op):
+        t = type(o)
+        if t is float:
+            if not math.isfinite(o):  # as Fraction: any finite value against inf or nan
+                return op(0.0, o)
+            o, t = Fraction(o), Fraction
+        if t is _Ratio or t is Fraction:
+            return op(self._numerator * o._denominator, o._numerator * self._denominator)
+        return op(self._numerator, o * self._denominator) if t is int else NotImplemented
+
+    def __eq__(self, o):
+        return self._compare(o, operator.eq)
+
+    def __lt__(self, o):
+        return self._compare(o, operator.lt)
+
+    def __le__(self, o):
+        return self._compare(o, operator.le)
+
+    def __gt__(self, o):
+        return self._compare(o, operator.gt)
+
+    def __ge__(self, o):
+        return self._compare(o, operator.ge)
+
+    def __bool__(self):
+        return self._numerator != 0
+
+    def __float__(self):
+        return self._numerator / self._denominator
+
+
+def _ratio(n, d):
+    r = object.__new__(_Ratio)  # no __init__ call: every operation builds one
+    r._numerator, r._denominator = n, d
+    return r
+
+
+def _quotient(n, d):
+    """n/d as a _Ratio with d > 0; a zero d is Fraction's ZeroDivisionError."""
+    if d > 0:
+        return _ratio(n, d)
+    if not d:
+        raise ZeroDivisionError(f"Fraction({n}, 0)")
+    return _ratio(-n, -d)
+
+
+def _lift(v):
+    """A Fraction as its unreduced _Ratio; any other value as it is."""
+    return _ratio(v._numerator, v._denominator) if type(v) is Fraction else v
+
+
+def _reduced(v):
+    """A _Ratio reduced, by one gcd, to its Fraction; any other value as it is."""
+    return Fraction(v._numerator, v._denominator) if type(v) is _Ratio else v

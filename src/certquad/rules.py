@@ -21,7 +21,7 @@ from fractions import Fraction
 from . import oracle
 from .errors import DomainError
 from .expression import FunctionModel
-from .params import RuleParams
+from .params import RuleParams, _lift, _reduced
 from .record import Record
 
 
@@ -68,11 +68,25 @@ def named_rule(kind: str) -> RuleParams:
 
 def stencil(params: RuleParams):
     """The rule as node(a, b) and combine(fa, fb, fn); 1 - alpha is read off
-    ``params.kink_pairs``, 1 - lambda computed once."""
+    ``params.kink_pairs``, 1 - lambda computed once.  When ``params.exact``
+    (alpha or lambda is a Fraction), the four weights are lifted to
+    unreduced ``_Ratio`` values once, and the node and the rule value are
+    each reduced once."""
     alpha, lam = params.alpha, params.lam
     beta, kappa = params.kink_pairs[0][1], 1 - lam
-    return (lambda a, b: alpha * a + beta * b,
-            lambda fa, fb, fn: lam * (alpha * fa + beta * fb) + kappa * fn)
+    if params.exact:
+        alpha, beta, lam, kappa = map(_lift, (alpha, beta, lam, kappa))
+
+    def node(a, b):
+        return alpha * a + beta * b
+
+    def combine(fa, fb, fn):
+        return lam * (alpha * fa + beta * fb) + kappa * fn
+
+    if not params.exact:
+        return node, combine
+    return (lambda a, b: _reduced(node(a, b)),
+            lambda fa, fb, fn: _reduced(combine(fa, fb, fn)))
 
 
 def rule_value(f: FunctionModel, iv: Interval, params: RuleParams):

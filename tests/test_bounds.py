@@ -426,8 +426,9 @@ def test_holder_exact_q_near_one_refuses_fast():
 
 def _reference_step(f, piece, params, q, name):
     """Bound and approx of the step as three per-engine formulas, the form
-    the prologue had before the engines shared one shape; kept verbatim as
-    the reference."""
+    the prologue had before the engines shared one shape, and the rule
+    value as its plain formula, apart from ``rules.stencil``; kept as the
+    reference."""
     from certquad.bounds import _clamp
     from certquad.coefficients import SELECTED, holder_coeffs, power_mean_coeffs
     from certquad.params import classify_regime, conjugate
@@ -467,7 +468,9 @@ def _reference_step(f, piece, params, q, name):
             d1 = (xb * (1 - a) ** 2 + (1 - a * a) * ya) / 2
             d2 = (xb * a * (2 - a) + a * a * ya) / 2
         bound = piece.width * scale * (k1 * d1 ** inv_q + k2 * d2 ** inv_q)
-    return bound, rule_value(f, piece, params)
+    a, b, lam = piece.a, piece.b, params.lam
+    node = alpha * a + (1 - alpha) * b
+    return bound, lam * (alpha * f.value(a) + (1 - alpha) * f.value(b)) + (1 - lam) * f.value(node)
 
 
 def _outcome(run):
@@ -520,27 +523,43 @@ def _loses_a_power(f, piece, params, q, name):
 
 
 _SPECIAL = (0, 1, 5e-324, 1 - 2 ** -53)
-_STEP_QS = (F(1), 1 + 1e-9, F(3, 2), F(2), 1e6)
+_STEP_QS = (F(1), 1 + 1e-9, F(3, 2), 1.5, F(2), 2.0, 1e6)
+
+
+def _step_interval(rng, ends):
+    """A piece with Fraction, int, float or mixed (one Fraction, one float) ends."""
+    if ends == "int":
+        lo = rng.randint(1, 3)
+        return Interval(lo, lo + rng.randint(1, 2))
+    if ends == "float":
+        lo = 0.125 + 2 * rng.random()
+        return Interval(lo, lo + 0.01 + 2 * rng.random())
+    lo, hi = F(rng.randint(1, 16), 8), F(rng.randint(17, 32), 8)
+    if ends == "mixed":
+        lo, hi = (float(lo), hi) if rng.random() < 0.5 else (lo, float(hi))
+    return Interval(lo, hi)
 
 
 def test_step_matches_the_per_engine_formulas(corpus):
+    # exact, float and mixed (alpha, lambda), crossed with every kind of end
+    # and with Fraction and float q; _outcome compares type and repr, so a
+    # value the step leaves unreduced, or of another type, fails here
     from certquad.bounds import prologue
     rng = random.Random(12)
     models = [corpus["pow:2"], corpus["pow:3"], corpus["exp"], corpus["reciprocal"],
               from_expression("x^3 + 3*x", assume_convex=True)]
     compared = lost = 0
-    for case in range(240):
-        exact = case % 2 == 0
+    for case in range(360):
+        kind = ("exact", "float", "mixed")[case % 3]
 
         def draw():
             if rng.random() < 0.4:
                 return rng.choice(_SPECIAL)
+            exact = kind == "exact" or kind == "mixed" and rng.random() < 0.5
             return F(rng.randint(0, 12), 12) if exact else rng.random()
 
         params = RuleParams(draw(), draw())
-        lo = F(rng.randint(1, 16), 8) if exact else 0.125 + 2 * rng.random()
-        width = F(rng.randint(1, 16), 8) if exact else 0.01 + 2 * rng.random()
-        pieces = [Interval(lo, lo + width)]
+        pieces = [_step_interval(rng, rng.choice(("fraction", "int", "float", "mixed")))]
         f, q = rng.choice(models), rng.choice(_STEP_QS)
         name = rng.choice(("t22", "t23", "t24"))
         try:
@@ -559,7 +578,7 @@ def test_step_matches_the_per_engine_formulas(corpus):
             reference = _outcome(lambda: _reference_step(f, piece, params, q, name))
             assert cert == reference, (f.name, params, q, name, piece)
             compared += isinstance(cert, list)
-    assert compared > 400 and lost > 0
+    assert compared > 900 and lost > 0
 
 
 def test_prologue_asks_for_the_six_selected_constants(monkeypatch, corpus):

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from certquad.cli import CSV_HEADER, main, parse_number, render
+from certquad.errors import DomainError
 from certquad.params import POWER_BITS
 
 from conftest import child_env
@@ -27,6 +28,8 @@ def test_parse_number():
     assert isinstance(parse_number("0.5"), float)
     with pytest.raises(Exception):
         parse_number("abc")
+    with pytest.raises(DomainError, match="zero denominator in '1/0'"):
+        parse_number("1/0")
 
 
 def test_render():
@@ -396,13 +399,23 @@ def test_overflow_and_bad_exponent_exit_1(argv, capsys):
     assert err.startswith("certquad: error: ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("f, message", [
-    ("pow:3", "t22 |f'|**1000000.0 overflows at x=2 of pow:3"),  # the step
-    ("x^3", "probe |f'|**1000000.0 overflows at x=1.0 of x^3"),  # the probe
-])
-def test_overflowing_power_names_engine_q_and_x(f, message, capsys):
-    code, out, err = run_cli("bound", "--f", f, "--a", "1", "--b", "2", "--rule",
-                             "midpoint", "--q", "1000000.0", capsys=capsys)
+_MIDPOINT_Q_PAST_FLOAT = ("--a", "1", "--b", "2", "--rule", "midpoint", "--q", "1000000.0")
+
+
+@pytest.mark.parametrize("argv, message", [pytest.param(argv, message, id=f"{argv[2]}-{message}") for argv, message in (
+    (("bound", "--f", "pow:3", *_MIDPOINT_Q_PAST_FLOAT),  # the step's power
+     "t22 |f'|**1000000.0 overflows at x=2 of pow:3"),
+    (("bound", "--f", "x^3", *_MIDPOINT_Q_PAST_FLOAT),  # the probe's power
+     "probe |f'|**1000000.0 overflows at x=1.0 of x^3"),
+    (("bound", "--f", "x^3", "--a", "1e200", "--b", "2e200", "--rule", "midpoint",
+      "--q", "1"), "probe |f'|**1 overflows at x=1e+200 of x^3"),  # the probe's f'
+    (("integrate", "--f", "exp", "--a", "700", "--b", "800", "--rule", "midpoint",
+      "--q", "1", "--panels", "2"), "t22 |f'|**1 overflows at x=750 of exp"),  # the step's f'
+    (("bound", "--f", "pow:2", "--a", "1e300", "--b", "1.0000001e300", "--rule", "midpoint",
+      "--q", "1"), "t22 f overflows at x=1e+300 of pow:2"),  # the step's f
+)])
+def test_overflowing_power_names_engine_q_and_x(argv, message, capsys):
+    code, out, err = run_cli(*argv, capsys=capsys)
     assert (code, out, err) == (1, "", f"certquad: error: {message}\n")
 
 

@@ -1,4 +1,7 @@
 import math
+import operator
+import random
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
@@ -7,7 +10,7 @@ from hypothesis import given, strategies as st
 from certquad import (DomainError, RuleParams, classify_regime, conjugate,
                       holder_coeffs, power_mean_coeffs)
 from certquad.coefficients import eps_underflows
-from certquad.params import CASE1, CASE2, CASE3
+from certquad.params import CASE1, CASE2, CASE3, _Ratio, _ratio, _reduced
 from certquad.prng import SplitMix64
 
 
@@ -162,3 +165,54 @@ def test_derived_pairs_and_regime_keep_every_bit():
                 _typed(lambda: holder_coeffs(ref, p)), (params, p)
             assert eps_underflows(params, p) is eps_underflows(ref, p), (params, p)
     assert all(seen.values()), seen
+
+
+_ARITHMETIC = (operator.add, operator.sub, operator.mul, operator.truediv)
+_ORDER = (operator.lt, operator.le, operator.gt, operator.ge)
+
+
+def _result(run):
+    """(type, repr) of what run returns, a _Ratio reduced first, or the type
+    of what it raises."""
+    try:
+        value = run()
+    except (ArithmeticError, TypeError) as exc:
+        return type(exc)
+    return type(_reduced(value)), repr(_reduced(value))
+
+
+def test_ratio_has_fractions_mixed_type_arithmetic():
+    rng = random.Random(19)
+    exact = [F(0), F(1), F(-1), F(3, 7), F(-5, 2)] + [
+        F(rng.randint(-40, 40), rng.randint(1, 40)) for _ in range(8)]
+    floats = [0.0, -0.0, 1.5, -2.25, math.inf, -math.inf, math.nan] + [
+        rng.uniform(-10, 10) for _ in range(4)]
+    ints = [0, 1, -3, rng.randint(4, 20)]
+
+    def unreduced(v):  # the same rational with a common factor left in
+        k = rng.randint(1, 9)
+        return _ratio(v.numerator * k, v.denominator * k)
+
+    # each case: the operands with _Ratio ones, and the same with Fractions
+    cases = [((unreduced(x), y), (x, y)) for x in exact for y in exact + floats + ints]
+    cases += [((y, unreduced(x)), (y, x)) for x in exact for y in exact + floats + ints]
+    cases += [((unreduced(x), unreduced(y)), (x, y)) for x in exact for y in exact]
+    for (x, y), (fx, fy) in cases:
+        for op in _ARITHMETIC + _ORDER + (operator.eq,):
+            assert _result(lambda: op(x, y)) == _result(lambda: op(fx, fy)), (op, fx, fy)
+    exponents = ints + [F(2), F(-1), F(1, 2), F(3, 2), F(-1, 3), 0.5, 2.0, -1.5]
+    for x in exact:
+        for k in exponents:
+            assert _result(lambda: unreduced(x) ** k) == _result(lambda: x ** k), (x, k)
+            with pytest.raises(TypeError):  # a _Ratio is never an exponent
+                k ** unreduced(x)
+        r = unreduced(x)
+        assert bool(r) is bool(x)
+        assert repr(float(r)) == repr(float(x))
+        for other in (1j, "1", None, Decimal("1.5"), True):
+            for op in _ARITHMETIC + _ORDER + (operator.pow,):
+                with pytest.raises(TypeError):
+                    op(r, other)
+                with pytest.raises(TypeError):
+                    op(other, r)
+    assert isinstance(unreduced(F(1, 2)) + 1, _Ratio)  # exact results stay unreduced

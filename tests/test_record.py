@@ -134,7 +134,7 @@ def test_bad_arguments_raise_type_error(call):
 
 # the derived slots, after the fields, of every record class that has them
 DERIVED = {"FunctionModel": ("deriv", "has_sign", "kinks", "_value", "_derivative"),
-           "Interval": ("width",), "RuleParams": ("kink_pairs", "regime")}
+           "Interval": ("width",), "RuleParams": ("kink_pairs", "regime", "exact")}
 
 
 def _derived_stay_out(r):
