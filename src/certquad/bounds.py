@@ -191,8 +191,8 @@ def prologue(f: FunctionModel, iv: Interval, params: RuleParams, q,
         d1, d2 = averages(node_pow, xb, ya)
         r1, r2 = _clamp(d1) ** inv_q, _clamp(d2) ** inv_q
         if not (r1 and r2):  # a root of a mean of nonnegative terms is 0 only if each term is
-            for r, weights in zip((r1, r2), feeds):
-                if not r and any(w and x for w, x in zip(weights, (xb, ya, node_pow))):
+            for r, w, weights in zip((r1, r2), (w1, w2), feeds):  # w*r is 0 if w is
+                if not r and w and any(c and x for c, x in zip(weights, (xb, ya, node_pow))):
                     raise ArithmeticError(
                         f"{name} q-mean of |f'|**{q} underflows on [{a}, {b}] of {f.name}")
         bound = piece.width * scale * (w1 * r1 + w2 * r2)

@@ -573,7 +573,26 @@ def probe_convexity(f: FunctionModel, q, lo, hi) -> bool:
     equispaced points of [lo, hi].
 
     Midpoints of grid points land on the twice-refined grid, so a single
-    pass of 2*PROBE_GRID - 1 evaluations covers every (x, y) pair.
+    pass of 2*PROBE_GRID - 1 evaluations covers every (x, y) pair.  The
+    verdict is False iff some pair of samples v[2i], v[2j] (i <= j) has
+    v[i+j] > (v[2i] + v[2j]) / 2 + PROBE_SLACK in float arithmetic.
+
+    One pass of second differences returns the same True without the
+    pairs when the float sum of v is at most 2**1020 (every sample finite,
+    no sum below overflows) and either the largest sample V is at most
+    S = PROBE_SLACK or every float difference v[k-1] + v[k+1] - 2*v[k] is
+    at least V * 2**-49, 16 ulps of V.  With u = 2**-53 (Higham, Accuracy
+    and Stability of Numerical Algorithms, 2nd ed., SIAM 2002, ch. 2),
+    2*v[k] is exact, v[k-1] + v[k+1] errs by at most 2uV and the
+    subtraction by a factor 1 + u, so a computed difference of at least
+    16uV leaves an exact one of at least 13uV.  Summing the second
+    differences between them, a pair at half-gap r = j - i >= 1 has an
+    exact midpoint deficit (v[2i] + v[2j]) / 2 - v[i+j] of at least
+    6.5*r**2*uV, more than the 2uV + 2**-1075 that rounding the sum and
+    its halving can take away, and rounding the addition of S cannot drop
+    the result below the float v[i+j].  A pair at r = 0 passes because fl(v + S) >= v, and
+    V <= S passes because the right-hand side is at least S.  Otherwise
+    the pair loop decides.
     """
     lo, hi = float(lo), float(hi)
     fine = 2 * PROBE_GRID - 1
@@ -584,8 +603,25 @@ def probe_convexity(f: FunctionModel, q, lo, hi) -> bool:
             vals.append(abs(float(f.derivative(x))) ** float(q))
         except OverflowError:
             raise OverflowError(f"probe |f'|**{q} overflows at x={x} of {f.name}") from None
+    return _midpoint_convex(vals)
+
+
+def _midpoint_convex(vals) -> bool:
+    """The verdict of ``probe_convexity`` on its nonnegative samples."""
+    if _clears_margin(vals):
+        return True
     for i in range(PROBE_GRID):
         for j in range(i, PROBE_GRID):
             if vals[i + j] > (vals[2 * i] + vals[2 * j]) / 2 + PROBE_SLACK:
                 return False
     return True
+
+
+def _clears_margin(vals) -> bool:
+    """The one pass of ``probe_convexity``: True proves that no pair fails."""
+    if not sum(vals) <= 2.0 ** 1020:
+        return False
+    top = max(vals)
+    margin = top * 2.0 ** -49
+    return top <= PROBE_SLACK or all(
+        a + c - 2 * b >= margin for a, b, c in zip(vals, vals[1:], vals[2:]))

@@ -151,6 +151,19 @@ def test_bound_best_skips_a_q_mean_that_underflows(ends, bound, capsys):
     assert (doc["theorem"], doc["q"], doc["bound"], doc["advisory"]) == ("T22", "2", bound, False)
 
 
+def test_bound_certifies_a_lost_q_mean_of_weight_0(capsys):
+    # at alpha = 5e-324 the t24 blend xb*alpha*(2-alpha) rounds to 0, so the
+    # second q-mean is lost; but eps3 reads alpha as 0, so that mean's weight
+    # is 0 and its term is 0 whatever the mean
+    code, out, err = run_cli(
+        "bound", "--f", "pow:-2", "--a", "1.83", "--b", "3.24", "--alpha", "5e-324",
+        "--lambda", "0", "--q", "2", "--theorem", "t24", capsys=capsys)
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert (doc["theorem"], doc["bound"], doc["advisory"]) == (
+        "T24", "0.19087902778859409", False)
+
+
 @pytest.mark.parametrize("f, a, b, message", [
     ("ln(x)", "-2", "-1", "ln of non-positive value Fraction(-2, 1)"),
     ("x^0.5", "-2", "-1", "negative base -2.0 with non-integer exponent"),

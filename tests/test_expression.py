@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -8,9 +9,11 @@ from hypothesis import strategies as st
 from certquad import (DomainError, ParseError, builtin_corpus, differentiate,
                       evaluate, from_expression, parse, power_model,
                       probe_convexity, resolve_function, to_string)
-from certquad.expression import (Add, Call, Const, Div, Mul, Neg, Pow, Sub,
-                                 Var, X, FunctionModel, _compile, _diff,
-                                 _is_integral)
+from certquad import expression
+from certquad.expression import (PROBE_GRID, PROBE_SLACK, Add, Call, Const, Div,
+                                 Mul, Neg, Pow, Sub, Var, X, FunctionModel,
+                                 _clears_margin, _compile, _diff, _is_integral,
+                                 _midpoint_convex)
 from certquad.prng import SplitMix64
 
 
@@ -171,6 +174,126 @@ def test_probe_rejects_concave_power():
     # |f'| = |1.5 * x^0.5| and sqrt is concave on (0, inf)
     f = from_expression("x^1.5")
     assert not probe_convexity(f, 1, 0.5, 2.5)
+
+
+def _pairs_as_written(vals):
+    """The probe's pair loop before the one pass of second differences;
+    kept verbatim as the reference verdict."""
+    for i in range(PROBE_GRID):
+        for j in range(i, PROBE_GRID):
+            if vals[i + j] > (vals[2 * i] + vals[2 * j]) / 2 + PROBE_SLACK:
+                return False
+    return True
+
+
+_FINE = 2 * PROBE_GRID - 1
+_WORKLOAD_EXPRESSIONS = ("x^2*exp(x)", "x^4 + x^2", "exp(2*x) + x^3", "x^3 + 3*x",
+                         "x*exp(x)", "exp(x) + exp(-x)")
+
+
+def _ulps(v, k):
+    """v moved k ulps up (k > 0) or down."""
+    for _ in range(abs(k)):
+        v = math.nextafter(v, math.inf if k > 0 else 0.0)
+    return v
+
+
+def _probe_families(rng: random.Random):
+    """Seeded nonnegative sample lists on both sides of the one pass's margin."""
+    ks = range(_FINE)
+    for _ in range(300):  # tiny curvature on huge offsets, 1/4 to 64 times the margin
+        top = 10.0 ** rng.uniform(-6, 300)
+        c = top * 2.0 ** -49 * 2.0 ** rng.uniform(-2, 6) / 2
+        k0 = rng.uniform(-50, 176)
+        offset = top - c * max(k0, 126 - k0) ** 2
+        yield "curvature", [offset + c * (k - k0) ** 2 for k in ks]
+    for _ in range(200):  # linear, exact or rounded
+        base, step = 10.0 ** rng.uniform(-10, 15), 10.0 ** rng.uniform(-16, 2)
+        yield "linear", [base + step * k for k in ks]
+    for _ in range(400):  # convex lists with one sample nudged by k ulps
+        top, width = 10.0 ** rng.uniform(-8, 12), 10.0 ** rng.uniform(-12, 1)
+        g = rng.choice((math.exp, lambda t: 1 + t * t, lambda t: math.cosh(t) + 1e3))
+        vals = [top * g(width * k / 126) for k in ks]
+        i = rng.randrange(_FINE)
+        vals[i] = _ulps(vals[i], rng.choice((-1, 1)) * rng.choice((1, 2, 3, 8, 16, 64)))
+        yield "nudged", vals
+    for _ in range(100):  # subnormal samples
+        c = rng.randrange(1, 4)
+        yield "subnormal", [5e-324 * (c * (k - 63) ** 2 + rng.randrange(3)) for k in ks]
+    for _ in range(100):  # magnitudes near and above 2**1020
+        top, e = 2.0 ** rng.uniform(1008, 1023.9), rng.choice((-1, 1))  # convex, concave
+        yield "huge", [top * (1 - 0.5 * (k - 63) ** 2 / 63 ** 2) ** e for k in ks]
+    for bad in (math.nan, math.inf):  # a non-finite sample among convex ones
+        for i in (0, 1, 63, 126):
+            vals = [1.0 + (k - 63) ** 2 for k in ks]
+            vals[i] = bad
+            yield "non-finite", vals
+    for _ in range(200):  # concave
+        top, p = 10.0 ** rng.uniform(-9, 15), rng.uniform(0.05, 0.95)
+        yield "concave", [top * ((k + 1) / 127) ** p for k in ks]
+
+
+def test_one_pass_agrees_with_the_pair_loop():
+    decided = {}
+    for family, vals in _probe_families(random.Random(20)):
+        assert all(v >= 0 or math.isnan(v) for v in vals), family
+        want = _pairs_as_written(vals)
+        assert _midpoint_convex(vals) is want, (family, vals)
+        if _clears_margin(vals):
+            assert want, (family, vals)
+            decided[family] = decided.get(family, 0) + 1
+    # the one pass decides many convex lists, and no concave or non-finite one
+    assert decided["curvature"] > 50 and decided["nudged"] > 50
+    assert "concave" not in decided and "non-finite" not in decided
+
+
+def _recorded_probe(monkeypatch, f, q, lo, hi):
+    """probe_convexity's verdict and the samples it decided from."""
+    seen = []
+
+    def recording(vals):
+        seen.append(list(vals))
+        return _midpoint_convex(vals)
+
+    monkeypatch.setattr(expression, "_midpoint_convex", recording)
+    verdict = probe_convexity(f, q, lo, hi)
+    (vals,) = seen
+    return verdict, vals
+
+
+@pytest.mark.parametrize("text, q, lo, hi, verdict, one_pass", [
+    ("3*x^2", 1, 1.0, 1001.0, True, False),  # linear |f'|, an adaptive test's probe
+    ("x^2", 1, 1e6, 1e6 + 1, False, False),  # linear |f'|, refused by rounding
+    ("1e-14*(x^4 - 2*x^2)", 1, -2.0, 2.0, True, True),  # not convex, below the slack
+    ("x^2", 1, -1e308, 1e308, True, False),  # the width overflows: inf and nan samples
+    ("x^1.5", 1, 0.5, 2.5, False, False),  # concave
+    ("x^0.5", 1, 0.5, 2.5, True, True),  # convex
+    ("x^1.5", 2, 0.5, 2.5, True, False),  # linear |f'|**2
+])
+def test_probe_keeps_its_verdicts(monkeypatch, text, q, lo, hi, verdict, one_pass):
+    got, vals = _recorded_probe(monkeypatch, from_expression(text), q, lo, hi)
+    assert got is verdict is _pairs_as_written(vals)
+    assert _clears_margin(vals) is one_pass
+
+
+@pytest.mark.parametrize("q", [1, 1.5, 2, 3])
+def test_probe_agrees_with_the_pair_loop_on_corpus_and_workload(monkeypatch, q):
+    windows = {"exp": (-1.0, 1.5), "negexp": (-1.0, 1.5)}
+    models = [(f, *windows.get(f.name, (0.5, 2.5))) for f in builtin_corpus()]
+    models += [(from_expression(t), lo, hi) for t in _WORKLOAD_EXPRESSIONS
+               for lo, hi in ((0.25, 0.75), (0.25, 3.0), (1.5, 3.0))]
+    for f, lo, hi in models:
+        verdict, vals = _recorded_probe(monkeypatch, f, q, lo, hi)
+        assert verdict is _pairs_as_written(vals), (f.name, lo, hi)
+
+
+@pytest.mark.parametrize("q", [1, 2])
+def test_workload_expressions_take_the_one_pass(monkeypatch, q):
+    # the adaptive_probed benchmark's six expressions, at ends in its range
+    for text in _WORKLOAD_EXPRESSIONS:
+        for lo, hi in ((0.25, 0.75), (0.25, 3.0), (1.5, 3.0), (1.0, 2.0)):
+            verdict, vals = _recorded_probe(monkeypatch, from_expression(text), q, lo, hi)
+            assert verdict and _clears_margin(vals), (text, lo, hi)
 
 
 def _random_expr(rng: SplitMix64, depth: int):

@@ -90,8 +90,9 @@ def test_exhaustiveness_bulk():
         alpha = rng.uniform()
         lam = rng.uniform()
         params = RuleParams(alpha, lam)
-        xa, xl = F(alpha), F(lam)
-        assert xa * xl <= 1 - xl * (1 - xa)
+        # alpha = p/P and lambda = r/R, with the inequality times P*R
+        (p, P), (r, R) = alpha.as_integer_ratio(), lam.as_integer_ratio()
+        assert p * r <= P * R - r * (P - p)
         counts[classify_regime(params)] += 1
     assert sum(counts.values()) == 1_000_000
     assert all(c > 0 for c in counts.values())
