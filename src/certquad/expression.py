@@ -590,9 +590,9 @@ def probe_convexity(f: FunctionModel, q, lo, hi) -> bool:
     exact midpoint deficit (v[2i] + v[2j]) / 2 - v[i+j] of at least
     6.5*r**2*uV, more than the 2uV + 2**-1075 that rounding the sum and
     its halving can take away, and rounding the addition of S cannot drop
-    the result below the float v[i+j].  A pair at r = 0 passes because fl(v + S) >= v, and
-    V <= S passes because the right-hand side is at least S.  Otherwise
-    the pair loop decides.
+    the result below the float v[i+j].  A pair at r = 0 passes because
+    fl(v + S) >= v, and V <= S passes because the right-hand side is at
+    least S.  Otherwise the pair loop decides.
     """
     lo, hi = float(lo), float(hi)
     fine = 2 * PROBE_GRID - 1
