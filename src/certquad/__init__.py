@@ -10,7 +10,7 @@ the induced inequalities between classical special means.
 
 from .bounds import (ErrorCertificate, best_bound, holder_endpoint_bound,
                      holder_interior_bound, power_mean_bound)
-from .coefficients import abs_power_integral, holder_coeffs, power_mean_coeffs
+from .coefficients import holder_coeffs, power_mean_coeffs
 from .composite import CompositeResult, adaptive_integrate, composite_integrate
 from .errors import DomainError, OracleError, ParseError, Refusal
 from .expression import (Expr, FunctionModel, builtin_corpus, differentiate,
@@ -26,12 +26,12 @@ __version__ = "0.1.0"
 __all__ = [
     "CompositeResult", "DomainError", "ErrorCertificate", "Expr",
     "FunctionModel", "Interval", "OracleError", "OracleResult",
-    "ParseError", "Refusal", "RuleParams", "abs_power_integral",
-    "adaptive_integrate", "best_bound", "builtin_corpus", "classify_regime",
-    "composite_integrate", "conjugate", "differentiate", "eval_mean",
-    "evaluate", "from_expression", "hh_check", "holder_coeffs",
-    "holder_endpoint_bound", "holder_interior_bound", "identity_rhs",
-    "integrate_ref", "mean_ref", "named_rule", "parse", "power_mean_bound",
-    "power_mean_coeffs", "power_model", "probe_convexity",
-    "proposition_check", "resolve_function", "rule_value", "to_string",
+    "ParseError", "Refusal", "RuleParams", "adaptive_integrate",
+    "best_bound", "builtin_corpus", "classify_regime", "composite_integrate",
+    "conjugate", "differentiate", "eval_mean", "evaluate", "from_expression",
+    "hh_check", "holder_coeffs", "holder_endpoint_bound",
+    "holder_interior_bound", "identity_rhs", "integrate_ref", "mean_ref",
+    "named_rule", "parse", "power_mean_bound", "power_mean_coeffs",
+    "power_model", "probe_convexity", "proposition_check",
+    "resolve_function", "rule_value", "to_string",
 ]

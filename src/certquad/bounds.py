@@ -20,11 +20,16 @@ only the certificate tag (T22q1) differs.
 
 ``prologue`` runs once per (f, [a, b], params, q, engine): q, domain,
 sign and convexity hypotheses, conjugate, regime tag and the engine's
-constants.  Its step certifies any piece of [a, b]; an engine steps [a, b]
-itself, a driver steps every panel.  The step refuses to read f' at a kink
-of f, where an argument of sign in f' is 0.  It skips the domain check,
-which [a, b] passed, and keeps |f'|**q and f at the ends of each piece it
-certified, keyed by identity (1, 1.0 and Fraction(1) apart), for one solve.
+constants.  Its step has two halves: ``measure(a, b, width)`` returns the
+plain numbers (bound, approx) of any piece of [a, b], and ``issue(piece,
+bound, approx)`` makes them an ErrorCertificate with the solve's fields.
+``certify`` joins the two for one piece: an engine and ``best_bound``
+certify [a, b] itself, ``composite_integrate`` every panel, and
+``adaptive_integrate`` measures every piece it tries but issues only the
+panels it returns.  ``measure`` refuses to read f' at a kink of f, where
+an argument of sign in f' is 0.  It skips the domain check, which [a, b]
+passed, and keeps |f'|**q and f at the ends of each piece it measured,
+keyed by identity (1, 1.0 and Fraction(1) apart), for one solve.
 
 A certificate is only issued under an established convexity hypothesis:
 builtin and user-asserted models pass directly, anything else is sampled
@@ -82,8 +87,8 @@ def _clamp(v):
 def prologue(f: FunctionModel, iv: Interval, params: RuleParams, q,
              name: str, verdicts=None):
     """Establish the hypotheses of engine ``name`` (an ``ENGINES`` key, as
-    given) on iv once and return the step that certifies any piece of iv,
-    which inherits them.
+    given) on iv once and return the step for any piece of iv, which
+    inherits them, as ``(measure, issue)`` (see the module docstring).
 
     q must be finite (else a DomainError), >= 1 for t22 and > 1 for t23
     and t24.  f must be absolutely continuous: an f calling sign is
@@ -181,8 +186,7 @@ def prologue(f: FunctionModel, iv: Interval, params: RuleParams, q,
         hit = memo.get(id(x))
         return hit if hit is not None and hit[0] is x else None
 
-    def certify(piece: Interval) -> ErrorCertificate:
-        a, b = piece.a, piece.b
+    def measure(a, b, width):
         ka, kb = known(a), known(b)
         xb = kb[1] if kb else slope(b)
         ya = ka[1] if ka else slope(a)
@@ -195,7 +199,7 @@ def prologue(f: FunctionModel, iv: Interval, params: RuleParams, q,
                 if not r and w and any(c and x for c, x in zip(weights, (xb, ya, node_pow))):
                     raise ArithmeticError(
                         f"{name} q-mean of |f'|**{q} underflows on [{a}, {b}] of {f.name}")
-        bound = piece.width * scale * (w1 * r1 + w2 * r2)
+        bound = width * scale * (w1 * r1 + w2 * r2)
         if exact:
             bound = _reduced(bound)
         try:
@@ -209,30 +213,37 @@ def prologue(f: FunctionModel, iv: Interval, params: RuleParams, q,
             if isinstance(v, float) and not math.isfinite(v):
                 raise OverflowError(f"{theorem} on [{a}, {b}] is not finite")
         memo[id(a)], memo[id(b)] = (a, ya, fa), (b, xb, fb)
-        return ErrorCertificate(piece, params, theorem, q, p, bound, approx,
-                                advisory, tag)
+        return bound, approx
 
-    return certify
+    def issue(piece: Interval, bound, approx) -> ErrorCertificate:
+        return ErrorCertificate(piece, params, theorem, q, p, bound, approx, advisory, tag)
+
+    return measure, issue
+
+
+def certify(piece: Interval, measure, issue) -> ErrorCertificate:
+    """The certificate of piece from a prologue's ``measure`` and ``issue``."""
+    return issue(piece, *measure(piece.a, piece.b, piece.width))
 
 
 def power_mean_bound(f: FunctionModel, iv: Interval, params: RuleParams,
                      q) -> ErrorCertificate:
     """Certificate from the power-mean route; q >= 1."""
-    return prologue(f, iv, params, q, "t22")(iv)
+    return certify(iv, *prologue(f, iv, params, q, "t22"))
 
 
 def holder_interior_bound(f: FunctionModel, iv: Interval, params: RuleParams,
                           q) -> ErrorCertificate:
     """Certificate from the conjugate-exponent route with interior-node
     averages; q > 1."""
-    return prologue(f, iv, params, q, "t23")(iv)
+    return certify(iv, *prologue(f, iv, params, q, "t23"))
 
 
 def holder_endpoint_bound(f: FunctionModel, iv: Interval, params: RuleParams,
                           q) -> ErrorCertificate:
     """Certificate from the conjugate-exponent route with endpoint-only
     averages; q > 1."""
-    return prologue(f, iv, params, q, "t24")(iv)
+    return certify(iv, *prologue(f, iv, params, q, "t24"))
 
 
 ENGINES = {
@@ -265,7 +276,7 @@ def best_bound(f: FunctionModel, iv: Interval, params: RuleParams,
     for name in ENGINES:
         for q in q_grid:
             try:
-                candidates.append(prologue(f, iv, params, q, name, verdicts)(iv))
+                candidates.append(certify(iv, *prologue(f, iv, params, q, name, verdicts)))
             except (Refusal, ArithmeticError) as exc:
                 refusals.append(f"{name} at q={q}: {exc}")
     if not candidates:

@@ -1,5 +1,4 @@
-"""Closed forms for every constant used by the bound engines, plus an
-independent piecewise-exact integral oracle to validate them.
+"""Closed forms for every constant used by the bound engines.
 
 Naming follows the two weight integrals behind the bounds.  With
 c = alpha*lambda, u = 1 - alpha and w = lambda*(1 - alpha):
@@ -47,10 +46,6 @@ from .errors import DomainError
 from .params import CASE1, CASE2, CASE3, RuleParams, _lift, _power
 
 _TINY = 2 * sys.float_info.min  # smallest normal float times 2 > 1 / (1 - 1/e)
-
-WEIGHT_ONE = "1"
-WEIGHT_T = "t"
-WEIGHT_ONE_MINUS_T = "1-t"
 
 # tag -> names of (gamma, mu_b, mu_a, upsilon, eta_b, eta_a, eps_first,
 # eps_second); *_b weight |f'(b)|**q, *_a |f'(a)|**q.  Only Case3 switches
@@ -121,58 +116,6 @@ def _eps_pair(kink, split, k):
     """(sum, difference) closed forms, each None off its side of the split."""
     return (_power(kink, k) + _power(split - kink, k) if kink <= split else None,
             _power(kink, k) - _power(kink - split, k) if kink >= split else None)
-
-
-# ---------------------------------------------------------------------------
-# Piecewise-exact oracle for the defining integrals
-
-def _powers(s0, s1, p):
-    """(integral of s**p, integral of s**(p+1)) for s from s0 to s1, s >= 0."""
-    i1 = (s1 ** (p + 1) - s0 ** (p + 1)) / (p + 1)
-    i2 = (s1 ** (p + 2) - s0 ** (p + 2)) / (p + 2)
-    return i1, i2
-
-
-def _piece(c, lo, hi, p, weight, above: bool):
-    """Integral of |t-c|**p * weight(t) over [lo, hi] with t-c one-signed."""
-    if lo == hi:
-        return 0
-    if above:
-        # substitute s = t - c, s in [lo-c, hi-c], t = c + s
-        i1, i2 = _powers(lo - c, hi - c, p)
-        if weight == WEIGHT_ONE:
-            return i1
-        if weight == WEIGHT_T:
-            return c * i1 + i2
-        return (1 - c) * i1 - i2
-    # substitute s = c - t, s in [c-hi, c-lo], t = c - s
-    i1, i2 = _powers(c - hi, c - lo, p)
-    if weight == WEIGHT_ONE:
-        return i1
-    if weight == WEIGHT_T:
-        return c * i1 - i2
-    return (1 - c) * i1 + i2
-
-
-def abs_power_integral(c, lo, hi, p, weight: str = WEIGHT_ONE):
-    """Integral of |t - c|**p * w(t) over [lo, hi], w in {1, t, 1-t}.
-
-    Splits at t = c and integrates each monomial piece in closed form, so
-    the only error is rounding (exact for rational inputs with integer p).
-    Used to validate the coefficient formulas, never to produce them.
-    """
-    if weight not in (WEIGHT_ONE, WEIGHT_T, WEIGHT_ONE_MINUS_T):
-        raise DomainError(f"weight must be one of '1', 't', '1-t', got {weight!r}")
-    if not p >= 1:
-        raise DomainError(f"exponent p must be >= 1, got {p!r}")
-    if lo > hi:
-        raise DomainError(f"empty range: lo={lo!r} > hi={hi!r}")
-    if hi <= c:
-        return _piece(c, lo, hi, p, weight, above=False)
-    if lo >= c:
-        return _piece(c, lo, hi, p, weight, above=True)
-    return (_piece(c, lo, c, p, weight, above=False)
-            + _piece(c, c, hi, p, weight, above=True))
 
 
 def eps_underflows(params: RuleParams, p) -> bool:

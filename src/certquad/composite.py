@@ -13,21 +13,26 @@ step, whose memo evaluates each shared end object once.  A result keeps
 each panel as its certificate, which names it.
 
 ``adaptive_integrate`` greedily bisects the panel with the largest
-width-scaled bound until the summed bound clears the target or the panel
-budget runs out.  Panel endpoints are a, b and affine interpolations of
-indices, never accumulated widths, so they cannot drift.
+width-scaled bound until the summed bound clears the target, the panel
+budget runs out, or that panel has no number strictly inside it.  It
+bisects plain numbers: each heap entry holds a piece's ends, its width and
+the (bound, approx) that ``measure`` gave, and an Interval and a
+certificate are built once per panel it returns.  Panel endpoints are a,
+b and affine interpolations of indices or midpoints, never accumulated
+widths, so they cannot drift.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 
-from .bounds import prologue
+from .bounds import certify, prologue
 from .errors import DomainError
 from .expression import FunctionModel
 from .params import RuleParams
 from .record import Record
-from .rules import Interval
+from .rules import Interval, midpoint
 
 
 class CompositeResult(Record):
@@ -46,18 +51,17 @@ class CompositeResult(Record):
         return any(cert.advisory for cert in self.panels)
 
 
-def _entry(certify, piece: Interval):
-    cert = certify(piece)
-    return -(piece.width * cert.bound), piece.a, cert  # largest pops first; panels' a differ
+def _measured(measure, a, b, width):
+    bound, approx = measure(a, b, width)
+    return -(width * bound), a, b, width, bound, approx  # largest pops first; panels' a differ
 
 
-def _assemble(entries, target=None) -> CompositeResult:
-    entries = sorted(entries, key=lambda entry: entry[1])
-    panels = [cert for _, _, cert in entries]
+def _assemble(panels, scaled, target=None) -> CompositeResult:
+    """The result of panels in order, scaled[i] the width * bound of panels[i]."""
     value = total = 0  # left to right: the builtin sum compensates floats since 3.12
-    for neg_scaled, _, cert in entries:
+    for cert, width_bound in zip(panels, scaled):
         value += cert.interval.width * cert.approx
-        total += -neg_scaled
+        total += width_bound
     return CompositeResult(value, total, panels,
                            None if target is None else bool(total <= target))
 
@@ -67,9 +71,10 @@ def composite_integrate(f: FunctionModel, iv: Interval, params: RuleParams,
     """Apply the rule on n uniform panels and sum the certificates."""
     if not isinstance(n, int) or n < 1:
         raise DomainError(f"panel count must be a positive integer, got {n!r}")
-    certify = prologue(f, iv, params, q, theorem)
+    measure, issue = prologue(f, iv, params, q, theorem)
     cuts = [iv.a] + [(iv.a * (n - i) + iv.b * i) / n for i in range(1, n)] + [iv.b]
-    return _assemble([_entry(certify, Interval(u, v)) for u, v in zip(cuts, cuts[1:])])
+    panels = [certify(Interval(u, v), measure, issue) for u, v in zip(cuts, cuts[1:])]
+    return _assemble(panels, [cert.interval.width * cert.bound for cert in panels])
 
 
 def adaptive_integrate(f: FunctionModel, iv: Interval, params: RuleParams,
@@ -77,23 +82,32 @@ def adaptive_integrate(f: FunctionModel, iv: Interval, params: RuleParams,
                        max_panels: int = 1024) -> CompositeResult:
     """Greedy bound-driven bisection until total_bound <= target.
 
-    Stops early (with target_met False) when max_panels is reached.  Ties
-    in the width-scaled bound break toward the leftmost panel.
+    Stops early (with target_met False) when max_panels is reached, or
+    when the panel to bisect has no midpoint strictly inside it: its float
+    midpoint rounds to an end, or past a Fraction end.  A midpoint that
+    overflows is the DomainError of an infinite end.  Ties in the
+    width-scaled bound break toward the leftmost panel.
     """
     if target is None or not target > 0:
         raise DomainError(f"target must be positive, got {target!r}")
     if not isinstance(max_panels, int) or max_panels < 1:
         raise DomainError(f"max_panels must be a positive integer, got {max_panels!r}")
-    certify = prologue(f, iv, params, q, theorem)
-    heap = [_entry(certify, iv)]
+    measure, issue = prologue(f, iv, params, q, theorem)
+    heap = [_measured(measure, iv.a, iv.b, iv.width)]
     total = -heap[0][0]
     while total > target and len(heap) < max_panels:
-        neg_scaled, _, cert = heapq.heappop(heap)
-        piece = cert.interval
-        mid = piece.midpoint()
-        left = _entry(certify, Interval(piece.a, mid))
-        right = _entry(certify, Interval(mid, piece.b))
-        heapq.heappush(heap, left)
+        neg_scaled, a, b = heap[0][:3]
+        mid = midpoint(a, b)
+        if not a < mid < b:  # a float mid: an exact one always falls inside
+            if math.isinf(mid):
+                Interval(a, mid)  # raises the DomainError of an infinite end
+            break
+        left = _measured(measure, a, mid, mid - a)
+        right = _measured(measure, mid, b, b - mid)
+        heapq.heapreplace(heap, left)
         heapq.heappush(heap, right)
         total += -left[0] + -right[0] - (-neg_scaled)
-    return _assemble(heap, target)
+    heap.sort(key=lambda entry: entry[1])
+    panels = [issue(Interval(a, b) if len(heap) > 1 else iv, bound, approx)
+              for _, a, b, _, bound, approx in heap]
+    return _assemble(panels, [-entry[0] for entry in heap], target)

@@ -143,13 +143,17 @@ class _Ratio:
     so that ``_reduced`` of a result is what step-by-step Fraction
     arithmetic gives, in type and value.
 
-    ``+ - * /`` and the comparisons are exact with an int, a Fraction or
-    another _Ratio.  With a float x, ``op`` gives (n / d) op x: Fraction
-    gives float(F) op x, and both n / d and float(F) are the correctly
-    rounded value of the same rational, so the bits are equal.  ``**`` is
-    exact for an integral int or Fraction exponent and (n / d) ** float(k)
-    for any other Fraction or float k; a _Ratio is never an exponent.  Any
-    other operand, a subclass of int or float (bool, say) included, is a
+    It has only what the kernels use: ``+ - *`` on either side, ``/``
+    with the _Ratio on the left, ``**``, ``==``, ``>=`` and ``bool``.  These
+    are exact with an int, a Fraction or another _Ratio; ``==`` and ``>=``
+    compare exactly with a float too (``<=`` reflects onto ``>=``).  In
+    arithmetic with a float x, ``op`` gives (n / d) op x: Fraction gives
+    float(F) op x, and both n / d and float(F) are the correctly rounded
+    value of the same rational, so the bits are equal.  ``**`` is exact for
+    an integral int or Fraction exponent and (n / d) ** float(k) for any
+    other Fraction or float k; a _Ratio is never an exponent.  Any other
+    operator, such as ``<``, ``x / r`` or ``float(r)``, and any other
+    operand, a subclass of int or float (bool, say) included, is a
     TypeError.  The slots carry Fraction's own slot names, so a Fraction
     operand is read without a property call.
     """
@@ -204,14 +208,6 @@ class _Ratio:
             return _quotient(self._numerator, self._denominator * o)
         return self._numerator / self._denominator / o if t is float else NotImplemented
 
-    def __rtruediv__(self, o):
-        t = type(o)
-        if t is _Ratio or t is Fraction:
-            return _quotient(o._numerator * self._denominator, o._denominator * self._numerator)
-        if t is int:
-            return _quotient(o * self._denominator, self._numerator)
-        return o / (self._numerator / self._denominator) if t is float else NotImplemented
-
     def __pow__(self, k):
         t = type(k)
         if t is int or t is Fraction and k._denominator == 1:
@@ -236,24 +232,11 @@ class _Ratio:
     def __eq__(self, o):
         return self._compare(o, operator.eq)
 
-    def __lt__(self, o):
-        return self._compare(o, operator.lt)
-
-    def __le__(self, o):
-        return self._compare(o, operator.le)
-
-    def __gt__(self, o):
-        return self._compare(o, operator.gt)
-
     def __ge__(self, o):
         return self._compare(o, operator.ge)
 
     def __bool__(self):
         return self._numerator != 0
-
-    def __float__(self):
-        return self._numerator / self._denominator
-
 
 def _ratio(n, d):
     r = object.__new__(_Ratio)  # no __init__ call: every operation builds one

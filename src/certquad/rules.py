@@ -25,6 +25,11 @@ from .params import RuleParams, _lift, _reduced
 from .record import Record
 
 
+def midpoint(a, b):
+    """(a + b) / 2, where a bisection cuts [a, b]."""
+    return (a + b) / 2
+
+
 class Interval(Record):
     """A nondegenerate interval [a, b] with a < b, and its width b - a."""
 
@@ -41,7 +46,7 @@ class Interval(Record):
         Interval.width.__set__(self, self.b - self.a)
 
     def midpoint(self):
-        return (self.a + self.b) / 2
+        return midpoint(self.a, self.b)
 
 
 def require_within_domain(f: FunctionModel, iv: Interval) -> None:

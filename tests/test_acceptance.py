@@ -19,7 +19,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from certquad import (Interval, RuleParams, abs_power_integral, best_bound,
+from certquad import (Interval, RuleParams, best_bound,
                       classify_regime, composite_integrate, eval_mean,
                       holder_coeffs, holder_interior_bound,
                       holder_endpoint_bound, mean_ref, named_rule,
@@ -30,6 +30,7 @@ from certquad.coefficients import SELECTED
 from certquad.prng import SplitMix64
 
 from conftest import INTERVALS, child_env
+from test_coefficients import abs_power_integral
 from test_bounds import (fixture_midpoint_power_mean, fixture_midpoint_q1,
                          fixture_simpson_holder_endpoint,
                          fixture_simpson_holder_interior,

@@ -544,7 +544,7 @@ def test_step_matches_the_per_engine_formulas(corpus):
     # exact, float and mixed (alpha, lambda), crossed with every kind of end
     # and with Fraction and float q; _outcome compares type and repr, so a
     # value the step leaves unreduced, or of another type, fails here
-    from certquad.bounds import prologue
+    from certquad.bounds import certify, prologue
     rng = random.Random(12)
     models = [corpus["pow:2"], corpus["pow:3"], corpus["exp"], corpus["reciprocal"],
               from_expression("x^3 + 3*x", assume_convex=True)]
@@ -563,14 +563,14 @@ def test_step_matches_the_per_engine_formulas(corpus):
         f, q = rng.choice(models), rng.choice(_STEP_QS)
         name = rng.choice(("t22", "t23", "t24"))
         try:
-            certify = prologue(f, pieces[0], params, q, name)
+            step = prologue(f, pieces[0], params, q, name)
         except (Refusal, ArithmeticError):
             continue  # the hypotheses are checked before the step, as before
         for _ in range(3):  # bisect, so the t23 node moves with the piece
             piece, mid = pieces[-1], pieces[-1].midpoint()
             pieces.append(rng.choice((Interval(piece.a, mid), Interval(mid, piece.b))))
         for piece in pieces:
-            cert = _outcome(lambda: attrgetter("bound", "approx")(certify(piece)))
+            cert = _outcome(lambda: attrgetter("bound", "approx")(certify(piece, *step)))
             if cert == "ArithmeticError":  # the step refuses a lost power
                 assert _loses_a_power(f, piece, params, q, name), (f.name, params, q, name, piece)
                 lost += 1

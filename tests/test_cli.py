@@ -510,6 +510,29 @@ def test_adaptive_ties_below_float_resolution(max_panels, capsys):
     assert all(left[1] == right[0] for left, right in zip(ends, ends[1:]))
 
 
+@pytest.mark.parametrize("a, b", [
+    ("1", "1.0000000000000002"),  # (a + b) / 2 rounds to a
+    ("1/3", "0.33333333333333337"),  # to b
+    (f"{2 ** 60 + 1}/{2 ** 60}", "1.0000000000000002"),  # to 1.0, below the Fraction a
+])
+def test_adaptive_stops_at_a_panel_with_no_midpoint_inside(a, b, capsys):
+    # the budget's outcome, not an error that names a panel the user never gave
+    code, out, err = run_cli(
+        "integrate", "--f", "pow:2", "--a", a, "--b", b, "--rule", "midpoint",
+        "--q", "1", "--target", "1e-300", capsys=capsys)
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert (doc["target_met"], doc["panels"]) == (False, 1)
+    assert (doc["panel_table"][0]["a"], doc["panel_table"][0]["b"]) == (a, b)
+
+
+def test_adaptive_midpoint_past_the_float_range_is_an_error(capsys):
+    code, out, err = run_cli(
+        "integrate", "--f", "x", "--assume-convex", "--a", "1e308", "--b", "1.7e308",
+        "--rule", "midpoint", "--q", "1", "--target", "1e-300", capsys=capsys)
+    assert (code, out, err) == (1, "", "certquad: error: interval endpoint b must be finite\n")
+
+
 def test_verify_soundness_in_process(capsys):
     code, out, _ = run_cli("verify", "--seed", "3", "--rows", "40",
                            capsys=capsys)

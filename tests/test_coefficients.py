@@ -4,8 +4,8 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from certquad import (DomainError, RuleParams, abs_power_integral,
-                      classify_regime, holder_coeffs, power_mean_coeffs)
+from certquad import (DomainError, RuleParams, classify_regime, holder_coeffs,
+                      power_mean_coeffs)
 from certquad.coefficients import _TINY, POWER_MEAN, SELECTED, eps_underflows
 from certquad.params import CASE1, CASE2, CASE3
 from certquad.prng import SplitMix64
@@ -134,6 +134,64 @@ def test_underflow_guard_reads_the_shared_pairs():
         assert eps_underflows(params, p) is want, (params, p)
         seen.add(want)
     assert seen == {True, False}
+
+
+# ---------------------------------------------------------------------------
+# Piecewise-exact oracle for the defining integrals: it validates the closed
+# forms, which never read it
+
+WEIGHT_ONE = "1"
+WEIGHT_T = "t"
+WEIGHT_ONE_MINUS_T = "1-t"
+
+
+def _powers(s0, s1, p):
+    """(integral of s**p, integral of s**(p+1)) for s from s0 to s1, s >= 0."""
+    i1 = (s1 ** (p + 1) - s0 ** (p + 1)) / (p + 1)
+    i2 = (s1 ** (p + 2) - s0 ** (p + 2)) / (p + 2)
+    return i1, i2
+
+
+def _piece(c, lo, hi, p, weight, above: bool):
+    """Integral of |t-c|**p * weight(t) over [lo, hi] with t-c one-signed."""
+    if lo == hi:
+        return 0
+    if above:
+        # substitute s = t - c, s in [lo-c, hi-c], t = c + s
+        i1, i2 = _powers(lo - c, hi - c, p)
+        if weight == WEIGHT_ONE:
+            return i1
+        if weight == WEIGHT_T:
+            return c * i1 + i2
+        return (1 - c) * i1 - i2
+    # substitute s = c - t, s in [c-hi, c-lo], t = c - s
+    i1, i2 = _powers(c - hi, c - lo, p)
+    if weight == WEIGHT_ONE:
+        return i1
+    if weight == WEIGHT_T:
+        return c * i1 - i2
+    return (1 - c) * i1 + i2
+
+
+def abs_power_integral(c, lo, hi, p, weight: str = WEIGHT_ONE):
+    """Integral of |t - c|**p * w(t) over [lo, hi], w in {1, t, 1-t}.
+
+    Splits at t = c and integrates each monomial piece in closed form, so
+    the only error is rounding (exact for rational inputs with integer p).
+    Used to validate the coefficient formulas, never to produce them.
+    """
+    if weight not in (WEIGHT_ONE, WEIGHT_T, WEIGHT_ONE_MINUS_T):
+        raise DomainError(f"weight must be one of '1', 't', '1-t', got {weight!r}")
+    if not p >= 1:
+        raise DomainError(f"exponent p must be >= 1, got {p!r}")
+    if lo > hi:
+        raise DomainError(f"empty range: lo={lo!r} > hi={hi!r}")
+    if hi <= c:
+        return _piece(c, lo, hi, p, weight, above=False)
+    if lo >= c:
+        return _piece(c, lo, hi, p, weight, above=True)
+    return (_piece(c, lo, c, p, weight, above=False)
+            + _piece(c, c, hi, p, weight, above=True))
 
 
 def test_gamma1_against_weight_integral():

@@ -1,10 +1,14 @@
+import heapq
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
 
-from certquad import (DomainError, Interval, Refusal, RuleParams,
-                      adaptive_integrate, composite_integrate, named_rule)
+from certquad import (CompositeResult, DomainError, ErrorCertificate, Interval, Refusal,
+                      RuleParams, adaptive_integrate, composite_integrate,
+                      from_expression, named_rule)
+from certquad.bounds import certify, prologue
 
 MIDPOINT = named_rule("midpoint")
 SIMPSON = named_rule("simpson")
@@ -254,15 +258,12 @@ def _twin(x):
 
 
 def test_memo_changes_no_certificate(corpus):
-    import random
-
-    from certquad.bounds import prologue
     panels = 0
     for f, iv, params, q, name, result in _solves(corpus, random.Random(13)):
         for cert in result.panels:
             # a fresh step on new end objects: no memo entry can serve it
             piece = Interval(_twin(cert.interval.a), _twin(cert.interval.b))
-            fresh = prologue(f, iv, params, q, name)(piece)
+            fresh = certify(piece, *prologue(f, iv, params, q, name))
             for field in ("bound", "approx"):
                 got, want = getattr(cert, field), getattr(fresh, field)
                 assert (type(got), repr(got)) == (type(want), repr(want)), (
@@ -325,3 +326,125 @@ def test_each_point_is_evaluated_once_per_solve(corpus, monkeypatch, fname, a, b
     r = adaptive_integrate(corpus[fname], Interval(a, b), params, q, name, target=1e-3)
     assert len(r.panels) == 1024
     assert calls == {"derivative": derivatives, "value": values}
+
+
+# ---------------------------------------------------------------------------
+# The adaptive driver on plain numbers: the same solves as one certificate
+# per tried piece, and one certificate per emitted panel
+
+def _step_as_written(f, iv, params, q, theorem):
+    """A step from a piece to its certificate, as the driver below used it."""
+    measure, issue = prologue(f, iv, params, q, theorem)
+    return lambda piece: certify(piece, measure, issue)
+
+
+def _entry_as_written(certify, piece: Interval):
+    cert = certify(piece)
+    return -(piece.width * cert.bound), piece.a, cert  # largest pops first; panels' a differ
+
+
+def _assemble_as_written(entries, target=None) -> CompositeResult:
+    entries = sorted(entries, key=lambda entry: entry[1])
+    panels = [cert for _, _, cert in entries]
+    value = total = 0  # left to right: the builtin sum compensates floats since 3.12
+    for neg_scaled, _, cert in entries:
+        value += cert.interval.width * cert.approx
+        total += -neg_scaled
+    return CompositeResult(value, total, panels,
+                           None if target is None else bool(total <= target))
+
+
+def _adaptive_as_written(f, iv: Interval, params: RuleParams, q, theorem: str = "t22",
+                         target=None, max_panels: int = 1024) -> CompositeResult:
+    """adaptive_integrate before it bisected plain numbers: it certified
+    every piece it tried; kept verbatim as the reference solve."""
+    if target is None or not target > 0:
+        raise DomainError(f"target must be positive, got {target!r}")
+    if not isinstance(max_panels, int) or max_panels < 1:
+        raise DomainError(f"max_panels must be a positive integer, got {max_panels!r}")
+    certify = _step_as_written(f, iv, params, q, theorem)
+    heap = [_entry_as_written(certify, iv)]
+    total = -heap[0][0]
+    while total > target and len(heap) < max_panels:
+        neg_scaled, _, cert = heapq.heappop(heap)
+        piece = cert.interval
+        mid = piece.midpoint()
+        left = _entry_as_written(certify, Interval(piece.a, mid))
+        right = _entry_as_written(certify, Interval(mid, piece.b))
+        heapq.heappush(heap, left)
+        heapq.heappush(heap, right)
+        total += -left[0] + -right[0] - (-neg_scaled)
+    return _assemble_as_written(heap, target)
+
+
+def _typed(v):
+    return type(v), repr(v)
+
+
+def _solve_outcome(solve, *args, **kwargs):
+    """Everything a solve shows, types and reprs included, or its error."""
+    try:
+        r = solve(*args, **kwargs)
+    except (ArithmeticError, DomainError, Refusal) as exc:
+        return type(exc), str(exc)
+    return (_typed(r.value), _typed(r.total_bound), r.target_met, r.panels,
+            [(_typed(c.interval.a), _typed(c.interval.b), _typed(c.interval.width),
+              _typed(c.bound), _typed(c.approx)) for c in r.panels])
+
+
+def _adaptive_cases(corpus, rng):
+    """Seeded adaptive solves: float and Fraction params and ends, every
+    engine, q in {1, 3/2, 2} as Fraction and float, 1 to 64 panels, targets
+    met and missed, a probed expression, and errors in either child."""
+    fns = [(corpus["exp"], (0.0, 1.0)), (corpus["pow:2"], (F(-1, 2), F(2))),
+           (corpus["pow:3"], (0.25, 3.0)), (corpus["reciprocal"], (F(1, 2), F(3))),
+           (corpus["pow:-2"], (1, 3)), (corpus["neglog"], (F(1, 3), 2.5)),
+           (from_expression("x^2*exp(x)"), (0.5, 1.5)),
+           (from_expression("abs(x - 1/2) + x^2", assume_convex=True), (F(-1, 2), F(3, 2))),
+           # at alpha = 1/2 the first bisection's left node is 1 (ln of 0), its right node 3
+           (from_expression("1/(x-3) + ln(x^2 - 2*x + 1)", assume_convex=True), (F(0), F(4)))]
+    for case in range(240):
+        f, (a, b) = fns[case % len(fns)]
+        params = RuleParams(*(rng.choice((F(0), F(1, 2), F(1), F(rng.randint(1, 11), 12)))
+                              if case % 3 else rng.uniform(0.05, 0.95) for _ in range(2)))
+        name = ("t22", "t23", "t24")[case // len(fns) % 3]
+        qs = (F(3, 2), 1.5, F(2), 2.0) + ((F(1), 1) if name == "t22" else ())
+        target = rng.choice((F(1, 10), 1e-2, 1e-4, F(1, 10 ** 6), 1e-12))
+        yield f, Interval(a, b), params, rng.choice(qs), name, target, rng.randint(1, 64)
+
+
+def test_adaptive_matches_the_driver_that_certified_every_piece(corpus):
+    outcomes = {"met": 0, "missed": 0, "raised": 0}
+    for f, iv, params, q, name, target, max_panels in _adaptive_cases(corpus, random.Random(21)):
+        got = _solve_outcome(adaptive_integrate, f, iv, params, q, name, target, max_panels)
+        want = _solve_outcome(_adaptive_as_written, f, iv, params, q, name, target, max_panels)
+        assert got == want, (f.name, iv, params, q, name, target, max_panels)
+        outcomes["raised" if len(got) == 2 else "met" if got[2] else "missed"] += 1
+    assert min(outcomes.values()) >= 10, outcomes
+
+
+def test_one_certificate_per_emitted_panel(corpus, monkeypatch):
+    built = {"certificate": 0, "interval": 0}
+    checked = Interval.__post_init__
+
+    def counted_certificate(self):
+        built["certificate"] += 1
+
+    def counted_interval(self):
+        built["interval"] += 1
+        checked(self)
+
+    monkeypatch.setattr(ErrorCertificate, "__post_init__", counted_certificate)
+    monkeypatch.setattr(Interval, "__post_init__", counted_interval)
+    for f, iv, params, q, name, target, max_panels in _adaptive_cases(corpus, random.Random(22)):
+        built.update(certificate=0, interval=0)
+        try:
+            r = adaptive_integrate(f, iv, params, q, name, target, max_panels)
+        except (ArithmeticError, DomainError, Refusal):
+            continue
+        n = len(r.panels)
+        assert built["certificate"] == n and built["interval"] <= n
+        assert built["interval"] == (0 if n == 1 else n)  # one panel is iv itself
+        built.update(certificate=0, interval=0)
+        _adaptive_as_written(f, iv, params, q, name, target, max_panels)
+        assert built["certificate"] == 2 * n - 1

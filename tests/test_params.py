@@ -182,6 +182,16 @@ def _result(run):
     return type(_reduced(value)), repr(_reduced(value))
 
 
+def _kept(op, x, y):
+    """Whether op(x, y) reaches an operator _Ratio keeps; any other is a
+    TypeError."""
+    if op in (operator.add, operator.sub, operator.mul, operator.eq):
+        return True
+    if op in (operator.truediv, operator.ge):
+        return type(x) is _Ratio
+    return op is operator.le and type(y) is _Ratio  # x <= r reflects onto r >= x
+
+
 def test_ratio_has_fractions_mixed_type_arithmetic():
     rng = random.Random(19)
     exact = [F(0), F(1), F(-1), F(3, 7), F(-5, 2)] + [
@@ -200,7 +210,8 @@ def test_ratio_has_fractions_mixed_type_arithmetic():
     cases += [((unreduced(x), unreduced(y)), (x, y)) for x in exact for y in exact]
     for (x, y), (fx, fy) in cases:
         for op in _ARITHMETIC + _ORDER + (operator.eq,):
-            assert _result(lambda: op(x, y)) == _result(lambda: op(fx, fy)), (op, fx, fy)
+            want = _result(lambda: op(fx, fy)) if _kept(op, x, y) else TypeError
+            assert _result(lambda: op(x, y)) == want, (op, fx, fy)
     exponents = ints + [F(2), F(-1), F(1, 2), F(3, 2), F(-1, 3), 0.5, 2.0, -1.5]
     for x in exact:
         for k in exponents:
@@ -209,7 +220,8 @@ def test_ratio_has_fractions_mixed_type_arithmetic():
                 k ** unreduced(x)
         r = unreduced(x)
         assert bool(r) is bool(x)
-        assert repr(float(r)) == repr(float(x))
+        with pytest.raises(TypeError):  # never called: a float is read as n / d
+            float(r)
         for other in (1j, "1", None, Decimal("1.5"), True):
             for op in _ARITHMETIC + _ORDER + (operator.pow,):
                 with pytest.raises(TypeError):
