@@ -17,7 +17,7 @@ from .expression import (Expr, FunctionModel, builtin_corpus, differentiate,
                          evaluate, from_expression, parse, power_model,
                          probe_convexity, resolve_function, to_string)
 from .means import eval_mean, proposition_check
-from .oracle import OracleResult, hh_check, integrate_ref, mean_ref
+from .oracle import OracleResult, integrate_ref, mean_ref
 from .params import RuleParams, classify_regime, conjugate
 from .rules import Interval, identity_rhs, named_rule, rule_value
 
@@ -29,7 +29,7 @@ __all__ = [
     "ParseError", "Refusal", "RuleParams", "adaptive_integrate",
     "best_bound", "builtin_corpus", "classify_regime", "composite_integrate",
     "conjugate", "differentiate", "eval_mean", "evaluate", "from_expression",
-    "hh_check", "holder_coeffs", "holder_endpoint_bound",
+    "holder_coeffs", "holder_endpoint_bound",
     "holder_interior_bound", "identity_rhs", "integrate_ref", "mean_ref",
     "named_rule", "parse", "power_mean_bound", "power_mean_coeffs",
     "power_model", "probe_convexity", "proposition_check",

@@ -21,15 +21,16 @@ only the certificate tag (T22q1) differs.
 ``prologue`` runs once per (f, [a, b], params, q, engine): q, domain,
 sign and convexity hypotheses, conjugate, regime tag and the engine's
 constants.  Its step has two halves: ``measure(a, b, width)`` returns the
-plain numbers (bound, approx) of any piece of [a, b], and ``issue(piece,
-bound, approx)`` makes them an ErrorCertificate with the solve's fields.
-``certify`` joins the two for one piece: an engine and ``best_bound``
-certify [a, b] itself, ``composite_integrate`` every panel, and
-``adaptive_integrate`` measures every piece it tries but issues only the
-panels it returns.  ``measure`` refuses to read f' at a kink of f, where
-an argument of sign in f' is 0.  It skips the domain check, which [a, b]
-passed, and keeps |f'|**q and f at the ends of each piece it measured,
-keyed by identity (1, 1.0 and Fraction(1) apart), for one solve.
+bound of any piece of [a, b], a plain number, and ``issue(piece, bound)``
+makes the rule value, reading f at the node, and the ErrorCertificate
+with the solve's fields.  ``certify`` joins the two for one piece: an
+engine and ``best_bound`` certify [a, b] itself, ``composite_integrate``
+every panel, and ``adaptive_integrate`` measures every piece it tries but
+issues only the panels it returns.  ``measure`` refuses to read f' at a
+kink of f, where an argument of sign in f' is 0.  It skips the domain
+check, which [a, b] passed, and keeps |f'|**q and f at the ends of each
+piece it measured, keyed by identity (1, 1.0 and Fraction(1) apart), for
+one solve; ``issue`` takes f at the ends from there.
 
 A certificate is only issued under an established convexity hypothesis:
 builtin and user-asserted models pass directly, anything else is sampled
@@ -48,10 +49,10 @@ Exact arithmetic defers its gcds.  When ``params.exact`` (alpha or lambda
 is a Fraction), the prologue lifts its exact constants (mu/eta, the t24
 blend weights, scale, w1, w2) to unreduced ``params._Ratio`` values once
 per solve, and the step lifts each exact |f'|**q once, which the memo
-keeps.  The step reduces the bound, and ``rules.stencil`` the node handed
-to f and the rule value, once each, so every value that leaves the step is
-the Fraction, or the float, that step-by-step arithmetic gives.  Float
-parameters run plain arithmetic, with nothing lifted.
+keeps.  ``measure`` reduces the bound, and ``rules.stencil`` the node
+handed to f and the rule value, once each, so every value that leaves the
+step is the Fraction, or the float, that step-by-step arithmetic gives.
+Float parameters run plain arithmetic, with nothing lifted.
 """
 
 from __future__ import annotations
@@ -88,7 +89,9 @@ def prologue(f: FunctionModel, iv: Interval, params: RuleParams, q,
              name: str, verdicts=None):
     """Establish the hypotheses of engine ``name`` (an ``ENGINES`` key, as
     given) on iv once and return the step for any piece of iv, which
-    inherits them, as ``(measure, issue)`` (see the module docstring).
+    inherits them, as ``(measure, issue)``: ``measure`` gives a piece's
+    bound, ``issue`` its rule value and certificate (see the module
+    docstring).
 
     q must be finite (else a DomainError), >= 1 for t22 and > 1 for t23
     and t24.  f must be absolutely continuous: an f calling sign is
@@ -180,7 +183,7 @@ def prologue(f: FunctionModel, iv: Interval, params: RuleParams, q,
     node_of, combine = stencil(params)
     reads_node = name == "t23"
     value = f.value
-    memo = {}  # id(x) -> (x, |f'(x)|**q, f(x)) for each end of a certified piece
+    memo = {}  # id(x) -> (x, |f'(x)|**q, f(x)) for each end of a measured piece
 
     def known(x):  # an entry keeps its x alive, so no other object takes its id
         hit = memo.get(id(x))
@@ -190,8 +193,7 @@ def prologue(f: FunctionModel, iv: Interval, params: RuleParams, q,
         ka, kb = known(a), known(b)
         xb = kb[1] if kb else slope(b)
         ya = ka[1] if ka else slope(a)
-        node = node_of(a, b)
-        node_pow = slope(node) if reads_node else 0
+        node_pow = slope(node_of(a, b)) if reads_node else 0
         d1, d2 = averages(node_pow, xb, ya)
         r1, r2 = _clamp(d1) ** inv_q, _clamp(d2) ** inv_q
         if not (r1 and r2):  # a root of a mean of nonnegative terms is 0 only if each term is
@@ -205,17 +207,23 @@ def prologue(f: FunctionModel, iv: Interval, params: RuleParams, q,
         try:
             fa = ka[2] if ka else value(x := a)
             fb = kb[2] if kb else value(x := b)
-            fn = value(x := node)
         except OverflowError:
             raise OverflowError(f"{name} f overflows at x={x} of {f.name}") from None
-        approx = combine(fa, fb, fn)
-        for v in (bound, approx):
-            if isinstance(v, float) and not math.isfinite(v):
-                raise OverflowError(f"{theorem} on [{a}, {b}] is not finite")
+        if isinstance(bound, float) and not math.isfinite(bound):
+            raise OverflowError(f"{theorem} on [{a}, {b}] is not finite")
         memo[id(a)], memo[id(b)] = (a, ya, fa), (b, xb, fb)
-        return bound, approx
+        return bound
 
-    def issue(piece: Interval, bound, approx) -> ErrorCertificate:
+    def issue(piece: Interval, bound) -> ErrorCertificate:
+        a, b = piece.a, piece.b
+        node = node_of(a, b)
+        try:
+            fn = value(node)
+        except OverflowError:
+            raise OverflowError(f"{name} f overflows at x={node} of {f.name}") from None
+        approx = combine(memo[id(a)][2], memo[id(b)][2], fn)
+        if isinstance(approx, float) and not math.isfinite(approx):
+            raise OverflowError(f"{theorem} on [{a}, {b}] is not finite")
         return ErrorCertificate(piece, params, theorem, q, p, bound, approx, advisory, tag)
 
     return measure, issue
@@ -223,7 +231,7 @@ def prologue(f: FunctionModel, iv: Interval, params: RuleParams, q,
 
 def certify(piece: Interval, measure, issue) -> ErrorCertificate:
     """The certificate of piece from a prologue's ``measure`` and ``issue``."""
-    return issue(piece, *measure(piece.a, piece.b, piece.width))
+    return issue(piece, measure(piece.a, piece.b, piece.width))
 
 
 def power_mean_bound(f: FunctionModel, iv: Interval, params: RuleParams,

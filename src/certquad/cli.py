@@ -3,9 +3,10 @@
 Subcommands: bound, integrate, coeffs, verify, means.  Exit codes: 0 on
 success, 1 for any ValueError (parse, validation and domain errors and
 Python's int/str digit limit), ArithmeticError (an exact power past the
-budget of ``params._power`` is an OverflowError) or too deeply nested
-expression, 2 when an engine refuses (hypothesis not established,
-exponent out of range, exactness forced but unavailable).  The verify
+budget of ``params._power`` is an OverflowError), a too deeply nested
+expression or a stdout that its reader closed, 2 when an engine refuses
+(hypothesis not established, exponent out of range, exactness forced but
+unavailable).  The verify
 exit code is 0 only when the sweep finds zero violations.
 
 Output conventions (schema "v1"): every numeric leaf is rendered as a
@@ -24,13 +25,14 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 from fractions import Fraction
 from numbers import Rational
 
 from . import bounds, composite, means, oracle
-from .coefficients import holder_coeffs, power_mean_coeffs
+from .coefficients import check_eps_digits, holder_coeffs, power_mean_coeffs
 from .errors import DomainError, OracleError, Refusal
 from .expression import builtin_corpus, resolve_function
 from .params import RuleParams, classify_regime
@@ -291,7 +293,9 @@ def cmd_coeffs(args, out) -> int:
         "breakpoints": [render(v) for v in params.breakpoints()],
     }
     if args.p is not None:
-        families["holder"] = holder_coeffs(params, parse_number(args.p))
+        p = parse_number(args.p)
+        check_eps_digits(params, p)
+        families["holder"] = holder_coeffs(params, p)
     for name, family in families.items():  # a regime-inactive eps stays None
         doc[name] = {k: render(v) if v is not None else None
                      for k, v in family.items()}
@@ -442,7 +446,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     try:
-        return args.run(args, sys.stdout)
+        code = args.run(args, sys.stdout)
+        sys.stdout.flush()  # a closed stdout fails here, not in the exit's flush
+        return code
+    except BrokenPipeError:  # the reader went away; the final flush must not write either
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, ArithmeticError) as exc:  # ParseError, DomainError too
         print(f"certquad: error: {exc}", file=sys.stderr)
         return 1

@@ -43,9 +43,10 @@ import sys
 from fractions import Fraction
 
 from .errors import DomainError
-from .params import CASE1, CASE2, CASE3, RuleParams, _lift, _power
+from .params import CASE1, CASE2, CASE3, POWER_BITS, RuleParams, _lift, _power, _power_bits
 
 _TINY = 2 * sys.float_info.min  # smallest normal float times 2 > 1 / (1 - 1/e)
+_LOG10_2 = math.log10(2)
 
 # tag -> names of (gamma, mu_b, mu_a, upsilon, eta_b, eta_a, eps_first,
 # eps_second); *_b weight |f'(b)|**q, *_a |f'(a)|**q.  Only Case3 switches
@@ -110,6 +111,27 @@ def holder_coeffs(params: RuleParams, p) -> dict:
     k, (first, second) = p + 1, params.kink_pairs
     (eps1, eps2), (eps3, eps4) = _eps_pair(*first, k), _eps_pair(*second, k)
     return {"eps1": eps1, "eps2": eps2, "eps3": eps3, "eps4": eps4}
+
+
+def check_eps_digits(params: RuleParams, p) -> None:
+    """Raise the interpreter's ValueError for an int past its string limit
+    when an exact eps of ``holder_coeffs(params, p)`` would print longer,
+    before any power is computed.  With k = p + 1, a base's den**k has over
+    k * (bits - 1) bits, and a sum or difference of two k-th powers cancels
+    fewer than bits + k.bit_length() of them.  Float eps and eps 0 (split
+    0) print short; the budget of ``params._power`` refuses first."""
+    limit, k = sys.get_int_max_str_digits(), p + 1
+    if not limit or not p > 1 or getattr(k, "denominator", 0) != 1:
+        return  # float or non-integral powers print short
+    for kink, split in params.kink_pairs:
+        bases = kink, abs(split - kink)
+        if not split or any(isinstance(b, float) for b in bases):
+            continue
+        if any(_power_bits(b, k) > POWER_BITS for b in bases):
+            return
+        bits = max(b.denominator.bit_length() for b in bases)
+        if (k * (bits - 1) - bits - k.numerator.bit_length()) * _LOG10_2 > limit:
+            str(10 ** limit)  # the interpreter's own error, as worded on this version
 
 
 def _eps_pair(kink, split, k):

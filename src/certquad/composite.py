@@ -16,10 +16,13 @@ each panel as its certificate, which names it.
 width-scaled bound until the summed bound clears the target, the panel
 budget runs out, or that panel has no number strictly inside it.  It
 bisects plain numbers: each heap entry holds a piece's ends, its width and
-the (bound, approx) that ``measure`` gave, and an Interval and a
-certificate are built once per panel it returns.  Panel endpoints are a,
-b and affine interpolations of indices or midpoints, never accumulated
-widths, so they cannot drift.
+the bound that ``measure`` gave.  The returned panels are issued in tiling
+order, found by following the cut objects that neighbours share from a,
+so f is read at their nodes only and an Interval, a rule value and a
+certificate are made once per returned panel.  Panel endpoints are a, b
+and affine interpolations of indices or midpoints, never accumulated
+widths, so they cannot drift; uniform cuts that round onto each other are
+a DomainError that names [a, b] and n.
 """
 
 from __future__ import annotations
@@ -52,8 +55,8 @@ class CompositeResult(Record):
 
 
 def _measured(measure, a, b, width):
-    bound, approx = measure(a, b, width)
-    return -(width * bound), a, b, width, bound, approx  # largest pops first; panels' a differ
+    bound = measure(a, b, width)
+    return -(width * bound), a, b, width, bound  # largest pops first; panels' a differ
 
 
 def _assemble(panels, scaled, target=None) -> CompositeResult:
@@ -73,6 +76,9 @@ def composite_integrate(f: FunctionModel, iv: Interval, params: RuleParams,
         raise DomainError(f"panel count must be a positive integer, got {n!r}")
     measure, issue = prologue(f, iv, params, q, theorem)
     cuts = [iv.a] + [(iv.a * (n - i) + iv.b * i) / n for i in range(1, n)] + [iv.b]
+    if any(v <= u for u, v in zip(cuts, cuts[1:])):
+        raise DomainError(f"{n} uniform panels of [{iv.a}, {iv.b}] have cuts that round "
+                          "onto each other")
     panels = [certify(Interval(u, v), measure, issue) for u, v in zip(cuts, cuts[1:])]
     return _assemble(panels, [cert.interval.width * cert.bound for cert in panels])
 
@@ -107,7 +113,10 @@ def adaptive_integrate(f: FunctionModel, iv: Interval, params: RuleParams,
         heapq.heapreplace(heap, left)
         heapq.heappush(heap, right)
         total += -left[0] + -right[0] - (-neg_scaled)
-    heap.sort(key=lambda entry: entry[1])
-    panels = [issue(Interval(a, b) if len(heap) > 1 else iv, bound, approx)
-              for _, a, b, _, bound, approx in heap]
-    return _assemble(panels, [-entry[0] for entry in heap], target)
+    starts = {id(entry[1]): entry for entry in heap}  # neighbours share the cut object
+    tiling = [starts[id(iv.a)]]
+    while len(tiling) < len(heap):
+        tiling.append(starts[id(tiling[-1][2])])
+    panels = [issue(Interval(a, b) if len(heap) > 1 else iv, bound)
+              for _, a, b, _, bound in tiling]
+    return _assemble(panels, [-entry[0] for entry in tiling], target)

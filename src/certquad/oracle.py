@@ -93,8 +93,3 @@ def hh_gap(f, iv, tol=None) -> float:
     mean = mean_ref(f, iv, tol=tol)
     ends = (float(f.value(iv.a)) + float(f.value(iv.b))) / 2
     return max(mid - mean, mean - ends)
-
-
-def hh_check(f, iv, tol=None) -> bool:
-    """Midpoint <= integral mean <= endpoint average, for convex f."""
-    return hh_gap(f, iv, tol=tol) <= HH_SLACK

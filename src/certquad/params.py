@@ -132,10 +132,17 @@ def _power(b, k):
     stays a DomainError."""
     if k < 0 and b == 0:
         raise DomainError("zero base with negative exponent")
-    if (not isinstance(b, float) and getattr(k, "denominator", 0) == 1 and abs(k.numerator) * (
-            abs(b.numerator).bit_length() + b.denominator.bit_length() - 2) > POWER_BITS):
+    if not isinstance(b, float) and _power_bits(b, k) > POWER_BITS:
         raise OverflowError(f"exact power with exponent {k} exceeds {POWER_BITS} bits")
     return b ** k
+
+
+def _power_bits(b, k):
+    """The bits ``_power`` estimates for an exact b ** k; 0 for a k that is
+    not integral, whose power is a float."""
+    if getattr(k, "denominator", 0) != 1:
+        return 0
+    return abs(k.numerator) * (abs(b.numerator).bit_length() + b.denominator.bit_length() - 2)
 
 
 class _Ratio:

@@ -31,8 +31,5 @@ class SplitMix64:
         """Uniform double in [0, 1) built from the top 53 bits."""
         return (self.next_u64() >> 11) * 2.0 ** -53
 
-    def uniform_in(self, lo: float, hi: float) -> float:
-        return lo + (hi - lo) * self.uniform()
-
     def choice(self, seq):
         return seq[self.next_u64() % len(seq)]

@@ -9,6 +9,11 @@ from certquad import Interval, builtin_corpus, mean_ref
 INTERVALS = [(0.5, 1.5), (1.0, 2.0), (0.25, 3.0)]
 
 
+def uniform_in(rng, lo: float, hi: float) -> float:
+    """A uniform double in [lo, hi) from a ``certquad.prng.SplitMix64``."""
+    return lo + (hi - lo) * rng.uniform()
+
+
 def child_env():
     """Environment for a ``python -m certquad`` child process: the directory
     that holds the imported certquad package goes first on PYTHONPATH, so

@@ -29,7 +29,7 @@ from certquad.bounds import ENGINES
 from certquad.coefficients import SELECTED
 from certquad.prng import SplitMix64
 
-from conftest import INTERVALS, child_env
+from conftest import INTERVALS, child_env, uniform_in
 from test_coefficients import abs_power_integral
 from test_bounds import (fixture_midpoint_power_mean, fixture_midpoint_q1,
                          fixture_simpson_holder_endpoint,
@@ -210,8 +210,8 @@ def test_criterion_6_reduction_equivalences(corpus):
     for engine, params, fixture in cases:
         for _ in range(20):
             f = corpus[rng.choice(names)]
-            a = rng.uniform_in(0.4, 1.2)
-            b = a + rng.uniform_in(0.3, 1.5)
+            a = uniform_in(rng, 0.4, 1.2)
+            b = a + uniform_in(rng, 0.3, 1.5)
             q = rng.choice((1.5, 2.0, 3.0))
             got = float(engine(f, Interval(a, b), params, q).bound)
             want = fixture(f, a, b, q)
@@ -250,8 +250,8 @@ def test_criterion_8_propositions():
     per_prop = 200
     for which in (1, 2, 3, 4, 5, 6):
         for _ in range(per_prop):
-            a = rng.uniform_in(0.6, 2.0)
-            b = a + rng.uniform_in(0.1, 1.4)
+            a = uniform_in(rng, 0.6, 2.0)
+            b = a + uniform_in(rng, 0.1, 1.4)
             if which in (1, 2, 3) and rng.uniform() < 0.5:
                 a, b = -b, -a
             params = RuleParams(rng.uniform(), rng.uniform())
@@ -270,8 +270,8 @@ def test_criterion_9_means_sanity():
     rng = SplitMix64(999)
     checked = 0
     while checked < 1000:
-        a = rng.uniform_in(0.1, 10.0)
-        b = rng.uniform_in(0.1, 10.0)
+        a = uniform_in(rng, 0.1, 10.0)
+        b = uniform_in(rng, 0.1, 10.0)
         if abs(a - b) < 1e-4:
             continue
         if a > b:

@@ -14,7 +14,7 @@ from certquad import (Interval, Refusal, RuleParams, best_bound,
 from certquad.params import POWER_BITS
 from certquad.prng import SplitMix64
 
-from conftest import INTERVALS, child_env
+from conftest import INTERVALS, child_env, uniform_in
 
 SIMPSON = named_rule("simpson")
 MIDPOINT = named_rule("midpoint")
@@ -194,8 +194,8 @@ def test_named_reductions_numeric(corpus, fixture, engine, params, qs):
     names = sorted(corpus)
     for _ in range(20):
         f = corpus[rng.choice(names)]
-        a = rng.uniform_in(0.4, 1.2)
-        b = a + rng.uniform_in(0.3, 1.5)
+        a = uniform_in(rng, 0.4, 1.2)
+        b = a + uniform_in(rng, 0.3, 1.5)
         q = rng.choice(qs)
         cert = engine(f, Interval(a, b), params, q)
         want = fixture(f, a, b, q)
@@ -237,8 +237,8 @@ def test_bounds_dominate_raw_weighted_integral(corpus, oracle_mean):
     names = sorted(corpus)
     for _ in range(60):
         f = corpus[rng.choice(names)]
-        a = rng.uniform_in(0.3, 1.5)
-        b = a + rng.uniform_in(0.2, 1.5)
+        a = uniform_in(rng, 0.3, 1.5)
+        b = a + uniform_in(rng, 0.2, 1.5)
         alpha, lam = rng.uniform(), rng.uniform()
         iv = Interval(a, b)
         params = RuleParams(alpha, lam)

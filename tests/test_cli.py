@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -526,6 +527,26 @@ def test_adaptive_stops_at_a_panel_with_no_midpoint_inside(a, b, capsys):
     assert (doc["panel_table"][0]["a"], doc["panel_table"][0]["b"]) == (a, b)
 
 
+@pytest.mark.parametrize("b, n", [("1.0000000000000002", "2"), ("1.0000000000000004", "3")])
+def test_uniform_cuts_that_round_onto_each_other_name_the_input(b, n, capsys):
+    code, out, err = run_cli(
+        "integrate", "--f", "pow:2", "--a", "1", "--b", b, "--rule", "midpoint",
+        "--q", "1", "--panels", n, capsys=capsys)
+    assert (code, out) == (1, "")
+    assert err == (f"certquad: error: {n} uniform panels of [1, {b}] have cuts "
+                   "that round onto each other\n")
+
+
+def test_adaptive_reads_f_at_the_nodes_of_returned_panels_only(capsys):
+    # [0, 4] bisects at 2 and then at 1, where f' divides by zero; the node
+    # 1 of [0, 2], where ln reads 0, is never read, since [0, 2] is bisected
+    code, out, err = run_cli(
+        "integrate", "--f", "1/(x-3) + ln(x^2 - 2*x + 1)", "--assume-convex",
+        "--a", "0", "--b", "4", "--alpha", "1/2", "--lambda", "1/12", "--q", "3/2",
+        "--theorem", "t24", "--target", "0.01", capsys=capsys)
+    assert (code, out, err) == (1, "", "certquad: error: division by zero\n")
+
+
 def test_adaptive_midpoint_past_the_float_range_is_an_error(capsys):
     code, out, err = run_cli(
         "integrate", "--f", "x", "--assume-convex", "--a", "1e308", "--b", "1.7e308",
@@ -606,6 +627,41 @@ def test_coeffs_huge_exact_p_refuses_fast():
             capture_output=True, text=True, env=child_env(), timeout=10)
         assert (proc.returncode, proc.stdout, proc.stderr.count("\n")) == (1, "", 1)
         assert f"exceeds {POWER_BITS} bits" in proc.stderr, argv
+
+
+def test_coeffs_refuses_unprintable_eps_before_any_power(monkeypatch, capsys):
+    # the exact eps at p = 209713 have denominators of about 226,000 digits,
+    # below the power budget; the digit limit refuses them uncomputed
+    import certquad.cli
+
+    def never(*args):
+        raise AssertionError("holder_coeffs called")
+
+    monkeypatch.setattr(certquad.cli, "holder_coeffs", never)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code, out, err = run_cli("coeffs", "--alpha", "1/3", "--lambda", "1/4",
+                                 "--p", "209713", capsys=capsys)
+        with pytest.raises(ValueError) as python_says:
+            str(10 ** 4300)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert (code, out, err) == (1, "", f"certquad: error: {python_says.value}\n")
+
+
+def test_closed_stdout_exits_1_without_traceback():
+    # the read end is closed before the child starts, so its first write fails
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "certquad", "coeffs", "--alpha", "1/2", "--lambda", "0"],
+            stdout=write, stderr=subprocess.PIPE, text=True, env=child_env(), timeout=10)
+    finally:
+        os.close(write)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("alpha, lam, p", [

@@ -304,9 +304,10 @@ def test_memo_keeps_the_first_error(text, a, b, n, error, message, name, q):
 
 
 @pytest.mark.parametrize("fname, a, b, params, q, name, derivatives, values", [
-    # 1,024 panels from 2,047 steps: each distinct end once, each node once
-    ("pow:3", F(1), F(2), MIDPOINT, 1, "t22", 1025, 3072),
-    ("exp", F(1, 2), F(3), SIMPSON, 2, "t23", 3072, 3072),
+    # 1,024 panels from 2,047 pieces: f' and f once at each distinct end, f at
+    # the node of each returned panel only, and f' at every t23 node
+    ("pow:3", F(1), F(2), MIDPOINT, 1, "t22", 1025, 2049),
+    ("exp", F(1, 2), F(3), SIMPSON, 2, "t23", 3072, 2049),
 ])
 def test_each_point_is_evaluated_once_per_solve(corpus, monkeypatch, fname, a, b,
                                                 params, q, name, derivatives, values):
@@ -329,25 +330,19 @@ def test_each_point_is_evaluated_once_per_solve(corpus, monkeypatch, fname, a, b
 
 
 # ---------------------------------------------------------------------------
-# The adaptive driver on plain numbers: the same solves as one certificate
-# per tried piece, and one certificate per emitted panel
+# The adaptive driver on plain numbers: the same solves as one Interval per
+# tried piece, and one certificate per emitted panel
 
-def _step_as_written(f, iv, params, q, theorem):
-    """A step from a piece to its certificate, as the driver below used it."""
-    measure, issue = prologue(f, iv, params, q, theorem)
-    return lambda piece: certify(piece, measure, issue)
-
-
-def _entry_as_written(certify, piece: Interval):
-    cert = certify(piece)
-    return -(piece.width * cert.bound), piece.a, cert  # largest pops first; panels' a differ
+def _entry_as_written(measure, piece: Interval):
+    bound = measure(piece.a, piece.b, piece.width)
+    return -(piece.width * bound), piece.a, piece, bound  # largest pops first; panels' a differ
 
 
-def _assemble_as_written(entries, target=None) -> CompositeResult:
+def _assemble_as_written(issue, entries, target=None) -> CompositeResult:
     entries = sorted(entries, key=lambda entry: entry[1])
-    panels = [cert for _, _, cert in entries]
+    panels = [issue(piece, bound) for _, _, piece, bound in entries]
     value = total = 0  # left to right: the builtin sum compensates floats since 3.12
-    for neg_scaled, _, cert in entries:
+    for (neg_scaled, _, _, _), cert in zip(entries, panels):
         value += cert.interval.width * cert.approx
         total += -neg_scaled
     return CompositeResult(value, total, panels,
@@ -356,25 +351,26 @@ def _assemble_as_written(entries, target=None) -> CompositeResult:
 
 def _adaptive_as_written(f, iv: Interval, params: RuleParams, q, theorem: str = "t22",
                          target=None, max_panels: int = 1024) -> CompositeResult:
-    """adaptive_integrate before it bisected plain numbers: it certified
-    every piece it tried; kept verbatim as the reference solve."""
+    """adaptive_integrate before it bisected plain numbers, kept as the
+    reference solve: it built an Interval for every piece it tried and
+    sorted the panels by their left ends.  It measures every piece and
+    issues the panels it returns, so f is read at those panels' nodes only."""
     if target is None or not target > 0:
         raise DomainError(f"target must be positive, got {target!r}")
     if not isinstance(max_panels, int) or max_panels < 1:
         raise DomainError(f"max_panels must be a positive integer, got {max_panels!r}")
-    certify = _step_as_written(f, iv, params, q, theorem)
-    heap = [_entry_as_written(certify, iv)]
+    measure, issue = prologue(f, iv, params, q, theorem)
+    heap = [_entry_as_written(measure, iv)]
     total = -heap[0][0]
     while total > target and len(heap) < max_panels:
-        neg_scaled, _, cert = heapq.heappop(heap)
-        piece = cert.interval
+        neg_scaled, _, piece, _ = heapq.heappop(heap)
         mid = piece.midpoint()
-        left = _entry_as_written(certify, Interval(piece.a, mid))
-        right = _entry_as_written(certify, Interval(mid, piece.b))
+        left = _entry_as_written(measure, Interval(piece.a, mid))
+        right = _entry_as_written(measure, Interval(mid, piece.b))
         heapq.heappush(heap, left)
         heapq.heappush(heap, right)
         total += -left[0] + -right[0] - (-neg_scaled)
-    return _assemble_as_written(heap, target)
+    return _assemble_as_written(issue, heap, target)
 
 
 def _typed(v):
@@ -447,4 +443,4 @@ def test_one_certificate_per_emitted_panel(corpus, monkeypatch):
         assert built["interval"] == (0 if n == 1 else n)  # one panel is iv itself
         built.update(certificate=0, interval=0)
         _adaptive_as_written(f, iv, params, q, name, target, max_panels)
-        assert built["certificate"] == 2 * n - 1
+        assert built == {"certificate": n, "interval": 2 * n - 2}

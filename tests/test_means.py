@@ -9,6 +9,8 @@ from certquad import (DomainError, Interval, Refusal, RuleParams, eval_mean,
                       rule_value)
 from certquad.prng import SplitMix64
 
+from conftest import uniform_in
+
 
 def test_mean_examples():
     assert eval_mean("A", 1, 3) == 2
@@ -69,8 +71,8 @@ def test_odd_root_keeps_sign():
 def test_classical_chain():
     rng = SplitMix64(23)
     for _ in range(1000):
-        a = rng.uniform_in(0.1, 10.0)
-        b = rng.uniform_in(0.1, 10.0)
+        a = uniform_in(rng, 0.1, 10.0)
+        b = uniform_in(rng, 0.1, 10.0)
         if abs(a - b) < 1e-4:
             continue
         if a > b:
@@ -132,8 +134,8 @@ def _tuples(which, count, seed):
     rng = SplitMix64(seed)
     out = []
     for _ in range(count):
-        a = rng.uniform_in(0.6, 2.0)
-        b = a + rng.uniform_in(0.1, 1.4)
+        a = uniform_in(rng, 0.6, 2.0)
+        b = a + uniform_in(rng, 0.1, 1.4)
         if which in (1, 2, 3) and rng.uniform() < 0.5:
             a, b = -b, -a  # negative branch is legal for these
         params = RuleParams(rng.uniform(), rng.uniform())

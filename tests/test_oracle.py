@@ -4,11 +4,12 @@ from pathlib import Path
 
 import pytest
 
-from certquad import (Interval, OracleError, from_expression, hh_check,
-                      integrate_ref, mean_ref)
+from certquad import Interval, OracleError, from_expression, integrate_ref, mean_ref
 from certquad.cli import main
-from certquad.oracle import DEFAULT_TOL
+from certquad.oracle import DEFAULT_TOL, HH_SLACK, hh_gap
 from certquad.prng import SplitMix64
+
+from conftest import uniform_in
 
 GOLDEN = Path(__file__).with_name("golden_cli.json")
 
@@ -52,8 +53,8 @@ def test_known_antiderivatives_on_random_intervals():
         (lambda x: math.exp(x), lambda x: math.exp(x)),
     ]
     for _ in range(100):
-        a = rng.uniform_in(0.2, 2.0)
-        b = a + rng.uniform_in(0.1, 2.0)
+        a = uniform_in(rng, 0.2, 2.0)
+        b = a + uniform_in(rng, 0.1, 2.0)
         for g, G in cases:
             r = integrate_ref(g, a, b, tol=1e-11)
             assert r.value == pytest.approx(G(b) - G(a), abs=2e-11)
@@ -62,8 +63,8 @@ def test_known_antiderivatives_on_random_intervals():
 def test_self_consistency_under_tol_halving():
     rng = SplitMix64(13)
     for _ in range(25):
-        a = rng.uniform_in(0.2, 1.5)
-        b = a + rng.uniform_in(0.2, 1.5)
+        a = uniform_in(rng, 0.2, 1.5)
+        b = a + uniform_in(rng, 0.2, 1.5)
         tol = 10.0 ** -rng.choice([6, 8, 10])
         coarse = integrate_ref(math.exp, a, b, tol=tol).value
         fine = integrate_ref(math.exp, a, b, tol=tol / 2).value
@@ -76,6 +77,11 @@ def test_mean_examples(corpus):
         math.log(2))
     affine = from_expression("x", assume_convex=True)
     assert mean_ref(affine, Interval(0.3, 1.7)) == pytest.approx(1.0)
+
+
+def hh_check(f, iv) -> bool:
+    """Midpoint <= integral mean <= endpoint average, for convex f."""
+    return hh_gap(f, iv) <= HH_SLACK
 
 
 def test_hh_examples(corpus):

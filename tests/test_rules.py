@@ -7,7 +7,7 @@ from certquad import (DomainError, Interval, RuleParams, from_expression,
                       identity_rhs, named_rule, rule_value)
 from certquad.rules import NAMED_RULES
 
-from conftest import INTERVALS
+from conftest import INTERVALS, uniform_in
 
 
 def test_interval_validation():
@@ -73,7 +73,7 @@ def test_rule_is_convex_combination(corpus):
     rng = SplitMix64(3)
     for f in corpus.values():
         for _ in range(20):
-            iv = Interval(0.5, 0.5 + rng.uniform_in(0.25, 2.0))
+            iv = Interval(0.5, 0.5 + uniform_in(rng, 0.25, 2.0))
             params = RuleParams(rng.uniform(), rng.uniform())
             node = params.alpha * iv.a + (1 - params.alpha) * iv.b
             samples = [float(f.value(iv.a)), float(f.value(iv.b)),
