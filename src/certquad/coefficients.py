@@ -120,7 +120,7 @@ def check_eps_digits(params: RuleParams, p) -> None:
     k * (bits - 1) bits, and a sum or difference of two k-th powers cancels
     fewer than bits + k.bit_length() of them.  Float eps and eps 0 (split
     0) print short; the budget of ``params._power`` refuses first."""
-    limit, k = sys.get_int_max_str_digits(), p + 1
+    limit, k = getattr(sys, "get_int_max_str_digits", int)(), p + 1  # none before 3.10.7
     if not limit or not p > 1 or getattr(k, "denominator", 0) != 1:
         return  # float or non-integral powers print short
     for kink, split in params.kink_pairs:
