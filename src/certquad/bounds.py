@@ -20,17 +20,15 @@ only the certificate tag (T22q1) differs.
 
 ``prologue`` runs once per (f, [a, b], params, q, engine): q, domain,
 sign and convexity hypotheses, conjugate, regime tag and the engine's
-constants.  Its step has two halves: ``measure(a, b, width)`` returns the
-bound of any piece of [a, b], a plain number, and ``issue(piece, bound)``
-makes the rule value, reading f at the node, and the ErrorCertificate
-with the solve's fields.  ``certify`` joins the two for one piece: an
-engine and ``best_bound`` certify [a, b] itself, ``composite_integrate``
-every panel, and ``adaptive_integrate`` measures every piece it tries but
-issues only the panels it returns.  ``measure`` refuses to read f' at a
-kink of f, where an argument of sign in f' is 0.  It skips the domain
-check, which [a, b] passed, and keeps |f'|**q and f at the ends of each
-piece it measured, keyed by identity (1, 1.0 and Fraction(1) apart), for
-one solve; ``issue`` takes f at the ends from there.
+constants.  Its step keeps nothing of a solve: the caller reads |f'|**q
+and f once at each cut, with the step's two readers, and hands them to
+``measure(a, b, width, ya, xb)``, which returns the bound of a piece of
+[a, b], a plain number (reading t23's node itself), and to
+``issue(piece, bound, fa, fb)``, which reads f at the node and makes the
+rule value and the ErrorCertificate; ``finite`` stops an overflowed bound
+or rule value.  ``certify`` serves one piece, in the read order every
+driver keeps.  The |f'|**q reader refuses a kink of f, where an argument
+of sign in f' is 0; the step skips the domain check, which [a, b] passed.
 
 A certificate is only issued under an established convexity hypothesis:
 builtin and user-asserted models pass directly, anything else is sampled
@@ -48,8 +46,8 @@ names the engine, the point and f.
 Exact arithmetic defers its gcds.  When ``params.exact`` (alpha or lambda
 is a Fraction), the prologue lifts its exact constants (mu/eta, the t24
 blend weights, scale, w1, w2) to unreduced ``params._Ratio`` values once
-per solve, and the step lifts each exact |f'|**q once, which the memo
-keeps.  ``measure`` reduces the bound, and ``rules.stencil`` the node
+per solve, and the step lifts each exact |f'|**q once, as it reads it.
+``measure`` reduces the bound, and ``rules.stencil`` the node
 handed to f and the rule value, once each, so every value that leaves the
 step is the Fraction, or the float, that step-by-step arithmetic gives.
 Float parameters run plain arithmetic, with nothing lifted.
@@ -89,9 +87,8 @@ def prologue(f: FunctionModel, iv: Interval, params: RuleParams, q,
              name: str, verdicts=None):
     """Establish the hypotheses of engine ``name`` (an ``ENGINES`` key, as
     given) on iv once and return the step for any piece of iv, which
-    inherits them, as ``(measure, issue)``: ``measure`` gives a piece's
-    bound, ``issue`` its rule value and certificate (see the module
-    docstring).
+    inherits them, as ``(slope, value, measure, finite, issue)`` (see the
+    module docstring).
 
     q must be finite (else a DomainError), >= 1 for t22 and > 1 for t23
     and t24.  f must be absolutely continuous: an f calling sign is
@@ -102,9 +99,7 @@ def prologue(f: FunctionModel, iv: Interval, params: RuleParams, q,
     ``verdicts``, q -> verdict) gives advisory ones, a failing probe a
     Refusal.  The engine supplies ``scale, w1, w2``, ``averages(node_pow,
     xb, ya) -> (d1, d2)`` and ``feeds``, the weights of (xb, ya, node_pow)
-    in d1 and d2, which tell a lost q-mean from a true 0; the step
-    evaluates the one shape on pieces of iv, whose domain it does not
-    re-check.
+    in d1 and d2, which tell a lost q-mean from a true 0.
     """
     if name not in ENGINES:
         raise DomainError(
@@ -182,17 +177,14 @@ def prologue(f: FunctionModel, iv: Interval, params: RuleParams, q,
 
     node_of, combine = stencil(params)
     reads_node = name == "t23"
-    value = f.value
-    memo = {}  # id(x) -> (x, |f'(x)|**q, f(x)) for each end of a measured piece
 
-    def known(x):  # an entry keeps its x alive, so no other object takes its id
-        hit = memo.get(id(x))
-        return hit if hit is not None and hit[0] is x else None
+    def value(x):  # f(x)
+        try:
+            return f.value(x)
+        except OverflowError:
+            raise OverflowError(f"{name} f overflows at x={x} of {f.name}") from None
 
-    def measure(a, b, width):
-        ka, kb = known(a), known(b)
-        xb = kb[1] if kb else slope(b)
-        ya = ka[1] if ka else slope(a)
+    def measure(a, b, width, ya, xb):
         node_pow = slope(node_of(a, b)) if reads_node else 0
         d1, d2 = averages(node_pow, xb, ya)
         r1, r2 = _clamp(d1) ** inv_q, _clamp(d2) ** inv_q
@@ -202,36 +194,28 @@ def prologue(f: FunctionModel, iv: Interval, params: RuleParams, q,
                     raise ArithmeticError(
                         f"{name} q-mean of |f'|**{q} underflows on [{a}, {b}] of {f.name}")
         bound = width * scale * (w1 * r1 + w2 * r2)
-        if exact:
-            bound = _reduced(bound)
-        try:
-            fa = ka[2] if ka else value(x := a)
-            fb = kb[2] if kb else value(x := b)
-        except OverflowError:
-            raise OverflowError(f"{name} f overflows at x={x} of {f.name}") from None
-        if isinstance(bound, float) and not math.isfinite(bound):
-            raise OverflowError(f"{theorem} on [{a}, {b}] is not finite")
-        memo[id(a)], memo[id(b)] = (a, ya, fa), (b, xb, fb)
-        return bound
+        return _reduced(bound) if exact else bound
 
-    def issue(piece: Interval, bound) -> ErrorCertificate:
-        a, b = piece.a, piece.b
-        node = node_of(a, b)
-        try:
-            fn = value(node)
-        except OverflowError:
-            raise OverflowError(f"{name} f overflows at x={node} of {f.name}") from None
-        approx = combine(memo[id(a)][2], memo[id(b)][2], fn)
-        if isinstance(approx, float) and not math.isfinite(approx):
+    def finite(v, a, b):  # a bound or rule value of [a, b]
+        if isinstance(v, float) and not math.isfinite(v):
             raise OverflowError(f"{theorem} on [{a}, {b}] is not finite")
+        return v
+
+    def issue(piece: Interval, bound, fa, fb) -> ErrorCertificate:
+        a, b = piece.a, piece.b
+        approx = finite(combine(fa, fb, value(node_of(a, b))), a, b)
         return ErrorCertificate(piece, params, theorem, q, p, bound, approx, advisory, tag)
 
-    return measure, issue
+    return slope, value, measure, finite, issue
 
 
-def certify(piece: Interval, measure, issue) -> ErrorCertificate:
-    """The certificate of piece from a prologue's ``measure`` and ``issue``."""
-    return issue(piece, measure(piece.a, piece.b, piece.width))
+def certify(piece: Interval, slope, value, measure, finite, issue) -> ErrorCertificate:
+    """The certificate of piece: |f'|**q at b, at a, the bound, f at a, at b, then the checks."""
+    a, b = piece.a, piece.b
+    xb = slope(b)
+    bound = measure(a, b, piece.width, slope(a), xb)
+    fa, fb = value(a), value(b)
+    return issue(piece, finite(bound, a, b), fa, fb)
 
 
 def power_mean_bound(f: FunctionModel, iv: Interval, params: RuleParams,

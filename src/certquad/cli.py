@@ -6,8 +6,7 @@ Python's int/str digit limit), ArithmeticError (an exact power past the
 budget of ``params._power`` is an OverflowError), a too deeply nested
 expression or a stdout that its reader closed, 2 when an engine refuses
 (hypothesis not established, exponent out of range, exactness forced but
-unavailable).  The verify
-exit code is 0 only when the sweep finds zero violations.
+unavailable).  The verify exit code is 0 only when the sweep finds zero violations.
 
 Output conventions (schema "v1"): every numeric leaf is rendered as a
 string, exact rationals as "num/den" (or a bare integer) and floats with
@@ -88,6 +87,12 @@ class _Parser(argparse.ArgumentParser):
     # usage errors are parse errors, exit 1 (argparse defaults to 2)
     def error(self, message):
         self.exit(1, f"{self.prog}: error: {message}\n")
+
+    # one leading dash and no such option: a value, such as --a -1/2 or --f '-x^2'
+    def _parse_optional(self, arg):
+        if arg[:1] == "-" != arg[1:2] and arg not in self._option_string_actions:
+            return None
+        return super()._parse_optional(arg)
 
 
 def _add_certificate_args(p: _Parser, q_help=None) -> None:

@@ -9,20 +9,20 @@ and those add:
 Both drivers establish the engine's hypotheses on [a, b] by one prologue
 run per solve; convexity of |f'|**q on [a, b] restricts to every
 subinterval, so each panel inherits them and only takes the per-piece
-step, whose memo evaluates each shared end object once.  A result keeps
-each panel as its certificate, which names it.
+step, given |f'|**q and f at its ends, which a driver reads once per cut.
+A result keeps each panel as its certificate, which names it.
 
 ``adaptive_integrate`` greedily bisects the panel with the largest
 width-scaled bound until the summed bound clears the target, the panel
 budget runs out, or that panel has no number strictly inside it.  It
-bisects plain numbers: each heap entry holds a piece's ends, its width and
-the bound that ``measure`` gave.  The returned panels are issued in tiling
-order, found by following the cut objects that neighbours share from a,
-so f is read at their nodes only and an Interval, a rule value and a
-certificate are made once per returned panel.  Panel endpoints are a, b
-and affine interpolations of indices or midpoints, never accumulated
-widths, so they cannot drift; uniform cuts that round onto each other are
-a DomainError that names [a, b] and n.
+bisects plain numbers: each heap entry holds a piece's ends, the bound
+that ``measure`` gave and the values at its ends.  The returned panels
+are issued in tiling order, found by following the cut objects that
+neighbours share from a, so f is read at their nodes only and an
+Interval, a rule value and a certificate are made once per returned
+panel.  Panel endpoints are a, b and affine interpolations of indices or
+midpoints, never accumulated widths, so they cannot drift; uniform cuts
+that round onto each other are a DomainError that names [a, b] and n.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from __future__ import annotations
 import heapq
 import math
 
-from .bounds import certify, prologue
+from .bounds import prologue
 from .errors import DomainError
 from .expression import FunctionModel
 from .params import RuleParams
@@ -54,11 +54,6 @@ class CompositeResult(Record):
         return any(cert.advisory for cert in self.panels)
 
 
-def _measured(measure, a, b, width):
-    bound = measure(a, b, width)
-    return -(width * bound), a, b, width, bound  # largest pops first; panels' a differ
-
-
 def _assemble(panels, scaled, target=None) -> CompositeResult:
     """The result of panels in order, scaled[i] the width * bound of panels[i]."""
     value = total = 0  # left to right: the builtin sum compensates floats since 3.12
@@ -72,14 +67,20 @@ def _assemble(panels, scaled, target=None) -> CompositeResult:
 def composite_integrate(f: FunctionModel, iv: Interval, params: RuleParams,
                         q, theorem: str = "t22", n: int = 1) -> CompositeResult:
     """Apply the rule on n uniform panels and sum the certificates."""
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise DomainError(f"panel count must be a positive integer, got {n!r}")
-    measure, issue = prologue(f, iv, params, q, theorem)
+    slope, value, measure, finite, issue = prologue(f, iv, params, q, theorem)
     cuts = [iv.a] + [(iv.a * (n - i) + iv.b * i) / n for i in range(1, n)] + [iv.b]
     if any(v <= u for u, v in zip(cuts, cuts[1:])):
         raise DomainError(f"{n} uniform panels of [{iv.a}, {iv.b}] have cuts that round "
                           "onto each other")
-    panels = [certify(Interval(u, v), measure, issue) for u, v in zip(cuts, cuts[1:])]
+    panels, yu, fu = [], None, None  # |f'|**q and f at u, handed on from the panel before
+    for u, v in zip(cuts, cuts[1:]):
+        piece, xv = Interval(u, v), slope(v)
+        bound = measure(u, v, piece.width, slope(u) if yu is None else yu, xv)
+        fu, fv = value(u) if fu is None else fu, value(v)
+        panels.append(issue(piece, finite(bound, u, v), fu, fv))
+        yu, fu = xv, fv
     return _assemble(panels, [cert.interval.width * cert.bound for cert in panels])
 
 
@@ -96,20 +97,29 @@ def adaptive_integrate(f: FunctionModel, iv: Interval, params: RuleParams,
     """
     if target is None or not target > 0:
         raise DomainError(f"target must be positive, got {target!r}")
-    if not isinstance(max_panels, int) or max_panels < 1:
+    if not isinstance(max_panels, int) or isinstance(max_panels, bool) or max_panels < 1:
         raise DomainError(f"max_panels must be a positive integer, got {max_panels!r}")
-    measure, issue = prologue(f, iv, params, q, theorem)
-    heap = [_measured(measure, iv.a, iv.b, iv.width)]
+    slope, value, measure, finite, issue = prologue(f, iv, params, q, theorem)
+    xb, ya = slope(iv.b), slope(iv.a)  # b first, as certify reads
+    bound = measure(iv.a, iv.b, iv.width, ya, xb)
+    fa, fb = value(iv.a), value(iv.b)
+    # (-(width * bound), a, b, bound, |f'|**q at a, b, f at a, b); panels' a differ
+    heap = [(-(iv.width * finite(bound, iv.a, iv.b)), iv.a, iv.b, bound, ya, xb, fa, fb)]
     total = -heap[0][0]
     while total > target and len(heap) < max_panels:
-        neg_scaled, a, b = heap[0][:3]
+        neg_scaled, a, b, _, ya, xb, fa, fb = heap[0]
         mid = midpoint(a, b)
         if not a < mid < b:  # a float mid: an exact one always falls inside
             if math.isinf(mid):
                 Interval(a, mid)  # raises the DomainError of an infinite end
             break
-        left = _measured(measure, a, mid, mid - a)
-        right = _measured(measure, mid, b, b - mid)
+        y_mid, width = slope(mid), mid - a
+        bound = measure(a, mid, width, ya, y_mid)
+        f_mid = value(mid)  # read before the left bound's check, as certify does
+        left = -(width * finite(bound, a, mid)), a, mid, bound, ya, y_mid, fa, f_mid
+        width = b - mid
+        bound = finite(measure(mid, b, width, y_mid, xb), mid, b)
+        right = -(width * bound), mid, b, bound, y_mid, xb, f_mid, fb
         heapq.heapreplace(heap, left)
         heapq.heappush(heap, right)
         total += -left[0] + -right[0] - (-neg_scaled)
@@ -117,6 +127,6 @@ def adaptive_integrate(f: FunctionModel, iv: Interval, params: RuleParams,
     tiling = [starts[id(iv.a)]]
     while len(tiling) < len(heap):
         tiling.append(starts[id(tiling[-1][2])])
-    panels = [issue(Interval(a, b) if len(heap) > 1 else iv, bound)
-              for _, a, b, _, bound in tiling]
+    panels = [issue(Interval(a, b) if len(heap) > 1 else iv, bound, fa, fb)
+              for _, a, b, bound, _, _, fa, fb in tiling]
     return _assemble(panels, [-entry[0] for entry in tiling], target)

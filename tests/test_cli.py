@@ -605,6 +605,28 @@ def test_usage_error_exit_1():
                  "--rule", "midpoint", "--q", "1"]) == 1  # panels/target
 
 
+@pytest.mark.parametrize("f, a, extra, field, echoed", [
+    # argparse alone takes -2 and -0.5 as values, but not these three
+    ("pow:2", "-1/2", (), "a", "-1/2"),
+    ("pow:2", "-1e-3", (), "a", "-0.001"),
+    ("-x^2", "0", ("--assume-convex",), "approx", "-1/4"),  # -f(1/2)
+])
+def test_option_values_may_start_with_a_dash(f, a, extra, field, echoed, capsys):
+    code, out, err = run_cli("bound", "--f", f, "--a", a, "--b", "1", "--rule", "midpoint",
+                             "--q", "1", *extra, capsys=capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(out)[field] == echoed
+
+
+def test_dash_options_stay_options(capsys):
+    code, out, _ = run_cli("bound", "-h", capsys=capsys)
+    assert code == 0 and out.startswith("usage: certquad bound")
+    code, out, err = run_cli("bound", "-x", "--f", "pow:2", "--a", "0", "--b", "1",
+                             "--rule", "midpoint", "--q", "1", capsys=capsys)
+    assert (code, out) == (1, "")
+    assert err.endswith("error: unrecognized arguments: -x\n")
+
+
 def test_subprocess_entrypoint():
     proc = subprocess.run(
         [sys.executable, "-m", "certquad", "coeffs", "--alpha", "1/2",

@@ -114,6 +114,18 @@ def test_validation(corpus):
                            1.0, "t22", target=0.0)
 
 
+@pytest.mark.parametrize("count", [0, 1.5, True])
+def test_panel_counts_must_be_positive_integers(corpus, count):
+    # a bool is an int to isinstance, yet no panel count, as for RuleParams and q
+    iv = Interval(0.0, 1.0)
+    with pytest.raises(DomainError) as info:
+        composite_integrate(corpus["exp"], iv, MIDPOINT, 1.0, "t22", count)
+    assert str(info.value) == f"panel count must be a positive integer, got {count!r}"
+    with pytest.raises(DomainError) as info:
+        adaptive_integrate(corpus["exp"], iv, MIDPOINT, 1.0, "t22", 1e-3, count)
+    assert str(info.value) == f"max_panels must be a positive integer, got {count!r}"
+
+
 def test_adaptive_terminates_at_initial_bound(corpus):
     r = adaptive_integrate(corpus["pow:2"], Interval(F(0), F(1)), MIDPOINT,
                            F(1), "t22", target=F(1, 4))
@@ -226,7 +238,7 @@ def test_one_probe_and_one_coefficient_build_per_solve(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# The step's memo: each point once per solve, and nothing else changes
+# Each cut read once per solve by the drivers, and nothing else changes
 
 def _solves(corpus, rng):
     """Seeded adaptive and composite solves: Fraction, float, int, mixed and
@@ -261,7 +273,7 @@ def test_memo_changes_no_certificate(corpus):
     panels = 0
     for f, iv, params, q, name, result in _solves(corpus, random.Random(13)):
         for cert in result.panels:
-            # a fresh step on new end objects: no memo entry can serve it
+            # a fresh step on new end objects, which reads every end itself
             piece = Interval(_twin(cert.interval.a), _twin(cert.interval.b))
             fresh = certify(piece, *prologue(f, iv, params, q, name))
             for field in ("bound", "approx"):
@@ -333,16 +345,21 @@ def test_each_point_is_evaluated_once_per_solve(corpus, monkeypatch, fname, a, b
 # The adaptive driver on plain numbers: the same solves as one Interval per
 # tried piece, and one certificate per emitted panel
 
-def _entry_as_written(measure, piece: Interval):
-    bound = measure(piece.a, piece.b, piece.width)
-    return -(piece.width * bound), piece.a, piece, bound  # largest pops first; panels' a differ
+def _entry_as_written(step, piece: Interval):
+    slope, value, measure, finite, _ = step  # each piece reads its own ends
+    xb = slope(piece.b)
+    bound = measure(piece.a, piece.b, piece.width, slope(piece.a), xb)
+    fa, fb = value(piece.a), value(piece.b)
+    bound = finite(bound, piece.a, piece.b)
+    # largest pops first; panels' a differ
+    return -(piece.width * bound), piece.a, piece, bound, fa, fb
 
 
 def _assemble_as_written(issue, entries, target=None) -> CompositeResult:
     entries = sorted(entries, key=lambda entry: entry[1])
-    panels = [issue(piece, bound) for _, _, piece, bound in entries]
+    panels = [issue(piece, bound, fa, fb) for _, _, piece, bound, fa, fb in entries]
     value = total = 0  # left to right: the builtin sum compensates floats since 3.12
-    for (neg_scaled, _, _, _), cert in zip(entries, panels):
+    for (neg_scaled, *_), cert in zip(entries, panels):
         value += cert.interval.width * cert.approx
         total += -neg_scaled
     return CompositeResult(value, total, panels,
@@ -359,18 +376,18 @@ def _adaptive_as_written(f, iv: Interval, params: RuleParams, q, theorem: str = 
         raise DomainError(f"target must be positive, got {target!r}")
     if not isinstance(max_panels, int) or max_panels < 1:
         raise DomainError(f"max_panels must be a positive integer, got {max_panels!r}")
-    measure, issue = prologue(f, iv, params, q, theorem)
-    heap = [_entry_as_written(measure, iv)]
+    step = prologue(f, iv, params, q, theorem)
+    heap = [_entry_as_written(step, iv)]
     total = -heap[0][0]
     while total > target and len(heap) < max_panels:
-        neg_scaled, _, piece, _ = heapq.heappop(heap)
+        neg_scaled, _, piece, *_ = heapq.heappop(heap)
         mid = piece.midpoint()
-        left = _entry_as_written(measure, Interval(piece.a, mid))
-        right = _entry_as_written(measure, Interval(mid, piece.b))
+        left = _entry_as_written(step, Interval(piece.a, mid))
+        right = _entry_as_written(step, Interval(mid, piece.b))
         heapq.heappush(heap, left)
         heapq.heappush(heap, right)
         total += -left[0] + -right[0] - (-neg_scaled)
-    return _assemble_as_written(issue, heap, target)
+    return _assemble_as_written(step[-1], heap, target)
 
 
 def _typed(v):
