@@ -18,17 +18,18 @@ The regime tag that ``RuleParams`` derives once picks the constants through
 underflows.  At q = 1 the t22 weights are 1 by the x**0 = 1 convention and
 only the certificate tag (T22q1) differs.
 
-``prologue`` runs once per (f, [a, b], params, q, engine): q, domain,
-sign and convexity hypotheses, conjugate, regime tag and the engine's
-constants.  Its step keeps nothing of a solve: the caller reads |f'|**q
-and f once at each cut, with the step's two readers, and hands them to
-``measure(a, b, width, ya, xb)``, which returns the bound of a piece of
-[a, b], a plain number (reading t23's node itself), and to
-``issue(piece, bound, fa, fb)``, which reads f at the node and makes the
-rule value and the ErrorCertificate; ``finite`` stops an overflowed bound
-or rule value.  ``certify`` serves one piece, in the read order every
-driver keeps.  The |f'|**q reader refuses a kink of f, where an argument
-of sign in f' is 0; the step skips the domain check, which [a, b] passed.
+``prologue`` runs once per (f, [a, b], params, q, engine): q, domain, sign
+and convexity hypotheses, conjugate, regime tag and the engine's constants.
+Its step, ``(measure, issue)``, keeps nothing of a solve.
+``measure(a, b, width, left=None, right=None)`` returns ``(bound, left,
+right)``: the bound of a piece of [a, b], a plain number, and its ends,
+each a pair (|f'|**q, f).  It reads each end it is not given, in one
+order: |f'|**q at b, then at a, at t23's node, the bound, f at a, then at
+b, and last the check that the bound is finite; a driver hands a cut's
+end across it.  ``issue(piece, bound, left, right)`` reads f at the node,
+checks the rule value and makes the ErrorCertificate; ``certify`` serves
+one piece.  The |f'|**q reader refuses a kink of f, where an argument of
+sign in f' is 0; the step skips the domain check, which [a, b] passed.
 
 A certificate is only issued under an established convexity hypothesis:
 builtin and user-asserted models pass directly, anything else is sampled
@@ -40,8 +41,9 @@ or rule value raises OverflowError, a lost power ArithmeticError: a nonzero
 |f'| whose q-th power is 0, a q-mean whose 1/q-th power is 0 though a term
 in it has a nonzero weight and power (a float mean that rounds to 0, or
 an exact one below the float range), or in t23 and t24 an eps that
-underflows near q = 1.  An f or f' that overflows is an OverflowError that
-names the engine, the point and f.
+underflows near q = 1.  An overflowing f or f', an exact |f'|**q past the
+budget of ``params._power`` or an exact q-mean past the float range is an
+OverflowError that names the engine, f and the point or piece.
 
 Exact arithmetic defers its gcds.  When ``params.exact`` (alpha or lambda
 is a Fraction), the prologue lifts its exact constants (mu/eta, the t24
@@ -60,7 +62,8 @@ import math
 from .coefficients import SELECTED, eps_underflows, holder_coeffs, power_mean_coeffs
 from .errors import DomainError, Refusal
 from .expression import FunctionModel, probe_convexity
-from .params import RuleParams, _lift, _ratio, _reduced, classify_regime, conjugate, finite_q
+from .params import (RuleParams, _lift, _power, _ratio, _reduced, classify_regime,
+                     conjugate, finite_q)
 from .record import Record
 from .rules import Interval, require_within_domain, stencil
 
@@ -87,8 +90,7 @@ def prologue(f: FunctionModel, iv: Interval, params: RuleParams, q,
              name: str, verdicts=None):
     """Establish the hypotheses of engine ``name`` (an ``ENGINES`` key, as
     given) on iv once and return the step for any piece of iv, which
-    inherits them, as ``(slope, value, measure, finite, issue)`` (see the
-    module docstring).
+    inherits them, as ``(measure, issue)`` (see the module docstring).
 
     q must be finite (else a DomainError), >= 1 for t22 and > 1 for t23
     and t24.  f must be absolutely continuous: an f calling sign is
@@ -102,8 +104,7 @@ def prologue(f: FunctionModel, iv: Interval, params: RuleParams, q,
     in d1 and d2, which tell a lost q-mean from a true 0.
     """
     if name not in ENGINES:
-        raise DomainError(
-            f"unknown theorem {name!r}; expected one of {sorted(ENGINES)}")
+        raise DomainError(f"unknown theorem {name!r}; expected one of {sorted(ENGINES)}")
     q = finite_q(q)
     if not (q >= 1 if name == "t22" else q > 1):
         raise Refusal(f"{name} needs q {'>=' if name == 't22' else '>'} 1, got {q}")
@@ -121,6 +122,7 @@ def prologue(f: FunctionModel, iv: Interval, params: RuleParams, q,
     tag = classify_regime(params)
     theorem = "T22q1" if q == 1 else name.upper()
     inv_q = 1 / q
+    k = q.numerator if getattr(q, "denominator", 0) == 1 else q  # the same powers, faster
     alpha, beta = params.alpha, params.kink_pairs[0][1]  # beta = 1 - alpha
     exact = params.exact  # lift exact values once, reduce each result once
 
@@ -129,7 +131,7 @@ def prologue(f: FunctionModel, iv: Interval, params: RuleParams, q,
             d = abs(f.derivative(x))
             if f.kinks and any(g(x) == 0 for g in f.kinks):
                 raise Refusal(f"{name} reads |f'|**{q} at the kink x={x} of {f.name}")
-            h = d ** q
+            h = _power(d, k)
         except OverflowError:
             raise OverflowError(f"{name} |f'|**{q} overflows at x={x} of {f.name}") from None
         if d and not h:  # the q-mean of a lost power would read 0, not max |f'|
@@ -176,7 +178,6 @@ def prologue(f: FunctionModel, iv: Interval, params: RuleParams, q,
                         (xb * alpha * two_minus + alpha_sq * ya) / 2)
 
     node_of, combine = stencil(params)
-    reads_node = name == "t23"
 
     def value(x):  # f(x)
         try:
@@ -184,38 +185,42 @@ def prologue(f: FunctionModel, iv: Interval, params: RuleParams, q,
         except OverflowError:
             raise OverflowError(f"{name} f overflows at x={x} of {f.name}") from None
 
-    def measure(a, b, width, ya, xb):
-        node_pow = slope(node_of(a, b)) if reads_node else 0
+    def finite(v, a, b):  # a bound or rule value of [a, b]
+        if isinstance(v, float) and not math.isfinite(v):
+            raise OverflowError(f"{theorem} on [{a}, {b}] is not finite")
+        return v
+
+    def measure(a, b, width, left=None, right=None):
+        xb = slope(b) if right is None else right[0]
+        ya = slope(a) if left is None else left[0]
+        node_pow = slope(node_of(a, b)) if name == "t23" else 0
         d1, d2 = averages(node_pow, xb, ya)
-        r1, r2 = _clamp(d1) ** inv_q, _clamp(d2) ** inv_q
+        try:
+            r1, r2 = _clamp(d1) ** inv_q, _clamp(d2) ** inv_q
+        except OverflowError:  # an exact mean past the float range
+            raise OverflowError(
+                f"{name} q-mean of |f'|**{q} overflows on [{a}, {b}] of {f.name}") from None
         if not (r1 and r2):  # a root of a mean of nonnegative terms is 0 only if each term is
             for r, w, weights in zip((r1, r2), (w1, w2), feeds):  # w*r is 0 if w is
                 if not r and w and any(c and x for c, x in zip(weights, (xb, ya, node_pow))):
                     raise ArithmeticError(
                         f"{name} q-mean of |f'|**{q} underflows on [{a}, {b}] of {f.name}")
         bound = width * scale * (w1 * r1 + w2 * r2)
-        return _reduced(bound) if exact else bound
+        left = (ya, value(a)) if left is None else left
+        right = (xb, value(b)) if right is None else right
+        return finite(_reduced(bound) if exact else bound, a, b), left, right
 
-    def finite(v, a, b):  # a bound or rule value of [a, b]
-        if isinstance(v, float) and not math.isfinite(v):
-            raise OverflowError(f"{theorem} on [{a}, {b}] is not finite")
-        return v
-
-    def issue(piece: Interval, bound, fa, fb) -> ErrorCertificate:
+    def issue(piece: Interval, bound, left, right) -> ErrorCertificate:
         a, b = piece.a, piece.b
-        approx = finite(combine(fa, fb, value(node_of(a, b))), a, b)
+        approx = finite(combine(left[1], right[1], value(node_of(a, b))), a, b)
         return ErrorCertificate(piece, params, theorem, q, p, bound, approx, advisory, tag)
 
-    return slope, value, measure, finite, issue
+    return measure, issue
 
 
-def certify(piece: Interval, slope, value, measure, finite, issue) -> ErrorCertificate:
-    """The certificate of piece: |f'|**q at b, at a, the bound, f at a, at b, then the checks."""
-    a, b = piece.a, piece.b
-    xb = slope(b)
-    bound = measure(a, b, piece.width, slope(a), xb)
-    fa, fb = value(a), value(b)
-    return issue(piece, finite(bound, a, b), fa, fb)
+def certify(piece: Interval, measure, issue) -> ErrorCertificate:
+    """The certificate of piece, whose ends ``measure`` reads."""
+    return issue(piece, *measure(piece.a, piece.b, piece.width))
 
 
 def power_mean_bound(f: FunctionModel, iv: Interval, params: RuleParams,

@@ -17,10 +17,11 @@ c = alpha*lambda, u = 1 - alpha and w = lambda*(1 - alpha):
 
 All closed forms are plain polynomial arithmetic in alpha and lambda, so
 Fraction inputs give bit-exact rationals, within the power budget of
-``params._power`` (an OverflowError past it).  With Fraction alpha and
-lambda the power-mean forms run on ``params._Ratio``, an unreduced
-numerator and denominator: the inputs are lifted once, and each constant
-is reduced once, by one gcd, not after every operation.
+``params._power`` (an OverflowError past it).  When ``params.exact``
+(alpha or lambda is a Fraction) the power-mean forms run on
+``params._Ratio``, an unreduced numerator and denominator: the inputs are
+lifted once, and each constant is reduced once, by one gcd, not after
+every operation.
 ``power_mean_coeffs`` evaluates the constants it is asked for, by default
 all twelve, including the ones the active regime does not select (those
 may be negative); the t22 engine asks for the six its tag selects.  The
@@ -40,10 +41,10 @@ from __future__ import annotations
 
 import math
 import sys
-from fractions import Fraction
 
 from .errors import DomainError
-from .params import CASE1, CASE2, CASE3, POWER_BITS, RuleParams, _lift, _power, _power_bits
+from .params import (CASE1, CASE2, CASE3, POWER_BITS, RuleParams, _lift, _power, _power_bits,
+                     _reduced)
 
 _TINY = 2 * sys.float_info.min  # smallest normal float times 2 > 1 / (1 - 1/e)
 _LOG10_2 = math.log10(2)
@@ -65,13 +66,12 @@ POWER_MEAN = ("gamma1", "gamma2", "upsilon1", "upsilon2",
 def power_mean_coeffs(params: RuleParams, names=POWER_MEAN) -> dict:
     """The power-mean constants ``names``, by default all twelve of
     ``POWER_MEAN``, keyed in the order asked; a recurring term is computed
-    once.  Fraction alpha and lambda run the forms on ``_Ratio`` and reduce
-    each constant once, so it is the same Fraction as step-by-step
-    arithmetic; other inputs run them on their own arithmetic."""
+    once.  Exact params (``params.exact``) run the forms on ``_Ratio`` and
+    reduce each constant once, so it is the same Fraction, or float, as
+    step-by-step arithmetic; float params run them on floats."""
     a, l = params.alpha, params.lam
     (c, u), (w, _) = params.kink_pairs
-    exact = type(a) is Fraction and type(l) is Fraction
-    if exact:
+    if params.exact:
         a, l, c, u, w = map(_lift, (a, l, c, u, w))
     uu, u3, aa, a3, one_w, one_c = u * u, u ** 3, a * a, a ** 3, 1 - w, 1 - c
     cuu, waa = c * u * u / 2, w * a * a / 2
@@ -93,7 +93,7 @@ def power_mean_coeffs(params: RuleParams, names=POWER_MEAN) -> dict:
             case "eta4": v = w ** 3 / 3 - waa + a3 / 3
             case _:
                 raise KeyError(name)
-        out[name] = Fraction(v._numerator, v._denominator) if exact else v
+        out[name] = _reduced(v)
     return out
 
 

@@ -9,16 +9,16 @@ and those add:
 Both drivers establish the engine's hypotheses on [a, b] by one prologue
 run per solve; convexity of |f'|**q on [a, b] restricts to every
 subinterval, so each panel inherits them and only takes the per-piece
-step, given |f'|**q and f at its ends, which a driver reads once per cut.
-A result keeps each panel as its certificate, which names it.
+step.  A driver owns only the cuts: ``measure`` reads f and f', and the
+driver hands the pair it returned for a cut to the piece across the cut.
 
 ``adaptive_integrate`` greedily bisects the panel with the largest
 width-scaled bound until the summed bound clears the target, the panel
 budget runs out, or that panel has no number strictly inside it.  It
-bisects plain numbers: each heap entry holds a piece's ends, the bound
-that ``measure`` gave and the values at its ends.  The returned panels
-are issued in tiling order, found by following the cut objects that
-neighbours share from a, so f is read at their nodes only and an
+bisects plain numbers: a heap entry is (-(width * bound), a, b, bound,
+left, right), with the end pairs that ``measure`` returned.  The returned
+panels are issued in tiling order, found by following the cut objects
+that neighbours share from a, so f is read at their nodes only and an
 Interval, a rule value and a certificate are made once per returned
 panel.  Panel endpoints are a, b and affine interpolations of indices or
 midpoints, never accumulated widths, so they cannot drift; uniform cuts
@@ -69,18 +69,16 @@ def composite_integrate(f: FunctionModel, iv: Interval, params: RuleParams,
     """Apply the rule on n uniform panels and sum the certificates."""
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise DomainError(f"panel count must be a positive integer, got {n!r}")
-    slope, value, measure, finite, issue = prologue(f, iv, params, q, theorem)
+    measure, issue = prologue(f, iv, params, q, theorem)
     cuts = [iv.a] + [(iv.a * (n - i) + iv.b * i) / n for i in range(1, n)] + [iv.b]
     if any(v <= u for u, v in zip(cuts, cuts[1:])):
         raise DomainError(f"{n} uniform panels of [{iv.a}, {iv.b}] have cuts that round "
                           "onto each other")
-    panels, yu, fu = [], None, None  # |f'|**q and f at u, handed on from the panel before
+    panels, right = [], None  # a panel's right end is the next panel's left end
     for u, v in zip(cuts, cuts[1:]):
-        piece, xv = Interval(u, v), slope(v)
-        bound = measure(u, v, piece.width, slope(u) if yu is None else yu, xv)
-        fu, fv = value(u) if fu is None else fu, value(v)
-        panels.append(issue(piece, finite(bound, u, v), fu, fv))
-        yu, fu = xv, fv
+        piece = Interval(u, v)
+        bound, left, right = measure(u, v, piece.width, right)
+        panels.append(issue(piece, bound, left, right))
     return _assemble(panels, [cert.interval.width * cert.bound for cert in panels])
 
 
@@ -99,34 +97,30 @@ def adaptive_integrate(f: FunctionModel, iv: Interval, params: RuleParams,
         raise DomainError(f"target must be positive, got {target!r}")
     if not isinstance(max_panels, int) or isinstance(max_panels, bool) or max_panels < 1:
         raise DomainError(f"max_panels must be a positive integer, got {max_panels!r}")
-    slope, value, measure, finite, issue = prologue(f, iv, params, q, theorem)
-    xb, ya = slope(iv.b), slope(iv.a)  # b first, as certify reads
-    bound = measure(iv.a, iv.b, iv.width, ya, xb)
-    fa, fb = value(iv.a), value(iv.b)
-    # (-(width * bound), a, b, bound, |f'|**q at a, b, f at a, b); panels' a differ
-    heap = [(-(iv.width * finite(bound, iv.a, iv.b)), iv.a, iv.b, bound, ya, xb, fa, fb)]
+    measure, issue = prologue(f, iv, params, q, theorem)
+    bound, left, right = measure(iv.a, iv.b, iv.width)
+    heap = [(-(iv.width * bound), iv.a, iv.b, bound, left, right)]  # panels' a differ
     total = -heap[0][0]
     while total > target and len(heap) < max_panels:
-        neg_scaled, a, b, _, ya, xb, fa, fb = heap[0]
+        neg_scaled, a, b, _, left, right = heap[0]
         mid = midpoint(a, b)
         if not a < mid < b:  # a float mid: an exact one always falls inside
             if math.isinf(mid):
                 Interval(a, mid)  # raises the DomainError of an infinite end
             break
-        y_mid, width = slope(mid), mid - a
-        bound = measure(a, mid, width, ya, y_mid)
-        f_mid = value(mid)  # read before the left bound's check, as certify does
-        left = -(width * finite(bound, a, mid)), a, mid, bound, ya, y_mid, fa, f_mid
+        width = mid - a
+        bound, _, at_mid = measure(a, mid, width, left)
+        lower = -(width * bound), a, mid, bound, left, at_mid
         width = b - mid
-        bound = finite(measure(mid, b, width, y_mid, xb), mid, b)
-        right = -(width * bound), mid, b, bound, y_mid, xb, f_mid, fb
-        heapq.heapreplace(heap, left)
-        heapq.heappush(heap, right)
-        total += -left[0] + -right[0] - (-neg_scaled)
+        bound = measure(mid, b, width, at_mid, right)[0]
+        upper = -(width * bound), mid, b, bound, at_mid, right
+        heapq.heapreplace(heap, lower)
+        heapq.heappush(heap, upper)
+        total += -lower[0] + -upper[0] - (-neg_scaled)
     starts = {id(entry[1]): entry for entry in heap}  # neighbours share the cut object
     tiling = [starts[id(iv.a)]]
     while len(tiling) < len(heap):
         tiling.append(starts[id(tiling[-1][2])])
-    panels = [issue(Interval(a, b) if len(heap) > 1 else iv, bound, fa, fb)
-              for _, a, b, bound, _, _, fa, fb in tiling]
+    panels = [issue(Interval(a, b) if len(heap) > 1 else iv, bound, left, right)
+              for _, a, b, bound, left, right in tiling]
     return _assemble(panels, [-entry[0] for entry in tiling], target)

@@ -268,6 +268,23 @@ def test_huge_exact_power_exits_1_fast(f):
     assert "exact power with exponent 1000000000 exceeds" in proc.stderr
 
 
+@pytest.mark.parametrize("q, message", [
+    # |f'(5/3)|**10000 is exact, and so is its q-mean, whose root needs a float
+    ("10000", "t22 q-mean of |f'|**10000 overflows on [1/3, 5/3] of x^3"),
+    # the power budget refuses |f'|**1000000 before computing it
+    ("1000000", "t22 |f'|**1000000 overflows at x=5/3 of x^3"),
+])
+def test_huge_exact_q_names_its_overflow_fast(q, message):
+    argv = [sys.executable, "-m", "certquad", "bound", "--f", "x^3", "--assume-convex",
+            "--a", "1/3", "--b", "5/3", "--rule", "midpoint", "--q"]
+    proc = subprocess.run(argv + [q], capture_output=True, text=True, env=child_env(),
+                          timeout=10)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"certquad: error: {message}\n")
+    proc = subprocess.run(argv + [f"{q},2", "--theorem", "best"], capture_output=True,
+                          text=True, env=child_env(), timeout=10)
+    assert (proc.returncode, json.loads(proc.stdout)["q"]) == (0, "2")
+
+
 def test_bound_exact_mode(capsys):
     code, out, _ = run_cli(
         "bound", "--f", "pow:2", "--a", "0", "--b", "1", "--rule", "simpson",

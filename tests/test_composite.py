@@ -341,23 +341,77 @@ def test_each_point_is_evaluated_once_per_solve(corpus, monkeypatch, fname, a, b
     assert calls == {"derivative": derivatives, "value": values}
 
 
+def _exact(*points):
+    return [(kind, repr(F(x))) for kind, x in points]
+
+
+def _float(*points):
+    return [(kind, repr(float(x))) for kind, x in points]
+
+
+_EXACT_ENDS = (("d", "3/2"), ("d", "1/2"))
+_EXACT_VALUES = (("v", "1/2"), ("v", "3/2"), ("v", "7/6"))  # f at a, b, then the node 7/6
+
+
+@pytest.mark.parametrize("case, reads", [
+    # one certificate of exp on [1/2, 3/2] at (1/3, 1/2), q = 2: f' at b, then
+    # a (and t23's node), then f at a, at b and at the node
+    ("t22", _exact(*_EXACT_ENDS, *_EXACT_VALUES)),
+    ("t23", _exact(*_EXACT_ENDS, ("d", "7/6"), *_EXACT_VALUES)),
+    ("t24", _exact(*_EXACT_ENDS, *_EXACT_VALUES)),
+    # three t23 panels of [0.5, 2]: each panel takes its left end from the one before
+    ("composite", _float(("d", 1), ("d", 0.5), ("d", 0.875), ("v", 0.5), ("v", 1),
+                         ("v", 0.875), ("d", 1.5), ("d", 1.375), ("v", 1.5), ("v", 1.375),
+                         ("d", 2), ("d", 1.875), ("v", 2), ("v", 1.875))),
+    # four panels of [0, 1]: f' and f once at each cut, f at the returned nodes last
+    ("adaptive t22", _float(("d", 1), ("d", 0), ("v", 0), ("v", 1), ("d", 0.5), ("v", 0.5),
+                            ("d", 0.75), ("v", 0.75), ("d", 0.25), ("v", 0.25),
+                            ("v", 0.1875), ("v", 0.4375), ("v", 0.6875), ("v", 0.9375))),
+    ("adaptive t23", _float(("d", 1), ("d", 0), ("d", 0.75), ("v", 0), ("v", 1), ("d", 0.5),
+                            ("d", 0.375), ("v", 0.5), ("d", 0.875), ("d", 0.75), ("d", 0.6875),
+                            ("v", 0.75), ("d", 0.9375), ("d", 0.25), ("d", 0.1875), ("v", 0.25),
+                            ("d", 0.4375), ("v", 0.1875), ("v", 0.4375), ("v", 0.6875),
+                            ("v", 0.9375))),
+])
+def test_reads_keep_their_order(corpus, monkeypatch, case, reads):
+    from certquad.bounds import ENGINES
+    from certquad.expression import FunctionModel
+    logged = []
+
+    def recording(kind, original):
+        def wrapper(self, x):
+            logged.append((kind, repr(x)))
+            return original(self, x)
+        return wrapper
+
+    monkeypatch.setattr(FunctionModel, "derivative", recording("d", FunctionModel.derivative))
+    monkeypatch.setattr(FunctionModel, "value", recording("v", FunctionModel.value))
+    f, floats = corpus["exp"], RuleParams(0.25, 0.5)
+    if case in ENGINES:
+        ENGINES[case](f, Interval(F(1, 2), F(3, 2)), RuleParams(F(1, 3), F(1, 2)), 2)
+    elif case == "composite":
+        composite_integrate(f, Interval(0.5, 2.0), floats, 2, "t23", 3)
+    else:
+        r = adaptive_integrate(f, Interval(0.0, 1.0), floats, 2, case[-3:], target=1e-12,
+                               max_panels=4)
+        assert len(r.panels) == 4
+    assert logged == reads
+
+
 # ---------------------------------------------------------------------------
 # The adaptive driver on plain numbers: the same solves as one Interval per
 # tried piece, and one certificate per emitted panel
 
 def _entry_as_written(step, piece: Interval):
-    slope, value, measure, finite, _ = step  # each piece reads its own ends
-    xb = slope(piece.b)
-    bound = measure(piece.a, piece.b, piece.width, slope(piece.a), xb)
-    fa, fb = value(piece.a), value(piece.b)
-    bound = finite(bound, piece.a, piece.b)
+    measure, _ = step  # each piece reads its own ends
+    bound, left, right = measure(piece.a, piece.b, piece.width)
     # largest pops first; panels' a differ
-    return -(piece.width * bound), piece.a, piece, bound, fa, fb
+    return -(piece.width * bound), piece.a, piece, bound, left, right
 
 
 def _assemble_as_written(issue, entries, target=None) -> CompositeResult:
     entries = sorted(entries, key=lambda entry: entry[1])
-    panels = [issue(piece, bound, fa, fb) for _, _, piece, bound, fa, fb in entries]
+    panels = [issue(piece, bound, left, right) for _, _, piece, bound, left, right in entries]
     value = total = 0  # left to right: the builtin sum compensates floats since 3.12
     for (neg_scaled, *_), cert in zip(entries, panels):
         value += cert.interval.width * cert.approx

@@ -122,6 +122,7 @@ class _AsWritten:
     def __init__(self, params):
         self.alpha, self.lam = params.alpha, params.lam
         self.kink_pairs = _kink_pairs_as_written(params)
+        self.exact = type(self.alpha) is F or type(self.lam) is F  # as RuleParams has it
 
 
 def _typed(run):
