@@ -22,14 +22,16 @@ only the certificate tag (T22q1) differs.
 and convexity hypotheses, conjugate, regime tag and the engine's constants.
 Its step, ``(measure, issue)``, keeps nothing of a solve.
 ``measure(a, b, width, left=None, right=None)`` returns ``(bound, left,
-right)``: the bound of a piece of [a, b], a plain number, and its ends,
-each a pair (|f'|**q, f).  It reads each end it is not given, in one
-order: |f'|**q at b, then at a, at t23's node, the bound, f at a, then at
-b, and last the check that the bound is finite; a driver hands a cut's
-end across it.  ``issue(piece, bound, left, right)`` reads f at the node,
-checks the rule value and makes the ErrorCertificate; ``certify`` serves
-one piece.  The |f'|**q reader refuses a kink of f, where an argument of
-sign in f' is 0; the step skips the domain check, which [a, b] passed.
+right, node)``: the bound of a piece of [a, b], a plain number, its ends,
+each a pair (|f'|**q, f), and |f'|**q at t23's node (0 in t22 and t24).
+It reads what it is not given, in one order: |f'|**q at b, then at a, at
+t23's node, the bound, f at a, then at b, and last the check that the
+bound is finite.  A driver hands a cut's end across it, or (node, None)
+for a b that was a node, so that only f is read there.
+``issue(piece, bound, left, right)`` reads f at the node, checks the rule
+value and makes the ErrorCertificate; ``certify`` serves one piece.  The
+|f'|**q reader refuses a kink of f, where an argument of sign in f' is 0;
+the step skips the domain check, which [a, b] passed.
 
 A certificate is only issued under an established convexity hypothesis:
 builtin and user-asserted models pass directly, anything else is sampled
@@ -90,7 +92,8 @@ def prologue(f: FunctionModel, iv: Interval, params: RuleParams, q,
              name: str, verdicts=None):
     """Establish the hypotheses of engine ``name`` (an ``ENGINES`` key, as
     given) on iv once and return the step for any piece of iv, which
-    inherits them, as ``(measure, issue)`` (see the module docstring).
+    inherits them, as ``(measure, issue)``; ``measure`` returns the bound,
+    both ends and t23's |f'|**q at the node (see the module docstring).
 
     q must be finite (else a DomainError), >= 1 for t22 and > 1 for t23
     and t24.  f must be absolutely continuous: an f calling sign is
@@ -207,8 +210,8 @@ def prologue(f: FunctionModel, iv: Interval, params: RuleParams, q,
                         f"{name} q-mean of |f'|**{q} underflows on [{a}, {b}] of {f.name}")
         bound = width * scale * (w1 * r1 + w2 * r2)
         left = (ya, value(a)) if left is None else left
-        right = (xb, value(b)) if right is None else right
-        return finite(_reduced(bound) if exact else bound, a, b), left, right
+        right = (xb, value(b)) if right is None or right[1] is None else right
+        return finite(_reduced(bound) if exact else bound, a, b), left, right, node_pow
 
     def issue(piece: Interval, bound, left, right) -> ErrorCertificate:
         a, b = piece.a, piece.b
@@ -220,7 +223,7 @@ def prologue(f: FunctionModel, iv: Interval, params: RuleParams, q,
 
 def certify(piece: Interval, measure, issue) -> ErrorCertificate:
     """The certificate of piece, whose ends ``measure`` reads."""
-    return issue(piece, *measure(piece.a, piece.b, piece.width))
+    return issue(piece, *measure(piece.a, piece.b, piece.width)[:3])
 
 
 def power_mean_bound(f: FunctionModel, iv: Interval, params: RuleParams,

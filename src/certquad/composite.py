@@ -14,26 +14,31 @@ driver hands the pair it returned for a cut to the piece across the cut.
 
 ``adaptive_integrate`` greedily bisects the panel with the largest
 width-scaled bound until the summed bound clears the target, the panel
-budget runs out, or that panel has no number strictly inside it.  It
-bisects plain numbers: a heap entry is (-(width * bound), a, b, bound,
-left, right), with the end pairs that ``measure`` returned.  The returned
-panels are issued in tiling order, found by following the cut objects
-that neighbours share from a, so f is read at their nodes only and an
-Interval, a rule value and a certificate are made once per returned
-panel.  Panel endpoints are a, b and affine interpolations of indices or
-midpoints, never accumulated widths, so they cannot drift; uniform cuts
-that round onto each other are a DomainError that names [a, b] and n.
+budget runs out, or that panel has no number strictly inside it.  A heap
+entry holds plain numbers, (-(width * bound), a, b, bound, left, right,
+node), the last three as ``measure`` returned them.  Between Fraction
+ends it cuts on unreduced ``params._Ratio`` values, one gcd for the cut
+and one per exact key; at an exact alpha = 1/2 the cut is t23's node,
+whose |f'|**q the lower half takes.  The returned panels are issued in
+tiling order, found by following the cut objects that neighbours share
+from a, so f is read at their nodes only and an Interval, a rule value
+and a certificate are made once per returned panel.  Panel endpoints are
+a, b and affine interpolations of indices or midpoints, never accumulated
+widths, so they cannot drift; uniform cuts that round onto each other are
+a DomainError that names [a, b] and n.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import operator
+from fractions import Fraction
 
 from .bounds import prologue
 from .errors import DomainError
 from .expression import FunctionModel
-from .params import RuleParams
+from .params import RuleParams, _lift, _reduced
 from .record import Record
 from .rules import Interval, midpoint
 
@@ -77,9 +82,28 @@ def composite_integrate(f: FunctionModel, iv: Interval, params: RuleParams,
     panels, right = [], None  # a panel's right end is the next panel's left end
     for u, v in zip(cuts, cuts[1:]):
         piece = Interval(u, v)
-        bound, left, right = measure(u, v, piece.width, right)
+        bound, left, right, _ = measure(u, v, piece.width, right)
         panels.append(issue(piece, bound, left, right))
     return _assemble(panels, [cert.interval.width * cert.bound for cert in panels])
+
+
+def _halve(a, b):
+    """The cut of [a, b] and its halves' widths; None when a float cut rounds to an end."""
+    mid = midpoint(a, b)
+    if not a < mid < b:
+        if math.isinf(mid):
+            Interval(a, mid)  # raises the DomainError of an infinite end
+        return None
+    return mid, mid - a, b - mid
+
+
+def _halve_exact(a, b):
+    """``_halve`` of Fraction ends on unreduced ``_Ratio`` values: the cut, always
+    inside, is reduced once; the halves' equal width goes to ``measure`` unreduced."""
+    a = _lift(a)
+    mid = midpoint(a, _lift(b))
+    width = mid - a
+    return _reduced(mid), width, width
 
 
 def adaptive_integrate(f: FunctionModel, iv: Interval, params: RuleParams,
@@ -98,29 +122,31 @@ def adaptive_integrate(f: FunctionModel, iv: Interval, params: RuleParams,
     if not isinstance(max_panels, int) or isinstance(max_panels, bool) or max_panels < 1:
         raise DomainError(f"max_panels must be a positive integer, got {max_panels!r}")
     measure, issue = prologue(f, iv, params, q, theorem)
-    bound, left, right = measure(iv.a, iv.b, iv.width)
-    heap = [(-(iv.width * bound), iv.a, iv.b, bound, left, right)]  # panels' a differ
+    exact = type(iv.a) is type(iv.b) is Fraction  # decided once: all cuts are Fractions
+    halve, scaled = ((_halve_exact, lambda width, bound: _reduced(width * bound)) if exact
+                     else (_halve, operator.mul))  # a key is reduced once
+    node_is_cut = (exact and theorem == "t23"  # then the node is the cut, the same Fraction
+                   and type(params.alpha) is Fraction and params.alpha == Fraction(1, 2))
+    bound, left, right, node = measure(iv.a, iv.b, iv.width)
+    heap = [(-(iv.width * bound), iv.a, iv.b, bound, left, right, node)]  # panels' a differ
     total = -heap[0][0]
     while total > target and len(heap) < max_panels:
-        neg_scaled, a, b, _, left, right = heap[0]
-        mid = midpoint(a, b)
-        if not a < mid < b:  # a float mid: an exact one always falls inside
-            if math.isinf(mid):
-                Interval(a, mid)  # raises the DomainError of an infinite end
+        neg_scaled, a, b, _, left, right, node = heap[0]
+        if (cut := halve(a, b)) is None:
             break
-        width = mid - a
-        bound, _, at_mid = measure(a, mid, width, left)
-        lower = -(width * bound), a, mid, bound, left, at_mid
-        width = b - mid
-        bound = measure(mid, b, width, at_mid, right)[0]
-        upper = -(width * bound), mid, b, bound, at_mid, right
+        mid, width, upper_width = cut
+        bound, _, at_mid, lower_node = measure(a, mid, width, left,
+                                               (node, None) if node_is_cut else None)
+        lower = -scaled(width, bound), a, mid, bound, left, at_mid, lower_node
+        bound, _, _, upper_node = measure(mid, b, upper_width, at_mid, right)
+        upper = -scaled(upper_width, bound), mid, b, bound, at_mid, right, upper_node
         heapq.heapreplace(heap, lower)
         heapq.heappush(heap, upper)
-        total += -lower[0] + -upper[0] - (-neg_scaled)
+        total += neg_scaled - (lower[0] + upper[0])  # the bits of -lower + -upper - -neg
     starts = {id(entry[1]): entry for entry in heap}  # neighbours share the cut object
     tiling = [starts[id(iv.a)]]
     while len(tiling) < len(heap):
         tiling.append(starts[id(tiling[-1][2])])
     panels = [issue(Interval(a, b) if len(heap) > 1 else iv, bound, left, right)
-              for _, a, b, bound, left, right in tiling]
+              for _, a, b, bound, left, right, _ in tiling]
     return _assemble(panels, [-entry[0] for entry in tiling], target)

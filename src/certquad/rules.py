@@ -45,9 +45,6 @@ class Interval(Record):
                 f"interval needs a < b, got a={self.a!r}, b={self.b!r}")
         Interval.width.__set__(self, self.b - self.a)
 
-    def midpoint(self):
-        return midpoint(self.a, self.b)
-
 
 def require_within_domain(f: FunctionModel, iv: Interval) -> None:
     if not f.contains(float(iv.a), float(iv.b)):

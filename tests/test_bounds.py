@@ -13,6 +13,7 @@ from certquad import (Interval, Refusal, RuleParams, best_bound,
                       rule_value)
 from certquad.params import POWER_BITS
 from certquad.prng import SplitMix64
+from certquad.rules import midpoint
 
 from conftest import INTERVALS, child_env, uniform_in
 
@@ -567,7 +568,8 @@ def test_step_matches_the_per_engine_formulas(corpus):
         except (Refusal, ArithmeticError):
             continue  # the hypotheses are checked before the step, as before
         for _ in range(3):  # bisect, so the t23 node moves with the piece
-            piece, mid = pieces[-1], pieces[-1].midpoint()
+            piece = pieces[-1]
+            mid = midpoint(piece.a, piece.b)
             pieces.append(rng.choice((Interval(piece.a, mid), Interval(mid, piece.b))))
         for piece in pieces:
             cert = _outcome(lambda: attrgetter("bound", "approx")(certify(piece, *step)))

@@ -9,6 +9,7 @@ from certquad import (CompositeResult, DomainError, ErrorCertificate, Interval, 
                       RuleParams, adaptive_integrate, composite_integrate,
                       from_expression, named_rule)
 from certquad.bounds import certify, prologue
+from certquad.rules import midpoint
 
 MIDPOINT = named_rule("midpoint")
 SIMPSON = named_rule("simpson")
@@ -319,7 +320,11 @@ def test_memo_keeps_the_first_error(text, a, b, n, error, message, name, q):
     # 1,024 panels from 2,047 pieces: f' and f once at each distinct end, f at
     # the node of each returned panel only, and f' at every t23 node
     ("pow:3", F(1), F(2), MIDPOINT, 1, "t22", 1025, 2049),
-    ("exp", F(1, 2), F(3), SIMPSON, 2, "t23", 3072, 2049),
+    ("exp", F(1, 2), F(3), RuleParams(F(1, 3), F(1, 2)), 2, "t23", 3072, 2049),
+    # at an exact alpha = 1/2 the t23 node of a piece is its cut, read once
+    ("exp", F(1, 2), F(3), SIMPSON, 2, "t23", 2049, 2049),
+    # float ends: the node's f' is not handed on, the cut reads it again
+    ("exp", 0.5, 3.0, SIMPSON, 2, "t23", 3072, 2049),
 ])
 def test_each_point_is_evaluated_once_per_solve(corpus, monkeypatch, fname, a, b,
                                                 params, q, name, derivatives, values):
@@ -372,6 +377,13 @@ _EXACT_VALUES = (("v", "1/2"), ("v", "3/2"), ("v", "7/6"))  # f at a, b, then th
                             ("v", 0.75), ("d", 0.9375), ("d", 0.25), ("d", 0.1875), ("v", 0.25),
                             ("d", 0.4375), ("v", 0.1875), ("v", 0.4375), ("v", 0.6875),
                             ("v", 0.9375))),
+    # exact ends at alpha = 1/2: each cut is the node of the piece it splits,
+    # whose f' the lower child takes instead of reading it again
+    ("adaptive t23 at 1/2", _exact(("d", 1), ("d", 0), ("d", "1/2"), ("v", 0), ("v", 1),
+                                   ("d", "1/4"), ("v", "1/2"), ("d", "3/4"), ("d", "5/8"),
+                                   ("v", "3/4"), ("d", "7/8"), ("d", "1/8"), ("v", "1/4"),
+                                   ("d", "3/8"), ("v", "1/8"), ("v", "3/8"), ("v", "5/8"),
+                                   ("v", "7/8"))),
 ])
 def test_reads_keep_their_order(corpus, monkeypatch, case, reads):
     from certquad.bounds import ENGINES
@@ -392,8 +404,9 @@ def test_reads_keep_their_order(corpus, monkeypatch, case, reads):
     elif case == "composite":
         composite_integrate(f, Interval(0.5, 2.0), floats, 2, "t23", 3)
     else:
-        r = adaptive_integrate(f, Interval(0.0, 1.0), floats, 2, case[-3:], target=1e-12,
-                               max_panels=4)
+        iv, params = ((Interval(F(0), F(1)), SIMPSON) if case.endswith("1/2")
+                      else (Interval(0.0, 1.0), floats))
+        r = adaptive_integrate(f, iv, params, 2, case.split()[1], target=1e-12, max_panels=4)
         assert len(r.panels) == 4
     assert logged == reads
 
@@ -404,7 +417,7 @@ def test_reads_keep_their_order(corpus, monkeypatch, case, reads):
 
 def _entry_as_written(step, piece: Interval):
     measure, _ = step  # each piece reads its own ends
-    bound, left, right = measure(piece.a, piece.b, piece.width)
+    bound, left, right, _ = measure(piece.a, piece.b, piece.width)
     # largest pops first; panels' a differ
     return -(piece.width * bound), piece.a, piece, bound, left, right
 
@@ -435,7 +448,7 @@ def _adaptive_as_written(f, iv: Interval, params: RuleParams, q, theorem: str = 
     total = -heap[0][0]
     while total > target and len(heap) < max_panels:
         neg_scaled, _, piece, *_ = heapq.heappop(heap)
-        mid = piece.midpoint()
+        mid = midpoint(piece.a, piece.b)
         left = _entry_as_written(step, Interval(piece.a, mid))
         right = _entry_as_written(step, Interval(mid, piece.b))
         heapq.heappush(heap, left)
@@ -488,6 +501,23 @@ def test_adaptive_matches_the_driver_that_certified_every_piece(corpus):
         assert got == want, (f.name, iv, params, q, name, target, max_panels)
         outcomes["raised" if len(got) == 2 else "met" if got[2] else "missed"] += 1
     assert min(outcomes.values()) >= 10, outcomes
+
+
+@pytest.mark.parametrize("ends", [(F(1, 2), F(3)), (0.5, 3.0), (F(1, 3), 2.5)],
+                         ids=["Fraction", "float", "mixed"])
+@pytest.mark.parametrize("rule", ["midpoint", "trapezoid", "simpson"])
+def test_named_rules_match_the_driver_that_certified_every_piece(corpus, ends, rule):
+    """The named rules (alpha = 1/2) under every engine, and t22 at q = 1,
+    whose exact bounds make Fraction heap keys: Fraction ends cut on
+    unreduced ratios and hand t23's node on, float and mixed ends do not."""
+    solves = [("exp", F(2), name) for name in ("t22", "t23", "t24")]
+    solves += [(fname, 1, "t22") for fname in ("pow:2", "reciprocal")]
+    for fname, q, name in solves:
+        for target, max_panels, met in ((F(1, 4), 64, True), (1e-6, 16, False)):
+            args = corpus[fname], Interval(*ends), named_rule(rule), q, name, target, max_panels
+            got = _solve_outcome(adaptive_integrate, *args)
+            assert got == _solve_outcome(_adaptive_as_written, *args), args
+            assert got[2] is met, args
 
 
 def test_one_certificate_per_emitted_panel(corpus, monkeypatch):
