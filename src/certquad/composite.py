@@ -88,7 +88,7 @@ def composite_integrate(f: FunctionModel, iv: Interval, params: RuleParams,
 
 
 def _halve(a, b):
-    """The cut of [a, b] and its halves' widths; None when a float cut rounds to an end."""
+    """The cut of [a, b] and its halves' widths; None when a float cut is not inside."""
     mid = midpoint(a, b)
     if not a < mid < b:
         if math.isinf(mid):
@@ -142,7 +142,7 @@ def adaptive_integrate(f: FunctionModel, iv: Interval, params: RuleParams,
         upper = -scaled(upper_width, bound), mid, b, bound, at_mid, right, upper_node
         heapq.heapreplace(heap, lower)
         heapq.heappush(heap, upper)
-        total += neg_scaled - (lower[0] + upper[0])  # the bits of -lower + -upper - -neg
+        total += neg_scaled - (lower[0] + upper[0])  # -lower + -upper - -neg, bit for bit
     starts = {id(entry[1]): entry for entry in heap}  # neighbours share the cut object
     tiling = [starts[id(iv.a)]]
     while len(tiling) < len(heap):
