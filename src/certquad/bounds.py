@@ -47,14 +47,9 @@ underflows near q = 1.  An overflowing f or f', an exact |f'|**q past the
 budget of ``params._power`` or an exact q-mean past the float range is an
 OverflowError that names the engine, f and the point or piece.
 
-Exact arithmetic defers its gcds.  When ``params.exact`` (alpha or lambda
-is a Fraction), the prologue lifts its exact constants (mu/eta, the t24
-blend weights, scale, w1, w2) to unreduced ``params._Ratio`` values once
-per solve, and the step lifts each exact |f'|**q once, as it reads it.
-``measure`` reduces the bound, and ``rules.stencil`` the node
-handed to f and the rule value, once each, so every value that leaves the
-step is the Fraction, or the float, that step-by-step arithmetic gives.
-Float parameters run plain arithmetic, with nothing lifted.
+The prologue lifts its constants (mu/eta, the t24 blend weights, scale,
+w1, w2) once per solve, the step each |f'|**q as it reads it, and
+``measure`` reduces the bound (``params`` states the contract).
 """
 
 from __future__ import annotations
@@ -127,7 +122,7 @@ def prologue(f: FunctionModel, iv: Interval, params: RuleParams, q,
     inv_q = 1 / q
     k = q.numerator if getattr(q, "denominator", 0) == 1 else q  # the same powers, faster
     alpha, beta = params.alpha, params.kink_pairs[0][1]  # beta = 1 - alpha
-    exact = params.exact  # lift exact values once, reduce each result once
+    exact = params.exact  # read per point, and by t22's scale
 
     def slope(x):  # |f'(x)|**q, the one power site
         try:
@@ -144,10 +139,9 @@ def prologue(f: FunctionModel, iv: Interval, params: RuleParams, q,
     if name == "t22":
         gamma, mu_b, mu_a, upsilon, eta_b, eta_a = (
             _clamp(v) for v in power_mean_coeffs(params, SELECTED[tag][:6]).values())
-        scale, w1, w2 = 1, gamma ** (1 - inv_q), upsilon ** (1 - inv_q)
-        if exact:
-            scale, w1, w2, mu_b, mu_a, eta_b, eta_a = _ratio(1, 1), *map(
-                _lift, (w1, w2, mu_b, mu_a, eta_b, eta_a))
+        scale = _ratio(1, 1) if exact else 1
+        w1, w2, mu_b, mu_a, eta_b, eta_a = map(_lift, (
+            gamma ** (1 - inv_q), upsilon ** (1 - inv_q), mu_b, mu_a, eta_b, eta_a))
         feeds = (mu_b, mu_a, 0), (eta_b, eta_a, 0)
 
         def averages(node_pow, xb, ya):
@@ -169,11 +163,9 @@ def prologue(f: FunctionModel, iv: Interval, params: RuleParams, q,
             def averages(node_pow, xb, ya):
                 return (node_pow + ya) / 2, (node_pow + xb) / 2
         else:
-            beta_sq, one_minus_sq, alpha_sq = beta ** 2, 1 - alpha * alpha, alpha * alpha
-            two_minus = 2 - alpha  # xb * alpha * two_minus stays left-associated
-            if exact:
-                alpha, two_minus, beta_sq, one_minus_sq, alpha_sq = map(
-                    _lift, (alpha, two_minus, beta_sq, one_minus_sq, alpha_sq))
+            # two_minus stays a factor: xb * alpha * two_minus is left-associated
+            alpha, two_minus, beta_sq, one_minus_sq, alpha_sq = map(_lift, (
+                alpha, 2 - alpha, beta ** 2, 1 - alpha * alpha, alpha * alpha))
             feeds = (beta_sq, one_minus_sq, 0), (alpha * two_minus, alpha_sq, 0)
 
             def averages(node_pow, xb, ya):

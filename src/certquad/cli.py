@@ -301,6 +301,8 @@ def cmd_coeffs(args, out) -> int:
         p = parse_number(args.p)
         check_eps_digits(params, p)
         families["holder"] = holder_coeffs(params, p)
+        if args.exact:  # after the power-mean family's refusal
+            _require_exact({k: v for k, v in families["holder"].items() if v is not None})
     for name, family in families.items():  # a regime-inactive eps stays None
         doc[name] = {k: render(v) if v is not None else None
                      for k, v in family.items()}
@@ -332,6 +334,8 @@ def cmd_means(args, out) -> int:
         params = _pair_from(args)
         q = parse_number(args.q)
         result = means.proposition_check(args.prop, a, b, params, q, n=args.n)
+        if args.exact:
+            _require_exact({"lhs": result.lhs, "rhs": result.rhs})
         holds = result.holds
         doc = {"schema": SCHEMA, "prop": str(args.prop), **_head(a, b, params),
                "q": render(q)}

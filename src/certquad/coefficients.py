@@ -17,11 +17,8 @@ c = alpha*lambda, u = 1 - alpha and w = lambda*(1 - alpha):
 
 All closed forms are plain polynomial arithmetic in alpha and lambda, so
 Fraction inputs give bit-exact rationals, within the power budget of
-``params._power`` (an OverflowError past it).  When ``params.exact``
-(alpha or lambda is a Fraction) the power-mean forms run on
-``params._Ratio``, an unreduced numerator and denominator: the inputs are
-lifted once, and each constant is reduced once, by one gcd, not after
-every operation.
+``params._power`` (an OverflowError past it).  The power-mean forms run
+on lifted inputs, and each constant is reduced once (see ``params``).
 ``power_mean_coeffs`` evaluates the constants it is asked for, by default
 all twelve, including the ones the active regime does not select (those
 may be negative); the t22 engine asks for the six its tag selects.  The
@@ -66,13 +63,10 @@ POWER_MEAN = ("gamma1", "gamma2", "upsilon1", "upsilon2",
 def power_mean_coeffs(params: RuleParams, names=POWER_MEAN) -> dict:
     """The power-mean constants ``names``, by default all twelve of
     ``POWER_MEAN``, keyed in the order asked; a recurring term is computed
-    once.  Exact params (``params.exact``) run the forms on ``_Ratio`` and
-    reduce each constant once, so it is the same Fraction, or float, as
-    step-by-step arithmetic; float params run them on floats."""
-    a, l = params.alpha, params.lam
+    once.  The forms run on lifted alpha and lambda, and each constant is
+    reduced once."""
     (c, u), (w, _) = params.kink_pairs
-    if params.exact:
-        a, l, c, u, w = map(_lift, (a, l, c, u, w))
+    a, l, c, u, w = map(_lift, (params.alpha, params.lam, c, u, w))
     uu, u3, aa, a3, one_w, one_c = u * u, u ** 3, a * a, a ** 3, 1 - w, 1 - c
     cuu, waa = c * u * u / 2, w * a * a / 2
     gamma1 = u * (c - u / 2)

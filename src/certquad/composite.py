@@ -16,10 +16,10 @@ driver hands the pair it returned for a cut to the piece across the cut.
 width-scaled bound until the summed bound clears the target, the panel
 budget runs out, or that panel has no number strictly inside it.  A heap
 entry holds plain numbers, (-(width * bound), a, b, bound, left, right,
-node), the last three as ``measure`` returned them.  Between Fraction
-ends it cuts on unreduced ``params._Ratio`` values, one gcd for the cut
-and one per exact key; at an exact alpha = 1/2 the cut is t23's node,
-whose |f'|**q the lower half takes.  The returned panels are issued in
+node), the last three as ``measure`` returned them.  A cut is made on the
+lifted ends and reduced, as is each key; between Fraction ends at an exact
+alpha = 1/2 the cut is t23's node, whose |f'|**q the lower half takes,
+decided once per solve.  The returned panels are issued in
 tiling order, found by following the cut objects that neighbours share
 from a, so f is read at their nodes only and an Interval, a rule value
 and a certificate are made once per returned panel.  Panel endpoints are
@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import heapq
 import math
-import operator
 from fractions import Fraction
 
 from .bounds import prologue
@@ -88,22 +87,16 @@ def composite_integrate(f: FunctionModel, iv: Interval, params: RuleParams,
 
 
 def _halve(a, b):
-    """The cut of [a, b] and its halves' widths; None when a float cut is not inside."""
-    mid = midpoint(a, b)
-    if not a < mid < b:
-        if math.isinf(mid):
-            Interval(a, mid)  # raises the DomainError of an infinite end
+    """The cut of the lifted [a, b], reduced, and its halves' widths, unreduced;
+    None when a float cut is not strictly inside, as a Fraction cut always is."""
+    lo, hi = _lift(a), _lift(b)
+    mid = midpoint(lo, hi)
+    cut = _reduced(mid)
+    if type(cut) is float and not a < cut < b:
+        if math.isinf(cut):
+            Interval(a, cut)  # raises the DomainError of an infinite end
         return None
-    return mid, mid - a, b - mid
-
-
-def _halve_exact(a, b):
-    """``_halve`` of Fraction ends on unreduced ``_Ratio`` values: the cut, always
-    inside, is reduced once; the halves' equal width goes to ``measure`` unreduced."""
-    a = _lift(a)
-    mid = midpoint(a, _lift(b))
-    width = mid - a
-    return _reduced(mid), width, width
+    return cut, mid - lo, hi - mid
 
 
 def adaptive_integrate(f: FunctionModel, iv: Interval, params: RuleParams,
@@ -122,24 +115,22 @@ def adaptive_integrate(f: FunctionModel, iv: Interval, params: RuleParams,
     if not isinstance(max_panels, int) or isinstance(max_panels, bool) or max_panels < 1:
         raise DomainError(f"max_panels must be a positive integer, got {max_panels!r}")
     measure, issue = prologue(f, iv, params, q, theorem)
-    exact = type(iv.a) is type(iv.b) is Fraction  # decided once: all cuts are Fractions
-    halve, scaled = ((_halve_exact, lambda width, bound: _reduced(width * bound)) if exact
-                     else (_halve, operator.mul))  # a key is reduced once
-    node_is_cut = (exact and theorem == "t23"  # then the node is the cut, the same Fraction
+    node_is_cut = (type(iv.a) is type(iv.b) is Fraction  # then every cut is a Fraction,
+                   and theorem == "t23"  # and t23's node is the cut, the same Fraction
                    and type(params.alpha) is Fraction and params.alpha == Fraction(1, 2))
     bound, left, right, node = measure(iv.a, iv.b, iv.width)
     heap = [(-(iv.width * bound), iv.a, iv.b, bound, left, right, node)]  # panels' a differ
     total = -heap[0][0]
     while total > target and len(heap) < max_panels:
         neg_scaled, a, b, _, left, right, node = heap[0]
-        if (cut := halve(a, b)) is None:
+        if (cut := _halve(a, b)) is None:
             break
         mid, width, upper_width = cut
         bound, _, at_mid, lower_node = measure(a, mid, width, left,
                                                (node, None) if node_is_cut else None)
-        lower = -scaled(width, bound), a, mid, bound, left, at_mid, lower_node
+        lower = -_reduced(width * bound), a, mid, bound, left, at_mid, lower_node
         bound, _, _, upper_node = measure(mid, b, upper_width, at_mid, right)
-        upper = -scaled(upper_width, bound), mid, b, bound, at_mid, right, upper_node
+        upper = -_reduced(upper_width * bound), mid, b, bound, at_mid, right, upper_node
         heapq.heapreplace(heap, lower)
         heapq.heappush(heap, upper)
         total += neg_scaled - (lower[0] + upper[0])  # -lower + -upper - -neg, bit for bit

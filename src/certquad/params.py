@@ -15,11 +15,15 @@ the tag, ``conjugate`` the Hoelder conjugate p of q as a plain number, and
 ``_power`` holds the one bit budget for integral powers of exact bases.
 
 ``_Ratio`` is the one exact arithmetic that defers reduction: ``_lift``
-turns a Fraction into it, ``_reduced`` turns a result back, with one gcd.
-The kernels lift where their exact inputs enter and reduce each value that
-leaves them: ``coefficients.power_mean_coeffs`` each constant,
-``rules.stencil`` the node it hands to f and the rule value, and the step
-of ``bounds.prologue`` the bound.
+turns a Fraction into it, ``_reduced`` turns a result back, with one gcd,
+and both pass any other value through.  So exactness rides on the values:
+a kernel lifts its inputs where they enter and reduces each value that
+leaves it, which is then the Fraction, or the float, that step-by-step
+arithmetic gives, and floats run plain arithmetic.  Constants built once
+per solve, and a bisection's cut and keys, are lifted and reduced without
+a test.  The engines' |f'|**q and bound and ``rules.stencil``'s node and
+rule value, made at every point, read ``RuleParams.exact`` first, which
+saves floats a call per point.
 
 Everything here is immutable after construction and safe to share between
 threads.
@@ -57,8 +61,8 @@ class RuleParams(Record):
     arithmetic exact; floats select the floating kernels.  Construction
     derives ``kink_pairs``, (alpha*lambda, 1-alpha) and (lambda*(1-alpha),
     alpha), each kink with its split, the ``regime`` tag of the pairs, and
-    ``exact``, whether alpha or lambda is a Fraction: then the engines' step
-    and ``rules.stencil`` lift their exact values to ``_Ratio``.
+    ``exact``, whether alpha or lambda is a Fraction, which the per-point
+    lifts and reductions read (see the module docstring).
     """
 
     _fields = ("alpha", "lam")

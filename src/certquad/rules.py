@@ -70,14 +70,10 @@ def named_rule(kind: str) -> RuleParams:
 
 def stencil(params: RuleParams):
     """The rule as node(a, b) and combine(fa, fb, fn); 1 - alpha is read off
-    ``params.kink_pairs``, 1 - lambda computed once.  When ``params.exact``
-    (alpha or lambda is a Fraction), the four weights are lifted to
-    unreduced ``_Ratio`` values once, and the node and the rule value are
-    each reduced once."""
-    alpha, lam = params.alpha, params.lam
-    beta, kappa = params.kink_pairs[0][1], 1 - lam
-    if params.exact:
-        alpha, beta, lam, kappa = map(_lift, (alpha, beta, lam, kappa))
+    ``params.kink_pairs``, 1 - lambda computed once.  The four weights are
+    lifted once; exact params reduce the node and the rule value."""
+    alpha, beta, lam, kappa = map(_lift, (
+        params.alpha, params.kink_pairs[0][1], params.lam, 1 - params.lam))
 
     def node(a, b):
         return alpha * a + beta * b

@@ -506,6 +506,12 @@ _BOUND = ("bound", "--f", "pow:2", "--a", "0", "--b", "1")
      "eta1, eta2, eta3, eta4)"),
     (("means", "--kind", "G", "--a", "1", "--b", "2", "--exact"), 2,
      "refused: exact mode: result not exactly representable (inexact fields: value)"),
+    (("coeffs", "--alpha", "1/3", "--lambda", "1/2", "--p", "3/2", "--exact"), 2,
+     "refused: exact mode: result not exactly representable (inexact fields: "
+     "eps1, eps3, eps4)"),  # eps2 is regime-inactive
+    (("means", "--prop", "1", "--a", "1", "--b", "2", "--alpha", "1/3",
+      "--lambda", "1/4", "--q", "1", "--n", "2", "--exact"), 2,
+     "refused: exact mode: result not exactly representable (inexact fields: lhs, rhs)"),
 ])
 def test_usage_errors(argv, code, message, capsys):
     assert run_cli(*argv, capsys=capsys) == (code, "", f"certquad: {message}\n")
