@@ -91,14 +91,14 @@ def _halve(a, b):
     None when a float cut is not strictly inside, as a Fraction cut always is."""
     lo, hi = _lift(a), _lift(b)
     mid = midpoint(lo, hi)
-    cut, width = _reduced(mid), mid - lo
-    if type(cut) is not float:  # then the halves are equal, as a float's may not be
-        return cut, width, width
-    if not a < cut < b:
-        if math.isinf(cut):
-            Interval(a, cut)  # raises the DomainError of an infinite end
+    width = mid - lo
+    if type(mid) is not float:  # exact: strictly inside, and the halves are equal
+        return _reduced(mid), width, width
+    if not a < mid < b:
+        if math.isinf(mid):
+            Interval(a, mid)  # raises the DomainError of an infinite end
         return None
-    return cut, width, hi - mid
+    return mid, width, hi - mid
 
 
 def adaptive_integrate(f: FunctionModel, iv: Interval, params: RuleParams,
