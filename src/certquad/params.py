@@ -20,7 +20,7 @@ and both pass any other value through.  So exactness rides on the values:
 a kernel lifts its inputs where they enter and reduces each value that
 leaves it, which is then the Fraction, or the float, that step-by-step
 arithmetic gives, and floats run plain arithmetic.  Constants built once
-per solve, and a bisection's cut and keys, are lifted and reduced without
+per solve, and a bisection's ends and keys, are lifted and reduced without
 a test.  The engines' |f'|**q and bound and ``rules.stencil``'s node and
 rule value, made at every point, read ``RuleParams.exact`` first, which
 saves floats a call per point.
