@@ -27,9 +27,9 @@ An integral power of an exact base goes through ``params._power``, evaluated
 or folded, so one estimated past its bit budget is an OverflowError and 2^1e9
 fails at once.
 
-The symbolic derivative of abs(u) uses sign(u)*u' with sign(0) = 0, so
-f' reads 0 at a kink, not a one-sided slope; a model keeps its kinks, so
-that the bound engines refuse to read f' there.  No builtin calls abs.
+abs(u) differentiates to sign(u)*u' with sign(0) = 0, so f' reads 0 at a
+kink; a model keeps its kinks, so the engines refuse to read f' there and
+the convexity probe reads it one ulp to each side.  No builtin calls abs.
 """
 
 from __future__ import annotations
@@ -564,56 +564,41 @@ def resolve_function(name_or_expr: str, *,
 # ---------------------------------------------------------------------------
 # Convexity probe
 
-PROBE_GRID = 64  # sample points per side
-PROBE_SLACK = 1e-12  # rounding allowed in each midpoint comparison
+PROBE_GRID = 64  # the probe reads 2*PROBE_GRID - 1 samples
+PROBE_K = (1 - 2.0 ** -49) / (1 + 2.0 ** -49)  # (1 - 16u) / (1 + 16u), u = 2**-53
+PROBE_FLOOR = 2.0 ** -1072  # four units of the smallest subnormal
 
 
 def probe_convexity(f: FunctionModel, q, lo, hi) -> bool:
-    """Midpoint-convexity check of |f'|**q at every pair of PROBE_GRID
-    equispaced points of [lo, hi].
+    """Local convexity check of |f'|**q at the 2*PROBE_GRID - 1 equispaced
+    samples v[k] of [lo, hi].
 
-    Midpoints of grid points land on the twice-refined grid, so a single
-    pass of 2*PROBE_GRID - 1 evaluations covers every (x, y) pair.  The
-    verdict is False iff some pair of samples v[2i], v[2j] (i <= j) has
-    v[i+j] > (v[2i] + v[2j]) / 2 + PROBE_SLACK in float arithmetic.
-
-    One pass of second differences returns the same True without the
-    pairs when the float sum of v is finite and either the largest sample
-    is at most S = PROBE_SLACK or every float v[k-1] + v[k+1] exceeds
-    2*v[k].  Rounding is monotone and 2*v[k] is a float, so the float test
-    proves the exact second difference positive; a middle sample above
-    MAX/2 makes 2*v[k] inf and fails it.  Summing the positive differences,
-    each pair at half-gap r = j - i >= 1 has (v[2i] + v[2j]) / 2 > v[i+j]
-    exactly, so by monotone rounding the float sum is at least the float
-    2*v[i+j], its halving at least v[i+j], and adding S cannot drop it
-    below; at r = 0 the doubled sample, exact or inf, halves to at least
-    itself.  When every sample is at most S, the right-hand side, at least
-    S, is never below one.  Otherwise the pair loop decides.
+    The verdict is True iff every consecutive triple passes
+    0.5*v[k-1] + 0.5*v[k+1] + PROBE_FLOOR >= PROBE_K*v[k] in float
+    arithmetic, the halved form of v[k-1] + v[k+1] - 2*v[k] >=
+    -16u*(v[k-1] + v[k+1] + 2*v[k]): the threshold scales with the three
+    samples, halving keeps every sum finite, and PROBE_FLOOR absorbs the
+    absolute error of underflowed samples.  A jump of |f'| between two
+    samples is not seen.  At a sample where a kink of f is 0, |f'| is
+    read one ulp to each side and the larger value kept; at lo and hi
+    only the side inside [lo, hi] is read.  A non-finite sample raises
+    OverflowError naming q and the point.
     """
-    lo, hi = float(lo), float(hi)
-    fine = 2 * PROBE_GRID - 1
+    lo, hi, p = float(lo), float(hi), float(q)
+    last = 2 * PROBE_GRID - 2
     vals = []
-    for k in range(fine):
-        x = lo + (hi - lo) * k / (fine - 1)
+    for k in range(last + 1):
+        x = lo + (hi - lo) * k / last
         try:
-            vals.append(abs(float(f.derivative(x))) ** float(q))
+            d = abs(float(f.derivative(x)))
+            if f.kinks and any(g(x) == 0 for g in f.kinks):
+                d = max(abs(float(f.derivative(math.nextafter(x, t))))
+                        for t, inside in ((-INF, k > 0), (INF, k < last)) if inside)
+            v = d ** p
         except OverflowError:
-            raise OverflowError(f"probe |f'|**{q} overflows at x={x} of {f.name}") from None
-    return _midpoint_convex(vals)
-
-
-def _midpoint_convex(vals) -> bool:
-    """The verdict of ``probe_convexity`` on its nonnegative samples."""
-    if _clears_margin(vals):
-        return True
-    for i in range(PROBE_GRID):
-        for j in range(i, PROBE_GRID):
-            if vals[i + j] > (vals[2 * i] + vals[2 * j]) / 2 + PROBE_SLACK:
-                return False
-    return True
-
-
-def _clears_margin(vals) -> bool:
-    """The one pass of ``probe_convexity``: True proves that no pair fails."""
-    return math.isfinite(sum(vals)) and (max(vals) <= PROBE_SLACK or all(
-        a + c > 2 * b for a, b, c in zip(vals, vals[1:], vals[2:])))
+            v = INF
+        if not math.isfinite(v):
+            raise OverflowError(f"probe |f'|**{q} overflows at x={x} of {f.name}")
+        vals.append(v)
+    return all(0.5 * a + 0.5 * c + PROBE_FLOOR >= PROBE_K * b
+               for a, b, c in zip(vals, vals[1:], vals[2:]))

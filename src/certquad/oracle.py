@@ -86,10 +86,10 @@ def mean_ref(f, iv, tol=None) -> float:
     return r.value / float(iv.b - iv.a)
 
 
-def hh_gap(f, iv, tol=None) -> float:
+def hh_gap(f, iv) -> float:
     """Worst violation of midpoint <= integral mean <= endpoint average,
     max(mid - mean, mean - ends); at most oracle error for convex f."""
     mid = float(f.value((iv.a + iv.b) / 2))
-    mean = mean_ref(f, iv, tol=tol)
+    mean = mean_ref(f, iv)
     ends = (float(f.value(iv.a)) + float(f.value(iv.b))) / 2
     return max(mid - mean, mean - ends)

@@ -258,6 +258,17 @@ def test_kink_off_the_read_points_keeps_bound(assume, capsys):
     assert json.loads(out)["bound"] == "0.28867513459481292"
 
 
+def test_probe_reads_a_kink_from_both_sides(capsys):
+    # the probe reads |f'(0-)| = |f'(0+)| = 1 at its sample on the kink, so a
+    # continuous |f'| passes; the true error is 1/2
+    code, out, _ = run_cli("integrate", "--f", "abs(x)", "--a", "-1", "--b", "2",
+                           "--rule", "trapezoid", "--q", "1", "--panels", "2",
+                           capsys=capsys)
+    doc = json.loads(out)
+    assert code == 0
+    assert (doc["total_bound"], doc["advisory"]) == ("9/8", True)
+
+
 @pytest.mark.parametrize("f", ["x*2^1e9", "x^(2^1e9)"])
 def test_huge_exact_power_exits_1_fast(f):
     proc = subprocess.run(
