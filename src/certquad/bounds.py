@@ -46,21 +46,17 @@ an exact one below the float range), or in t23 and t24 an eps that
 underflows near q = 1.  An overflowing f or f', an exact |f'|**q past the
 budget of ``params._power`` or an exact q-mean past the float range is an
 OverflowError that names the engine, f and the point or piece.
-
-The prologue lifts its constants (mu/eta, the t24 blend weights, scale,
-w1, w2) once per solve, the step each |f'|**q as it reads it, and
-``measure`` reduces the bound (``params`` states the contract).
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 from .coefficients import SELECTED, eps_underflows, holder_coeffs, power_mean_coeffs
 from .errors import DomainError, Refusal
 from .expression import FunctionModel, probe_convexity
-from .params import (RuleParams, _lift, _power, _ratio, _reduced, classify_regime,
-                     conjugate, finite_q)
+from .params import RuleParams, _lift, _power, _ratio, _reduced, classify_regime, finite_q
 from .record import Record
 from .rules import Interval, require_within_domain, stencil
 
@@ -116,11 +112,15 @@ def prologue(f: FunctionModel, iv: Interval, params: RuleParams, q,
     if advisory and not verdicts[q]:
         raise Refusal(f"{name} needs convexity of |f'|**{q}, not established "
                       f"for {f.name} on [{iv.a}, {iv.b}]")
-    p = conjugate(q)
     tag = classify_regime(params)
     theorem = "T22q1" if q == 1 else name.upper()
-    inv_q = 1 / q
-    k = q.numerator if getattr(q, "denominator", 0) == 1 else q  # the same powers, faster
+    if type(q) is Fraction:  # q = n/d: 1/p = 1 - 1/q = (n - d)/n, 1/(p + 1) = (n - d)/(2n - d)
+        n, d = q._numerator, q._denominator  # each power an int, or the float x ** F reads
+        p, base = math.inf if n == d else Fraction(n, n - d), (n - d) / (2 * n - d)
+        k, inv_q, inv_p = (1, 1, 0) if n == d else (n if d == 1 else n / d, d / n, (n - d) / n)
+    else:  # p as conjugate gives it, and 1/p in each engine's float form
+        p = math.inf if q == 1 else q / (q - 1)
+        k, inv_q, inv_p, base = q, 1 / q, 1 - 1 / q if name == "t22" else 1 / p, 1 / (p + 1)
     alpha, beta = params.alpha, params.kink_pairs[0][1]  # beta = 1 - alpha
     exact = params.exact  # read per point, and by t22's scale
 
@@ -129,19 +129,17 @@ def prologue(f: FunctionModel, iv: Interval, params: RuleParams, q,
             d = abs(f.derivative(x))
             if f.kinks and any(g(x) == 0 for g in f.kinks):
                 raise Refusal(f"{name} reads |f'|**{q} at the kink x={x} of {f.name}")
-            h = _power(d, k)
+            h = _power(_lift(d) if exact else d, k)
         except OverflowError:
             raise OverflowError(f"{name} |f'|**{q} overflows at x={x} of {f.name}") from None
         if d and not h:  # the q-mean of a lost power would read 0, not max |f'|
             raise ArithmeticError(f"{name} |f'|**{q} underflows at x={x} of {f.name}")
-        return _lift(h) if exact else h
+        return h
 
     if name == "t22":
         gamma, mu_b, mu_a, upsilon, eta_b, eta_a = (
-            _clamp(v) for v in power_mean_coeffs(params, SELECTED[tag][:6]).values())
-        scale = _ratio(1, 1) if exact else 1
-        w1, w2, mu_b, mu_a, eta_b, eta_a = map(_lift, (
-            gamma ** (1 - inv_q), upsilon ** (1 - inv_q), mu_b, mu_a, eta_b, eta_a))
+            _clamp(v) for v in map(_lift, power_mean_coeffs(params, SELECTED[tag][:6]).values()))
+        scale, w1, w2 = _ratio(1, 1) if exact else 1, gamma ** inv_p, upsilon ** inv_p
         feeds = (mu_b, mu_a, 0), (eta_b, eta_a, 0)
 
         def averages(node_pow, xb, ya):
@@ -153,8 +151,7 @@ def prologue(f: FunctionModel, iv: Interval, params: RuleParams, q,
             raise ArithmeticError(f"{name} eps underflows at q={q}, too close to 1")
         eps_first, eps_second = (
             _clamp(v) for v in map(holder_coeffs(params, p).get, SELECTED[tag][6:]))
-        inv_p = 1 / p
-        scale = (1 / (p + 1)) ** inv_p
+        scale = base ** inv_p
         w1, w2 = eps_first ** inv_p, eps_second ** inv_p  # the t24 weights are 1
         if name == "t23":
             w1, w2 = beta ** inv_q * w1, alpha ** inv_q * w2
@@ -164,8 +161,9 @@ def prologue(f: FunctionModel, iv: Interval, params: RuleParams, q,
                 return (node_pow + ya) / 2, (node_pow + xb) / 2
         else:
             # two_minus stays a factor: xb * alpha * two_minus is left-associated
-            alpha, two_minus, beta_sq, one_minus_sq, alpha_sq = map(_lift, (
-                alpha, 2 - alpha, beta ** 2, 1 - alpha * alpha, alpha * alpha))
+            alpha, beta = _lift(alpha), _lift(beta)
+            two_minus, beta_sq, one_minus_sq, alpha_sq = (
+                2 - alpha, beta ** 2, 1 - alpha * alpha, alpha * alpha)
             feeds = (beta_sq, one_minus_sq, 0), (alpha * two_minus, alpha_sq, 0)
 
             def averages(node_pow, xb, ya):

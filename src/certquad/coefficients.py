@@ -16,9 +16,8 @@ c = alpha*lambda, u = 1 - alpha and w = lambda*(1 - alpha):
       (sum, difference) pair per ``RuleParams.kink_pairs`` gives eps1..eps4)
 
 All closed forms are plain polynomial arithmetic in alpha and lambda, so
-Fraction inputs give bit-exact rationals, within the power budget of
-``params._power`` (an OverflowError past it).  The power-mean forms run
-on lifted inputs, and each constant is reduced once (see ``params``).
+Fraction inputs give bit-exact rationals, reduced once from lifted inputs,
+within the power budget of ``params._power`` (an OverflowError past it).
 ``power_mean_coeffs`` evaluates the constants it is asked for, by default
 all twelve, including the ones the active regime does not select (those
 may be negative); the t22 engine asks for the six its tag selects.  The
@@ -41,7 +40,7 @@ import sys
 
 from .errors import DomainError
 from .params import (CASE1, CASE2, CASE3, POWER_BITS, RuleParams, _lift, _power, _power_bits,
-                     _reduced)
+                     _Ratio, _reduced)
 
 _TINY = 2 * sys.float_info.min  # smallest normal float times 2 > 1 / (1 - 1/e)
 _LOG10_2 = math.log10(2)
@@ -63,8 +62,7 @@ POWER_MEAN = ("gamma1", "gamma2", "upsilon1", "upsilon2",
 def power_mean_coeffs(params: RuleParams, names=POWER_MEAN) -> dict:
     """The power-mean constants ``names``, by default all twelve of
     ``POWER_MEAN``, keyed in the order asked; a recurring term is computed
-    once.  The forms run on lifted alpha and lambda, and each constant is
-    reduced once."""
+    once."""
     (c, u), (w, _) = params.kink_pairs
     a, l, c, u, w = map(_lift, (params.alpha, params.lam, c, u, w))
     uu, u3, aa, a3, one_w, one_c = u * u, u ** 3, a * a, a ** 3, 1 - w, 1 - c
@@ -92,19 +90,25 @@ def power_mean_coeffs(params: RuleParams, names=POWER_MEAN) -> dict:
 
 
 def holder_coeffs(params: RuleParams, p) -> dict:
-    """eps1..eps4 for exponent p > 1, keyed by name.
-
-    Each entry owns one side of a kink-versus-split comparison and is only
-    defined there; on the other side its second base goes negative and
-    the value is None ("regime-inactive") rather than a guessed
-    continuation.
-    Callers divide by (p + 1) when matching the defining integrals.
+    """eps1..eps4 for exponent p > 1, keyed by name.  Each owns one side of
+    a kink-versus-split comparison and is None ("regime-inactive") on the
+    other, where its second base goes negative, rather than a guessed
+    continuation.  Callers divide by (p + 1) to match the defining integrals.
     """
     if not p > 1:
         raise DomainError(f"holder exponent p must be > 1, got {p!r}")
-    k, (first, second) = p + 1, params.kink_pairs
-    (eps1, eps2), (eps3, eps4) = _eps_pair(*first, k), _eps_pair(*second, k)
-    return {"eps1": eps1, "eps2": eps2, "eps3": eps3, "eps4": eps4}
+    k = p + 1 if type(p) is float else _lift(p) + 1
+    if type(k) is _Ratio:  # as x ** F reads an exact F: its int, or else its float
+        k = k._numerator if k._denominator == 1 else k._numerator / k._denominator
+    eps, exact = [], params.exact
+    for kink, split in params.kink_pairs:  # (sum, difference), each None off its side
+        if exact:  # lifted, split whenever kink is, so split is the one compared
+            kink, split = _lift(kink), _lift(split)
+        power, below = _power(kink, k), split >= kink
+        pair = (power + _power(split - kink, k) if below else None,
+                power - _power(kink - split, k) if not below or split == kink else None)
+        eps += map(_reduced, pair) if exact else pair  # each exact eps reduced once
+    return {"eps1": eps[0], "eps2": eps[1], "eps3": eps[2], "eps4": eps[3]}
 
 
 def check_eps_digits(params: RuleParams, p) -> None:
@@ -126,12 +130,6 @@ def check_eps_digits(params: RuleParams, p) -> None:
         bits = max(b.denominator.bit_length() for b in bases)
         if (k * (bits - 1) - bits - k.numerator.bit_length()) * _LOG10_2 > limit:
             str(10 ** limit)  # the interpreter's own error, as worded on this version
-
-
-def _eps_pair(kink, split, k):
-    """(sum, difference) closed forms, each None off its side of the split."""
-    return (_power(kink, k) + _power(split - kink, k) if kink <= split else None,
-            _power(kink, k) - _power(kink - split, k) if kink >= split else None)
 
 
 def eps_underflows(params: RuleParams, p) -> bool:

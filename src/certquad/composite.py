@@ -123,6 +123,8 @@ def adaptive_integrate(f: FunctionModel, iv: Interval, params: RuleParams,
     bound, left, right, node = measure(iv.a, iv.b, iv.width)
     heap = [(-(iv.width * bound), iv.a, iv.b, bound, left, right, node)]  # panels' a differ
     total = -heap[0][0]
+    if type(target) is float and type(total) is Fraction and math.isfinite(target):
+        target = Fraction(target)  # compared at every bisection, converted once
     while total > target and len(heap) < max_panels:
         neg_scaled, a, b, _, left, right, node = heap[0]
         if (cut := _halve(a, b)) is None:

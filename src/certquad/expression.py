@@ -582,9 +582,11 @@ def probe_convexity(f: FunctionModel, q, lo, hi) -> bool:
     samples is not seen.  At a sample where a kink of f is 0, |f'| is
     read one ulp to each side and the larger value kept; at lo and hi
     only the side inside [lo, hi] is read.  A non-finite sample raises
-    OverflowError naming q and the point.
+    OverflowError naming q and the point, a non-finite width one naming [lo, hi].
     """
     lo, hi, p = float(lo), float(hi), float(q)
+    if not math.isfinite(hi - lo):  # the grid would read f' at nan
+        raise OverflowError(f"probe |f'|**{q} of {f.name}: the width of [{lo}, {hi}] overflows")
     last = 2 * PROBE_GRID - 2
     vals = []
     for k in range(last + 1):

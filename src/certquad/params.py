@@ -16,14 +16,14 @@ the tag, ``conjugate`` the Hoelder conjugate p of q as a plain number, and
 
 ``_Ratio`` is the one exact arithmetic that defers reduction: ``_lift``
 turns a Fraction into it, ``_reduced`` turns a result back, with one gcd,
-and both pass any other value through.  So exactness rides on the values:
-a kernel lifts its inputs where they enter and reduces each value that
-leaves it, which is then the Fraction, or the float, that step-by-step
-arithmetic gives, and floats run plain arithmetic.  Constants built once
-per solve, and a bisection's ends and keys, are lifted and reduced without
-a test.  The engines' |f'|**q and bound and ``rules.stencil``'s node and
-rule value, made at every point, read ``RuleParams.exact`` first, which
-saves floats a call per point.
+and both pass any other value through.  A kernel lifts its inputs where
+they enter and reduces each value that leaves it, which is then the
+Fraction, or the float, that step-by-step arithmetic gives.  The kernels
+are the ``RuleParams`` derivation, the power-mean constants, the eps
+family, the engines' step and a bisection's cut; the prologue reads an
+exact q = n/d as ints, and each power of it as an int or as the float
+that x ** F gives.  Floats run plain arithmetic: the derivation, the eps
+and every per-point site read ``RuleParams.exact`` first.
 
 Everything here is immutable after construction and safe to share between
 threads.
@@ -61,8 +61,8 @@ class RuleParams(Record):
     arithmetic exact; floats select the floating kernels.  Construction
     derives ``kink_pairs``, (alpha*lambda, 1-alpha) and (lambda*(1-alpha),
     alpha), each kink with its split, the ``regime`` tag of the pairs, and
-    ``exact``, whether alpha or lambda is a Fraction, which the per-point
-    lifts and reductions read (see the module docstring).
+    ``exact``, whether alpha or lambda is a Fraction, which the lifts and
+    reductions read (see the module docstring), this derivation's included.
     """
 
     _fields = ("alpha", "lam")
@@ -71,17 +71,19 @@ class RuleParams(Record):
     def __post_init__(self):
         object.__setattr__(self, "alpha", _normalize(self.alpha))
         object.__setattr__(self, "lam", _normalize(self.lam))
-        for label, v in (("alpha", self.alpha), ("lambda", self.lam)):
+        exact = type(self.alpha) is Fraction or type(self.lam) is Fraction
+        a, l = (_lift(self.alpha), _lift(self.lam)) if exact else (self.alpha, self.lam)
+        for label, v, lifted in (("alpha", self.alpha, a), ("lambda", self.lam, l)):
             if isinstance(v, float) and not math.isfinite(v):
                 raise DomainError(f"{label} must be finite, got {v!r}")
-            if not (0 <= v <= 1):
+            if not (lifted >= 0 and 1 - lifted >= 0):
                 raise DomainError(f"{label} must lie in [0, 1], got {v!r}")
-        a, l = self.alpha, self.lam
-        u = 1 - a
-        (x, y), (w, _) = pairs = (a * l, u), (l * u, a)
-        RuleParams.kink_pairs.__set__(self, pairs)
-        RuleParams.regime.__set__(self, CASE3 if x > y else CASE1 if w <= a else CASE2)
-        RuleParams.exact.__set__(self, type(a) is Fraction or type(l) is Fraction)
+        u = 1 - a  # x > u and w <= alpha are asked of u and alpha, lifted if x or w is
+        x, w = a * l, l * u
+        RuleParams.regime.__set__(self, CASE3 if not u >= x else CASE1 if a >= w else CASE2)
+        x, u, w = map(_reduced, (x, u, w)) if exact else (x, u, w)
+        RuleParams.kink_pairs.__set__(self, ((x, u), (w, self.alpha)))
+        RuleParams.exact.__set__(self, exact)
 
     def breakpoints(self):
         """(alpha*lambda, 1-alpha, 1-lambda*(1-alpha)) in the input arithmetic,
@@ -142,11 +144,12 @@ def _power(b, k):
 
 
 def _power_bits(b, k):
-    """The bits ``_power`` estimates for an exact b ** k; 0 for a k that is
-    not integral, whose power is a float."""
+    """The bits ``_power`` estimates for an exact b ** k, b an int, a Fraction
+    or a _Ratio; 0 for a k that is not integral, whose power is a float."""
     if getattr(k, "denominator", 0) != 1:
         return 0
-    return abs(k.numerator) * (abs(b.numerator).bit_length() + b.denominator.bit_length() - 2)
+    n, d = (b, 1) if isinstance(b, int) else (b._numerator, b._denominator)
+    return abs(k.numerator) * (abs(n).bit_length() + d.bit_length() - 2)
 
 
 class _Ratio:
@@ -161,10 +164,10 @@ class _Ratio:
     arithmetic with a float x, ``op`` gives (n / d) op x: Fraction gives
     float(F) op x, and both n / d and float(F) are the correctly rounded
     value of the same rational, so the bits are equal.  ``**`` is exact for
-    an integral int or Fraction exponent and (n / d) ** float(k) for any
-    other Fraction or float k; a _Ratio is never an exponent.  Any other
-    operator, such as ``<``, ``x / r`` or ``float(r)``, and any other
-    operand, a subclass of int or float (bool, say) included, is a
+    an int k and (n / d) ** k for a float k; Fraction's reflected ``**``
+    hands it a Fraction k as its int or, if not integral, its float.  Any
+    other operator, such as ``<``, ``x / r``, ``x ** r`` or ``float(r)``, and
+    any other operand, a subclass of int or float (bool, say) included, is a
     TypeError.  The slots carry Fraction's own slot names, so a Fraction
     operand is read without a property call.
     """
@@ -221,13 +224,10 @@ class _Ratio:
 
     def __pow__(self, k):
         t = type(k)
-        if t is int or t is Fraction and k._denominator == 1:
-            k = k if t is int else k._numerator
+        if t is int:
             if k >= 0:
                 return _ratio(self._numerator ** k, self._denominator ** k)
             return _quotient(self._denominator ** -k, self._numerator ** -k)
-        if t is Fraction:  # float(k), without the call
-            return (self._numerator / self._denominator) ** (k._numerator / k._denominator)
         return (self._numerator / self._denominator) ** k if t is float else NotImplemented
 
     def _compare(self, o, op):

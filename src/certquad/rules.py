@@ -70,10 +70,10 @@ def named_rule(kind: str) -> RuleParams:
 
 def stencil(params: RuleParams):
     """The rule as node(a, b) and combine(fa, fb, fn); 1 - alpha is read off
-    ``params.kink_pairs``, 1 - lambda computed once.  The four weights are
-    lifted once; exact params reduce the node and the rule value."""
-    alpha, beta, lam, kappa = map(_lift, (
-        params.alpha, params.kink_pairs[0][1], params.lam, 1 - params.lam))
+    ``params.kink_pairs``, 1 - lambda computed once from the lifted lambda.
+    The weights are lifted once; exact params reduce the node and the rule value."""
+    alpha, beta, lam = map(_lift, (params.alpha, params.kink_pairs[0][1], params.lam))
+    kappa = 1 - lam
 
     def node(a, b):
         return alpha * a + beta * b

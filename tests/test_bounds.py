@@ -628,3 +628,44 @@ def test_prologue_walks_no_expression_tree(monkeypatch):
     monkeypatch.setattr(expression, "sign_arguments", walked)
     cert = best_bound(f, Interval(0, 1), MIDPOINT, [1, 2, 3])
     assert (cert.theorem, cert.bound) == ("T22q1", F(1, 2))
+
+
+# ---------------------------------------------------------------------------
+# The bits of the exact lane
+
+_SWEEP_INTERVALS = ((F(1, 2), F(3, 2)), (F(1), F(2)), (F(1, 4), F(3)))
+_EXACT_Q = {"t22": (1, F(3, 2), 2, 3), "t23": (F(3, 2), 2, 3), "t24": (F(3, 2), 2, 3)}
+
+
+def test_exact_certificates_keep_their_bits(corpus):
+    # 300 exact certificates drawn as the benchmark's certify_sweep draws its
+    # exact ones: small rationals p/r with r <= 12 (the first nine pairs cross
+    # 0, 1/2 and 1), every engine, exact q, the builtins on the sweep
+    # intervals; the digest pins type and repr of every bound and rule value
+    import hashlib
+    from certquad.bounds import ENGINES
+    from certquad.coefficients import holder_coeffs
+    from certquad.params import _Ratio, conjugate
+    rng = random.Random("exact-lane-bits")
+    corners = [(x, y) for x in (F(0), F(1, 2), F(1)) for y in (F(0), F(1, 2), F(1))]
+
+    def small():
+        r = rng.randint(1, 12)
+        return F(rng.randint(0, r), r)
+
+    digest = hashlib.sha256()
+    for i in range(300):
+        f = corpus[rng.choice(sorted(corpus))]
+        name = rng.choice(("t22", "t23", "t24"))
+        a, b = rng.choice(_SWEEP_INTERVALS)
+        alpha, lam = corners[i] if i < len(corners) else (small(), small())
+        q = rng.choice(_EXACT_Q[name])
+        params = RuleParams(alpha, lam)
+        assert not any(type(v) is _Ratio for pair in params.kink_pairs for v in pair)
+        if q > 1:
+            assert not any(type(v) is _Ratio for v in holder_coeffs(params, conjugate(q)).values())
+        cert = ENGINES[name](f, Interval(a, b), params, q)
+        assert not any(type(getattr(cert, field)) is _Ratio for field in cert.__slots__)
+        digest.update(repr((type(cert.bound), cert.bound, type(cert.approx), cert.approx)).encode())
+    assert digest.hexdigest() == \
+        "318cfb21539531a80cc724f84d1256ff3fcbdeb6f9ef1021f9e476853c1c4a90"

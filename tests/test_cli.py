@@ -451,6 +451,8 @@ _MIDPOINT_Q_PAST_FLOAT = ("--a", "1", "--b", "2", "--rule", "midpoint", "--q", "
      "probe |f'|**1000000.0 overflows at x=1.0 of x^3"),
     (("bound", "--f", "x^3", "--a", "1e200", "--b", "2e200", "--rule", "midpoint",
       "--q", "1"), "probe |f'|**1 overflows at x=1e+200 of x^3"),  # the probe's f'
+    (("bound", "--f", "x^2", "--a", "-1e308", "--b", "1e308", "--rule", "midpoint",
+      "--q", "1"), "probe |f'|**1 of x^2: the width of [-1e+308, 1e+308] overflows"),
     (("integrate", "--f", "exp", "--a", "700", "--b", "800", "--rule", "midpoint",
       "--q", "1", "--panels", "2"), "t22 |f'|**1 overflows at x=750 of exp"),  # the step's f'
     (("bound", "--f", "pow:2", "--a", "1e300", "--b", "1.0000001e300", "--rule", "midpoint",

@@ -134,6 +134,29 @@ def test_adaptive_terminates_at_initial_bound(corpus):
     assert r.target_met is True
 
 
+def test_exact_total_reads_a_float_target_converted_once(corpus, monkeypatch):
+    # the running total of an exact solve is compared with the target at
+    # every bisection: a float target is converted to a Fraction once, and
+    # each solve stops where the same target given as a Fraction stops it;
+    # 0.25 is the first total of pow:2 on [0, 1], a tie that meets the target
+    calls = []
+    from_float = F.from_float.__func__
+    monkeypatch.setattr(F, "from_float",
+                        classmethod(lambda cls, x: calls.append(x) or from_float(cls, x)))
+    for name, iv, target in (("pow:2", Interval(F(0), F(1)), 0.25),
+                             ("pow:3", Interval(F(1, 2), F(3, 2)), 1e-3),
+                             ("reciprocal", Interval(F(1, 4), F(3)), 1 / 3)):
+        for params, q, theorem in ((MIDPOINT, F(1), "t22"), (SIMPSON, F(2), "t23")):
+            r = adaptive_integrate(corpus[name], iv, params, q, theorem, target=target)
+            assert calls == []
+            assert r == adaptive_integrate(corpus[name], iv, params, q, theorem,
+                                           target=F(target)), (name, theorem)
+            assert r.target_met is (r.total_bound <= F(target)) is True
+            calls.clear()  # a float total reads a Fraction through from_float
+    assert adaptive_integrate(corpus["pow:2"], Interval(F(0), F(1)), MIDPOINT, F(1),
+                              target=0.25).panels[0].interval == Interval(F(0), F(1))
+
+
 def test_adaptive_meets_tight_target(corpus):
     f = corpus["exp"]
     r = adaptive_integrate(f, Interval(0.0, 1.0), MIDPOINT, 1.0, "t22",

@@ -301,8 +301,10 @@ def test_probe_keeps_its_verdicts(text, q, lo, hi, verdict, pairs):
 
 
 def test_probe_raises_on_a_non_finite_sample():
-    # the width overflows, so the grid reads f' at nan and inf
-    with pytest.raises(OverflowError, match=r"probe \|f'\|\*\*1 overflows at x=nan of x\^2"):
+    # the width overflows: the probe names the interval before it reads f' at
+    # any point, where the grid would read nan and inf
+    with pytest.raises(OverflowError, match=r"probe \|f'\|\*\*1 of x\^2: the width of "
+                                            r"\[-1e\+308, 1e\+308\] overflows"):
         probe_convexity(from_expression("x^2"), 1, -1e308, 1e308)
 
 

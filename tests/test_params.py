@@ -1,6 +1,7 @@
 import math
 import operator
 import random
+import sys
 from decimal import Decimal
 from fractions import Fraction as F
 
@@ -230,3 +231,36 @@ def test_ratio_has_fractions_mixed_type_arithmetic():
                 with pytest.raises(TypeError):
                     op(other, r)
     assert isinstance(unreduced(F(1, 2)) + 1, _Ratio)  # exact results stay unreduced
+
+
+def test_power_budget_reads_lifted_bases():
+    # _power takes lifted bases from the exact kernels and int bases from
+    # simplify: the bit estimate and the refusal are those of the Fraction
+    from certquad.coefficients import check_eps_digits
+    from certquad.expression import Const, parse, simplify
+    from certquad.params import POWER_BITS, _lift, _power, _power_bits
+    for b in (F(3, 7), F(-5, 2), F(1), F(0), F(2 ** 70, 3)):
+        for k in (2, F(3), 10 ** 6, F(10 ** 7)):
+            assert _power_bits(_lift(b), k) == _power_bits(b, k), (b, k)
+        assert _reduced(_power(_lift(b), 3)) == _power(b, 3) == b ** 3
+    assert _power_bits(5, 4) == _power_bits(F(5), 4) and type(_power(2, 3)) is int
+    with pytest.raises(OverflowError, match=f"exponent 1000000 exceeds {POWER_BITS} bits"):
+        _power(_lift(F(3, 7)), 10 ** 6)
+    assert simplify(parse("2^3")) == Const(8) and type(simplify(parse("2^3")).value) is int
+    # a huge exact p: the eps of lifted pairs refuse by the budget, as before
+    params = RuleParams(F(1, 3), F(1, 4))
+    with pytest.raises(OverflowError, match=f"exponent 1000001 exceeds {POWER_BITS} bits"):
+        holder_coeffs(params, F(10 ** 6))
+    # check_eps_digits refuses before any power exactly when an eps would
+    # print past the interpreter's limit (none before 3.10.7)
+    limited = bool(getattr(sys, "get_int_max_str_digits", lambda: 0)())
+    for p, long in ((F(100), False), (F(2000), False), (F(5000), limited), (F(9999, 2), False)):
+        eps = [v for v in holder_coeffs(params, p).values() if v is not None]
+        if long:
+            with pytest.raises(ValueError):
+                [str(v) for v in eps]
+            with pytest.raises(ValueError):
+                check_eps_digits(params, p)
+        else:
+            assert all(str(v) for v in eps)
+            check_eps_digits(params, p)
