@@ -102,7 +102,7 @@ def holder_coeffs(params: RuleParams, p) -> dict:
         k = k._numerator if k._denominator == 1 else k._numerator / k._denominator
     eps, exact = [], params.exact
     for kink, split in params.kink_pairs:  # (sum, difference), each None off its side
-        if exact:  # lifted, split whenever kink is, so split is the one compared
+        if exact:  # a _Ratio compares on the left of >=; split is one whenever kink is
             kink, split = _lift(kink), _lift(split)
         power, below = _power(kink, k), split >= kink
         pair = (power + _power(split - kink, k) if below else None,

@@ -78,7 +78,7 @@ class RuleParams(Record):
                 raise DomainError(f"{label} must be finite, got {v!r}")
             if not (lifted >= 0 and 1 - lifted >= 0):
                 raise DomainError(f"{label} must lie in [0, 1], got {v!r}")
-        u = 1 - a  # x > u and w <= alpha are asked of u and alpha, lifted if x or w is
+        u = 1 - a  # x > u and w <= a read as u >= x and a >= w: u, a are lifted if x, w are
         x, w = a * l, l * u
         RuleParams.regime.__set__(self, CASE3 if not u >= x else CASE1 if a >= w else CASE2)
         x, u, w = map(_reduced, (x, u, w)) if exact else (x, u, w)
