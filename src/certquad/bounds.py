@@ -23,11 +23,12 @@ and convexity hypotheses, conjugate, regime tag and the engine's constants.
 Its step, ``(measure, issue)``, keeps nothing of a solve.
 ``measure(a, b, width, left=None, right=None)`` returns ``(bound, left,
 right, node)``: the bound of a piece of [a, b], a plain number, its ends,
-each a pair (|f'|**q, f), and |f'|**q at t23's node (0 in t22 and t24).
-It reads what it is not given, in one order: |f'|**q at b, then at a, at
-t23's node, the bound, f at a, then at b, and last the check that the
-bound is finite.  A driver hands a cut's end across it, or (node, None)
-for a b that was a node, so that only f is read there.
+each a pair (|f'|**q, f), and the end that the lower half of a cut at
+``rules.midpoint(a, b)`` may take: (|f'|**q there, None) where the cut is
+t23's node, at an exact alpha = 1/2 between Fraction ends, decided once per
+solve; else None.  It reads what it is not given, in one order: |f'|**q at
+b, then at a, at t23's node, the bound, f at a, then at b, and last that the
+bound is finite.  A driver hands a cut's end, or that offer, across it.
 ``issue(piece, bound, left, right)`` reads f at the node, checks the rule
 value and makes the ErrorCertificate; ``certify`` serves one piece.  The
 |f'|**q reader refuses a kink of f, where an argument of sign in f' is 0;
@@ -84,7 +85,7 @@ def prologue(f: FunctionModel, iv: Interval, params: RuleParams, q,
     """Establish the hypotheses of engine ``name`` (an ``ENGINES`` key, as
     given) on iv once and return the step for any piece of iv, which
     inherits them, as ``(measure, issue)``; ``measure`` returns the bound,
-    both ends and t23's |f'|**q at the node (see the module docstring).
+    both ends and the end it offers a lower half (see the module docstring).
 
     q must be finite (else a DomainError), >= 1 for t22 and > 1 for t23
     and t24.  f must be absolutely continuous: an f calling sign is
@@ -123,6 +124,8 @@ def prologue(f: FunctionModel, iv: Interval, params: RuleParams, q,
         k, inv_q, inv_p, base = q, 1 / q, 1 - 1 / q if name == "t22" else 1 / p, 1 / (p + 1)
     alpha, beta = params.alpha, params.kink_pairs[0][1]  # beta = 1 - alpha
     exact = params.exact  # read per point, and by t22's scale
+    hands_on = (name == "t23" and type(alpha) is Fraction and alpha == Fraction(1, 2)
+                and type(iv.a) is type(iv.b) is Fraction)  # then every cut is t23's node
 
     def slope(x):  # |f'(x)|**q, the one power site
         try:
@@ -189,7 +192,7 @@ def prologue(f: FunctionModel, iv: Interval, params: RuleParams, q,
         node_pow = slope(node_of(a, b)) if name == "t23" else 0
         d1, d2 = averages(node_pow, xb, ya)
         try:
-            r1, r2 = _clamp(d1) ** inv_q, _clamp(d2) ** inv_q
+            r1, r2 = d1 ** inv_q, d2 ** inv_q  # each weight and term is nonnegative
         except OverflowError:  # an exact mean past the float range
             raise OverflowError(
                 f"{name} q-mean of |f'|**{q} overflows on [{a}, {b}] of {f.name}") from None
@@ -201,7 +204,8 @@ def prologue(f: FunctionModel, iv: Interval, params: RuleParams, q,
         bound = width * scale * (w1 * r1 + w2 * r2)
         left = (ya, value(a)) if left is None else left
         right = (xb, value(b)) if right is None or right[1] is None else right
-        return finite(_reduced(bound) if exact else bound, a, b), left, right, node_pow
+        return (finite(_reduced(bound) if exact else bound, a, b), left, right,
+                (node_pow, None) if hands_on else None)
 
     def issue(piece: Interval, bound, left, right) -> ErrorCertificate:
         a, b = piece.a, piece.b

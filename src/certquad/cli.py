@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import re
 import sys
@@ -53,10 +52,7 @@ def render(x) -> str:
         return "true" if x else "false"
     if isinstance(x, Rational):
         return str(Fraction(x))
-    v = float(x)
-    if math.isinf(v):
-        return "inf" if v > 0 else "-inf"
-    return format(v, ".17g")
+    return format(float(x), ".17g")  # inf, -inf and nan as named
 
 
 def parse_number(text: str):
@@ -151,7 +147,7 @@ def build_parser() -> _Parser:
     p.add_argument("--theorem", default="t22", choices=bounds.ENGINES)
     p.add_argument("--panels", type=int, help="uniform panel count")
     p.add_argument("--target", help="adaptive total bound target")
-    p.add_argument("--max-panels", type=int, default=1024)
+    p.add_argument("--max-panels", type=int, default=1024, help="panel cap, uniform or adaptive")
     p.add_argument("--format", default="json", choices=("json", "csv", "pretty"))
 
     p = sub.add_parser("coeffs", help="dump the coefficient families")
@@ -186,8 +182,9 @@ def build_parser() -> _Parser:
 
 
 def _emit(doc: dict, fmt: str, out) -> None:
-    """json, pretty or csv: the document's one table under a header of its
-    first row's keys, then any summary as a "# k=v ..." line."""
+    """json, pretty or csv of the document after "schema": its one table under a
+    header of its first row's keys, then any summary as a "# k=v ..." line."""
+    doc = {"schema": SCHEMA, **doc}
     if fmt == "csv":
         rows = next(v for v in doc.values() if isinstance(v, list))
         print(",".join(rows[0]), file=out)
@@ -232,7 +229,6 @@ def cmd_bound(args, out) -> int:
     if args.exact:
         _require_exact({"approx": cert.approx, "bound": cert.bound})
     doc = {
-        "schema": SCHEMA,
         **_head(cert.interval.a, cert.interval.b, cert.params),
         "theorem": cert.theorem,
         "q": render(cert.q),
@@ -254,6 +250,8 @@ def cmd_integrate(args, out) -> int:
     if (args.panels is None) == (args.target is None):
         raise DomainError("exactly one of --panels or --target is required")
     if args.panels is not None:
+        if args.panels > args.max_panels:  # the uniform cuts are built before any panel
+            raise DomainError(f"--panels {args.panels} exceeds --max-panels {args.max_panels}")
         result = composite.composite_integrate(
             f, iv, params, q, theorem=args.theorem, n=args.panels)
     else:
@@ -261,7 +259,6 @@ def cmd_integrate(args, out) -> int:
             f, iv, params, q, theorem=args.theorem,
             target=parse_number(args.target), max_panels=args.max_panels)
     doc = {
-        "schema": SCHEMA,
         **_head(iv.a, iv.b, params),
         "q": render(q),
         "theorem": args.theorem,
@@ -291,7 +288,6 @@ def cmd_coeffs(args, out) -> int:
     if args.exact:
         _require_exact(families["power_mean"])
     doc = {
-        "schema": SCHEMA,
         "alpha": render(params.alpha),
         "lambda": render(params.lam),
         "regime": classify_regime(params),
@@ -323,8 +319,7 @@ def cmd_means(args, out) -> int:
         value = means.eval_mean(args.kind, a, b, alpha=alpha, n=args.n)
         if args.exact:
             _require_exact({"value": value})
-        doc = {"schema": SCHEMA, "kind": args.kind,
-               "a": render(a), "b": render(b)}
+        doc = {"kind": args.kind, "a": render(a), "b": render(b)}
         if alpha is not None:
             doc["alpha"] = render(alpha)
         results = {"value": render(value)}
@@ -337,8 +332,7 @@ def cmd_means(args, out) -> int:
         if args.exact:
             _require_exact({"lhs": result.lhs, "rhs": result.rhs})
         holds = result.holds
-        doc = {"schema": SCHEMA, "prop": str(args.prop), **_head(a, b, params),
-               "q": render(q)}
+        doc = {"prop": str(args.prop), **_head(a, b, params), "q": render(q)}
         results = {"lhs": render(result.lhs), "rhs": render(result.rhs),
                    "holds": holds, "margin": render(result.margin)}
     if args.n is not None:
@@ -433,7 +427,6 @@ def cmd_verify(args, out) -> int:
                      for r in rows if float(r["bound"]) > 0), default=0.0)
     max_lhs = max((float(r["lhs"]) for r in rows), default=0.0)
     doc = {
-        "schema": SCHEMA,
         "check": args.check,
         "seed": str(args.seed),
         "rows": rows,

@@ -17,9 +17,9 @@ width-scaled bound until the summed bound clears the target, the panel
 budget runs out, or that panel has no number strictly inside it.  A heap
 entry holds plain numbers, (-(width * bound), a, b, bound, left, right,
 node), the last three as ``measure`` returned them.  A cut is made on the
-lifted ends and reduced, as is each key; between Fraction ends at an exact
-alpha = 1/2 the cut is t23's node, whose |f'|**q the lower half takes,
-decided once per solve.  The returned panels are issued in
+lifted ends and reduced, as is each key; the lower half's right end is
+the ``node`` that ``measure`` offered, read afresh when None, so ``bounds``
+alone decides what crosses a cut.  The returned panels are issued in
 tiling order, found by following the cut objects that neighbours share
 from a, so f is read at their nodes only and an Interval, a rule value
 and a certificate are made once per returned panel.  Panel endpoints are
@@ -117,9 +117,6 @@ def adaptive_integrate(f: FunctionModel, iv: Interval, params: RuleParams,
     if not isinstance(max_panels, int) or isinstance(max_panels, bool) or max_panels < 1:
         raise DomainError(f"max_panels must be a positive integer, got {max_panels!r}")
     measure, issue = prologue(f, iv, params, q, theorem)
-    node_is_cut = (type(iv.a) is type(iv.b) is Fraction  # then every cut is a Fraction,
-                   and theorem == "t23"  # and t23's node is the cut, the same Fraction
-                   and type(params.alpha) is Fraction and params.alpha == Fraction(1, 2))
     bound, left, right, node = measure(iv.a, iv.b, iv.width)
     heap = [(-(iv.width * bound), iv.a, iv.b, bound, left, right, node)]  # panels' a differ
     total = -heap[0][0]
@@ -130,8 +127,7 @@ def adaptive_integrate(f: FunctionModel, iv: Interval, params: RuleParams,
         if (cut := _halve(a, b)) is None:
             break
         mid, width, upper_width = cut
-        bound, _, at_mid, lower_node = measure(a, mid, width, left,
-                                               (node, None) if node_is_cut else None)
+        bound, _, at_mid, lower_node = measure(a, mid, width, left, node)
         lower = -_reduced(width * bound), a, mid, bound, left, at_mid, lower_node
         bound, _, _, upper_node = measure(mid, b, upper_width, at_mid, right)
         upper = -_reduced(upper_width * bound), mid, b, bound, at_mid, right, upper_node

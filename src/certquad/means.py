@@ -73,42 +73,49 @@ def identric_mean(a, b):
     _require(a != b, "I requires a != b")
     a, b = float(a), float(b)
     # exp form avoids overflow of b**b for large arguments
-    return math.exp((b * math.log(b) - a * math.log(a)) / (b - a) - 1.0)
+    v = math.exp((b * math.log(b) - a * math.log(a)) / (b - a) - 1.0)
+    if not math.isfinite(v):  # b * log(b) past the float range
+        raise OverflowError(f"I of [{a}, {b}] overflows to {v}")
+    return v
 
 
 def eval_mean(kind: str, a, b, *, alpha=None, n: int | None = None):
-    """Evaluate one of the nine means; domain violations raise DomainError
-    naming the failed predicate."""
+    """One of the nine means; a domain violation raises DomainError naming
+    the failed predicate, an inf or nan float mean OverflowError naming it."""
     if kind not in MEAN_KINDS:
         raise DomainError(f"unknown mean kind {kind!r}; expected one of {MEAN_KINDS}")
     if kind.endswith("_alpha"):
         _require(alpha is not None and 0 <= alpha <= 1,
                  f"{kind} requires alpha in [0, 1]")
     if kind == "A_alpha":
-        return alpha * a + (1 - alpha) * b
-    if kind == "A":
-        return (a + b) / 2
-    if kind == "G_alpha":
+        v = alpha * a + (1 - alpha) * b
+    elif kind == "A":
+        v = (a + b) / 2
+    elif kind == "G_alpha":
         _require(a > 0 and b > 0, "G_alpha requires a, b > 0")
-        return float(a) ** float(alpha) * float(b) ** float(1 - alpha)
-    if kind == "G":
+        v = float(a) ** float(alpha) * float(b) ** float(1 - alpha)
+    elif kind == "G":
         _require(a > 0 and b > 0, "G requires a, b > 0")
-        return math.sqrt(a * b)
-    if kind == "H_alpha":
+        v = math.sqrt(a * b)
+    elif kind == "H_alpha":
         _require(a != 0 and b != 0, "H_alpha requires a, b != 0")
         den = alpha / a + (1 - alpha) / b
         _require(den != 0, "H_alpha undefined where alpha/a + (1-alpha)/b = 0")
-        return 1 / den
-    if kind == "H":
+        v = 1 / den
+    elif kind == "H":
         _require(a != 0 and b != 0, "H requires a, b != 0")
         _require(a + b != 0, "H undefined for a + b = 0")
-        return 2 * a * b / (a + b)
-    if kind == "L":
-        return log_mean(a, b)
-    if kind == "L_n":
+        v = 2 * a * b / (a + b)
+    elif kind == "L":
+        v = log_mean(a, b)
+    elif kind == "L_n":
         _require(n is not None, "L_n requires n")
-        return _real_root(power_log_mean_nth(n, a, b), n)
-    return identric_mean(a, b)
+        v = _real_root(power_log_mean_nth(n, a, b), n)
+    else:
+        return identric_mean(a, b)  # checked there, as proposition_check calls it
+    if isinstance(v, float) and not math.isfinite(v):
+        raise OverflowError(f"{kind} of [{a}, {b}] overflows to {v}")
+    return v
 
 
 # ---------------------------------------------------------------------------

@@ -617,6 +617,32 @@ def test_prologue_asks_for_the_six_selected_constants(monkeypatch, corpus):
     assert seen == set(SELECTED)
 
 
+@pytest.mark.parametrize("name", ["t22", "t23", "t24"])
+@pytest.mark.parametrize("params, ends, node_is_cut", [
+    (RuleParams(F(1, 2), F(1, 3)), [(F(1, 2), F(3, 2))], True),
+    # a float alpha beside an exact lambda: params.exact alone does not decide
+    (RuleParams(0.5, F(1, 3)), [(F(1, 2), F(3, 2))], False),
+    (RuleParams(F(1, 3), F(1, 3)), [(F(1, 2), F(3, 2))], False),
+    (RuleParams(F(1, 2), F(1, 3)), [(0.5, 1.5), (F(1, 2), 1.5), (0.5, F(3, 2))], False),
+], ids=["exact-half", "float-half", "exact-third", "exact-half-float-ends"])
+def test_measure_offers_the_node_only_where_it_is_the_cut(corpus, name, params, ends,
+                                                          node_is_cut):
+    """The fourth value of measure is the end a lower half of a cut at
+    midpoint(a, b) may take: (|f'|**q there, None) for t23 at an exact
+    alpha = 1/2 between Fraction ends, where the node is that cut, else None."""
+    from certquad.bounds import prologue
+    f, q = corpus["pow:3"], 2
+    for a, b in ends:
+        measure, _ = prologue(f, Interval(a, b), params, q, name)
+        offer = measure(a, b, b - a)[3]
+        if name == "t23" and node_is_cut:
+            node_pow, f_there = offer
+            assert f_there is None
+            assert node_pow == abs(f.derivative(midpoint(a, b))) ** q == 9
+        else:
+            assert offer is None, (name, params, a, b)
+
+
 def test_prologue_walks_no_expression_tree(monkeypatch):
     import certquad.expression as expression
     f = from_expression("abs(x-0.3)+x^2", assume_convex=True)

@@ -352,6 +352,33 @@ def test_integrate_rejects_zero_panels(capsys):
     assert out == ""
 
 
+_MIDPOINT_POW2 = ("--f", "pow:2", "--a", "0", "--b", "1", "--rule", "midpoint", "--q", "1")
+
+
+def test_integrate_refuses_panels_past_the_cap_before_any_work(monkeypatch, capsys):
+    # every uniform cut is built before the first panel, so the cap is checked first
+    import certquad.composite as composite
+
+    def never(*args, **kwargs):
+        raise AssertionError("composite_integrate ran past the panel cap")
+
+    monkeypatch.setattr(composite, "composite_integrate", never)
+    assert run_cli("integrate", *_MIDPOINT_POW2, "--panels", "100000000000",
+                   capsys=capsys) == (1, "", "certquad: error: --panels 100000000000 "
+                                             "exceeds --max-panels 1024\n")
+    assert run_cli("integrate", *_MIDPOINT_POW2, "--panels", "9", "--max-panels", "8",
+                   capsys=capsys) == (1, "", "certquad: error: --panels 9 exceeds "
+                                             "--max-panels 8\n")
+
+
+def test_integrate_panels_up_to_the_cap_certify(capsys):
+    code, out, _ = run_cli("integrate", *_MIDPOINT_POW2, "--panels", "2000", "--max-panels",
+                           "2000", capsys=capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["panels"], doc["total_bound"]) == (2000, "1/8000")
+
+
 def test_coeffs_simpson(capsys):
     code, out, _ = run_cli("coeffs", "--alpha", "1/2", "--lambda", "1/3",
                            capsys=capsys)
@@ -394,6 +421,20 @@ def test_means_domain_error_exit_1(capsys):
                              capsys=capsys)
     assert code == 1
     assert out == ""
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--kind", "A", "--a", "1e308", "--b", "1e308"), "A of [1e+308, 1e+308] overflows to inf"),
+    (("--kind", "G", "--a", "1e308", "--b", "1e308"), "G of [1e+308, 1e+308] overflows to inf"),
+    (("--kind", "H", "--a", "1e200", "--b", "1e200"), "H of [1e+200, 1e+200] overflows to inf"),
+    (("--kind", "I", "--a", "1e308", "--b", "1.5e308"),
+     "I of [1e+308, 1.5e+308] overflows to nan"),
+    # a nan left side would read as a failed inequality
+    (("--prop", "5", "--a", "1e308", "--b", "1.5e308", "--alpha", "1/2", "--lambda", "0",
+      "--q", "1"), "I of [1e+308, 1.5e+308] overflows to nan"),
+], ids=["A", "G", "H", "I", "prop5"])
+def test_means_past_the_float_range_exit_1(argv, message, capsys):
+    assert run_cli("means", *argv, capsys=capsys) == (1, "", f"certquad: error: {message}\n")
 
 
 @pytest.mark.parametrize("prop, q, message", [

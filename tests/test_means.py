@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -61,6 +62,18 @@ def test_mean_domain_errors():
         eval_mean("A_alpha", 1, 2, alpha=1.5)
     with pytest.raises(DomainError):
         eval_mean("median", 1, 2)
+
+
+def test_means_past_the_float_range_overflow():
+    # each true mean lies in [a, b]; an inf or nan is an error, an exact mean is not
+    for kind, a, b in (("A", 1e308, 1e308), ("G", 1e308, 1e308), ("H", 1e200, 1e200),
+                       ("I", 1e308, 1.5e308)):
+        with pytest.raises(OverflowError, match="^" + re.escape(f"{kind} of [{a}, {b}]")):
+            eval_mean(kind, a, b)
+    huge = F(10 ** 400)
+    assert eval_mean("A", huge, huge) == huge
+    with pytest.raises(OverflowError, match="I of "):
+        proposition_check(5, 1e308, 1.5e308, RuleParams(F(1, 2), F(0)), 1)
 
 
 def test_odd_root_keeps_sign():
